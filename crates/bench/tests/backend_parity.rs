@@ -13,11 +13,13 @@
 //! differs between datapath and microkernel (dot, asum, row-major MVM)
 //! are swept with small-integer data, where every intermediate is exact
 //! and association cannot change the answer; kernels whose update order
-//! is provably identical (axpy, scal, col-major MVM) are swept with
-//! arbitrary random reals.
+//! is provably identical (axpy, scal, col-major MVM, linear-array MM) are
+//! swept with arbitrary random reals — for MM across binades and with
+//! ±0, subnormals, ±Inf and NaN mixed in.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
+use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_sim::{ExecBackend, Harness, SimReport};
 
@@ -53,6 +55,21 @@ impl Rng {
     /// Arbitrary real in roughly `[-8, 8)` with a full mantissa.
     fn real(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 50) as f64 - 8.0
+    }
+
+    /// A full-mantissa real scaled into a random binade in 2⁻³⁰..2³³;
+    /// with `specials` set, one draw in eight is instead ±0 or a
+    /// subnormal, and (`specials == 2`) one in sixty-four ±Inf or NaN.
+    fn wide_real(&mut self, specials: u8) -> f64 {
+        let roll = self.next_u64() % 64;
+        if specials >= 2 && roll == 0 {
+            return [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][self.size(0, 2)];
+        }
+        if specials >= 1 && roll < 8 {
+            let tiny = f64::MIN_POSITIVE * self.real() / 16.0;
+            return [0.0, -0.0, tiny][self.size(0, 2)];
+        }
+        self.real() * 2f64.powi(self.size(0, 60) as i32 - 30)
     }
 
     fn int_vec(&mut self, n: usize) -> Vec<f64> {
@@ -215,4 +232,48 @@ fn fractional_rate_designs_step_identically_under_native() {
         (out.result.to_bits(), out.report)
     });
     assert_eq!(saved, 0, "starved channel must decline fast-forward");
+}
+
+#[test]
+fn linear_array_mm_backends_agree_on_random_reals() {
+    let mut saved_total = 0;
+    for trial in 0..12 {
+        let mut rng = Rng::new(0x3A_77 + trial);
+        let k = [2, 4, 8][rng.size(0, 2)];
+        // Hazard-free blockings only (m²/k ≥ α = 14): m = 8 for k ≤ 4,
+        // m = 16 for every k.
+        let m = if k == 8 { 16 } else { [8, 16][rng.size(0, 1)] };
+        let n = m * rng.size(1, 2);
+        let specials = (trial % 3) as u8;
+        let a = DenseMatrix::from_fn(n, n, |_, _| rng.wide_real(specials));
+        let b = DenseMatrix::from_fn(n, n, |_, _| rng.wide_real(specials));
+        let ctx = format!("mm trial={trial} n={n} m={m} k={k} specials={specials}");
+        let mm = LinearArrayMm::on_xd1(MmParams::test(k, m));
+        saved_total += assert_backends_agree(&ctx, |h| {
+            let out = mm.run_in(h, &a, &b);
+            ((bits(out.c.as_slice()), out.hazard_violations), out.report)
+        });
+    }
+    assert!(
+        saved_total > 0,
+        "no linear-array MM trial ever fast-forwarded"
+    );
+}
+
+/// The paper's XD1 blocking m = k = 8 breaks §5.1's m²/k ≥ α, so its
+/// hazard windows must be stepped, never replayed.
+#[test]
+fn table4_mm_declines_fast_forward() {
+    let mut rng = Rng::new(0x7AB4);
+    let a = DenseMatrix::from_rows(16, 16, rng.real_vec(256));
+    let b = DenseMatrix::from_rows(16, 16, rng.real_vec(256));
+    let mm = LinearArrayMm::on_xd1(MmParams::table4());
+    let saved = assert_backends_agree("table4 mm n=16", |h| {
+        let out = mm.run_in(h, &a, &b);
+        ((bits(out.c.as_slice()), out.hazard_violations), out.report)
+    });
+    assert_eq!(saved, 0, "m = k = 8 must decline fast-forward");
+    let mut h = Harness::with_backend(ExecBackend::FastForward);
+    assert!(mm.run_in(&mut h, &a, &b).hazard_violations > 0);
+    assert_eq!(h.ff_cycles(), 0);
 }

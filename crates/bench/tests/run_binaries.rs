@@ -274,6 +274,37 @@ fn observatory_scale_writes_store_and_self_diffs_clean() {
     );
 }
 
+/// A baseline nested far past any stack budget must be rejected as a
+/// malformed store (exit 2), not abort the gate with a stack overflow.
+#[test]
+fn deeply_nested_baselines_exit_2() {
+    let dir = std::env::temp_dir().join("fblas_observatory_deep_json");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write deep baseline");
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    for args in [&["diff", "--quick"][..], &["scale", "--quick", "--diff"]] {
+        let output = Command::new(observatory)
+            .args(args)
+            .arg(&deep)
+            .output()
+            .expect("failed to launch observatory");
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: {:?}",
+            output.status
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("nesting"),
+            "{args:?}: stderr was {stderr:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `observatory faults` smoke: the campaign must exit clean (zero silent
 /// corruptions on covered kernels), write a loadable fault set, and emit
 /// byte-identical files at any worker count.

@@ -46,6 +46,10 @@ pub const FAST_PATH_CLAIMS: &[(&str, &str)] = &[
         "dot_product_backends_agree_across_random_shapes",
     ),
     (
+        "LinearArrayMm",
+        "linear_array_mm_backends_agree_on_random_reals",
+    ),
+    (
         "RowMajorMvm",
         "row_major_mvm_backends_agree_on_integer_matrices",
     ),

@@ -18,7 +18,8 @@
 //! added), so the §5.1 latency formulas are *measured*; [`LinearArrayMm`]
 //! chains (n/m)³ block multiplies with the overlap rule (effective latency
 //! m³/k per block) to produce the full-matrix result and Table 4's cycle
-//! counts.
+//! counts. On hazard-free blockings the fast-forward and native backends
+//! replay stage 2 in one fused loop instead (DESIGN.md §13).
 
 #[cfg(test)]
 use super::ref_matmul;
@@ -27,8 +28,8 @@ use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
 use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, Design, EdgeKind, FaultKind, FaultSpec,
-    Harness, Probe, ProbeId, StallCause, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, ExecBackend,
+    FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
 };
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
@@ -264,6 +265,69 @@ impl Design for BlockRun<'_> {
         self.cycle += 1;
 
         self.add_pipe.probe_occupancy(probe, ids.add_pipe);
+    }
+
+    /// Fused replay (DESIGN.md §13). PE p issues its MACs on cycles
+    /// `p .. p + m³/k`, so the multiplier bank fires for B = m³/k + k − 1
+    /// cycles, the adders for the same B cycles `mult_stages` later, and
+    /// the run ends when the last add lands: B + `mult_stages` +
+    /// `adder_stages` cycles. Each C′ cell receives its updates in
+    /// ascending q whatever the operands are, so the values fold into one
+    /// q-outer loop with the datapath's exact softfloat sequence, under
+    /// both fast backends (there is no microkernel substitution). Declined
+    /// when m²/k < α: the stepped engine then records the hazard windows.
+    fn fast_forward(&mut self, probe: &mut Probe, _backend: ExecBackend) -> u64 {
+        if !self.params.hazard_free() {
+            return 0;
+        }
+        let ids = self.ids.expect("setup registered components");
+        let m = self.params.m;
+        let mult_lat = self.mult_pipe.latency() as u64;
+        let add_lat = self.add_pipe.latency() as u64;
+        let fire = self.params.effective_block_cycles() + self.params.k as u64 - 1;
+        let total = fire + mult_lat + add_lat;
+        assert!(
+            total < self.limit,
+            "mm-block: simulation exceeded cycle limit {}",
+            self.limit
+        );
+
+        for (q, b_row) in self.b.as_slice().chunks_exact(m).enumerate() {
+            for (i, c_row) in self.c.chunks_exact_mut(m).enumerate() {
+                let aiq = self.a.at(i, q);
+                for (cell, &bqj) in c_row.iter_mut().zip(b_row) {
+                    *cell = add_f64(*cell, mul_f64(aiq, bqj));
+                }
+            }
+        }
+        self.macs = self.total_writes;
+        self.writes_done = self.total_writes;
+        self.cycle = total as i64;
+
+        // Counter reconstruction at the stepped run's positions: the
+        // multipliers fire on cycles 1..=B, the adders on
+        // mult_stages+1..=mult_stages+B, and the array drains after B.
+        probe.flops(2 * self.total_writes);
+        probe.record_busy_marks_at(ids.pe_array, 1, fire);
+        probe.record_busy_marks_at(ids.accumulators, mult_lat + 1, fire);
+        if mult_lat <= fire {
+            probe.record_busy_cycles_at(1, fire + mult_lat);
+        } else {
+            probe.record_busy_cycles_at(1, fire);
+            probe.record_busy_cycles_at(mult_lat + 1, fire);
+        }
+        probe.record_stalls_at(ids.pe_array, StallCause::Drain, fire + 1, total - fire);
+        // Adder fill after cycle t: batches that entered on cycles
+        // (t − α, t], intersected with the issue window (M, M + B].
+        let mut add_runs = DepthRuns::new(ids.add_pipe);
+        for t in 1..=total {
+            let depth = t
+                .min(mult_lat + fire)
+                .saturating_sub(t.saturating_sub(add_lat).max(mult_lat));
+            add_runs.push(probe, depth as usize);
+        }
+        add_runs.finish(probe);
+        total
     }
 
     fn drain(&mut self, probe: &mut Probe) {
@@ -624,6 +688,80 @@ mod tests {
         // With Document policy the forwarded values still give the exact
         // product.
         assert_eq!(c, ref_matmul(&a, &b).as_slice());
+    }
+
+    /// BlockStats.cycles in closed form: fill, m³/k MAC slots per PE,
+    /// the k − 1 skew, and one transit of the multiplier and adder.
+    fn closed_form_block_cycles(p: &MmParams) -> u64 {
+        p.fill_cycles()
+            + p.effective_block_cycles()
+            + (p.k - 1 + p.mult_stages + p.adder_stages) as u64
+    }
+
+    /// Full-mantissa reals spread over 2⁻²⁰..2²¹: products of these round
+    /// and their sums depend on association, unlike [`int_pair`].
+    fn real_pair(n: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let frac = 1.0 + (s >> 12) as f64 / (1u64 << 52) as f64;
+            let sign = if s & 1 == 0 { 1.0 } else { -1.0 };
+            sign * frac * 2f64.powi(((s >> 3) % 41) as i32 - 20)
+        };
+        let a = DenseMatrix::from_fn(n, n, |_, _| next());
+        let b = DenseMatrix::from_fn(n, n, |_, _| next());
+        (a, b)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn closed_form_block_cycles_match_the_stepped_engine() {
+        let mut shapes = 0;
+        for k in [1, 2, 4, 8] {
+            for m in [8, 16, 24, 32] {
+                for mult_stages in [1, fblas_fpu::MULTIPLIER_STAGES, 40] {
+                    let p = MmParams {
+                        mult_stages,
+                        ..MmParams::test(k, m)
+                    };
+                    if m % k != 0 || !p.hazard_free() {
+                        continue;
+                    }
+                    let ctx = format!("k={k} m={m} mult={mult_stages}");
+                    let (a, b) = real_pair(m, (k * 100 + m) as u64);
+                    let engine = BlockEngine::new(p);
+                    let mut stepped_h = Harness::new();
+                    let mut stepped_c = vec![0.5; m * m];
+                    let stepped =
+                        engine.multiply_accumulate_in(&mut stepped_h, &a, &b, &mut stepped_c);
+                    assert_eq!(stepped.cycles, closed_form_block_cycles(&p), "{ctx}");
+
+                    let mut ff_h = Harness::with_backend(ExecBackend::FastForward);
+                    let mut ff_c = vec![0.5; m * m];
+                    let ff = engine.multiply_accumulate_in(&mut ff_h, &a, &b, &mut ff_c);
+                    assert!(ff_h.ff_cycles() > 0, "{ctx}: fast-forward declined");
+                    assert_eq!(ff, stepped, "{ctx}");
+                    assert_eq!(bits(&ff_c), bits(&stepped_c), "{ctx}");
+                    assert_eq!(
+                        ff_h.probe().component_stats(),
+                        stepped_h.probe().component_stats(),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        ff_h.probe().busy_cycles(),
+                        stepped_h.probe().busy_cycles(),
+                        "{ctx}"
+                    );
+                    shapes += 1;
+                }
+            }
+        }
+        assert!(shapes >= 30, "grid collapsed to {shapes} shapes");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
+use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_sim::{Design, ExecBackend, Harness, Probe, ProbeId, StallCause, TelemSeries};
 
@@ -149,6 +150,26 @@ fn col_mvm_telemetry_parity() {
         });
         // One MAC batch per chunk of every column.
         assert_latencies(&series, "col-mvm/lanes", (n * n.div_ceil(4)) as u64);
+    }
+}
+
+#[test]
+fn linear_array_mm_telemetry_parity() {
+    // One block per run (n = m) so the run seals one series; the
+    // multiplier depth is varied past the block's compute span too.
+    for (k, m, mult_stages) in [(4, 16, fblas_fpu::MULTIPLIER_STAGES), (2, 8, 300)] {
+        let a = DenseMatrix::from_fn(m, m, |i, j| ((i * 3 + j) % 7) as f64);
+        let b = DenseMatrix::from_fn(m, m, |i, j| ((i + 5 * j) % 9) as f64);
+        let params = MmParams {
+            mult_stages,
+            ..MmParams::test(k, m)
+        };
+        let d = LinearArrayMm::new(params);
+        let series = assert_telem_parity("mm-block", &|h: &mut Harness| {
+            d.run_in(h, &a, &b);
+        });
+        // Every MAC lands one C′ write.
+        assert_latencies(&series, "mm/accumulators", (m * m * m) as u64);
     }
 }
 

@@ -106,6 +106,46 @@ mod tests {
         }
     }
 
+    /// Full-mantissa reals across 2⁻²⁰..2²⁰: unlike [`test_mats`], their
+    /// products round and their sums depend on summation order.
+    fn real_mats(n: usize) -> (DenseMatrix, DenseMatrix) {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let frac = 1.0 + (s >> 12) as f64 / (1u64 << 52) as f64;
+            let sign = if s & 1 == 0 { 1.0 } else { -1.0 };
+            sign * frac * 2f64.powi(((s >> 3) % 41) as i32 - 20)
+        };
+        let a = DenseMatrix::from_fn(n, n, |_, _| next());
+        let b = DenseMatrix::from_fn(n, n, |_, _| next());
+        (a, b)
+    }
+
+    #[test]
+    fn real_valued_products_match_the_stepped_design_bit_for_bit() {
+        let (a, b) = real_mats(64);
+        let stepped = LinearArrayMm::on_xd1(MmParams::test(8, 16)).run(&a, &b);
+        let bits = |c: &DenseMatrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(&stepped.c);
+        // The operands really are order-sensitive: summing each cell in
+        // descending q instead of the datapath's ascending q disagrees.
+        let reversed = DenseMatrix::from_fn(64, 64, |i, j| {
+            (0..64)
+                .rev()
+                .fold(0.0, |acc, q| acc + a.at(i, q) * b.at(q, j))
+        });
+        assert_ne!(bits(&reversed), want);
+        for shards in [1, 2, 4] {
+            let out = FabricMm::on_xd1(mm_plan(64, 16, shards, 1)).run(&a, &b);
+            assert_eq!(bits(&out.c), want, "s={shards}");
+            if shards == 1 {
+                assert_eq!(out.report, stepped.report);
+            }
+        }
+    }
+
     #[test]
     fn one_hop_ring_two_fpga_fabric_works() {
         let (a, b) = test_mats(32);

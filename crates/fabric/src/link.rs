@@ -135,6 +135,10 @@ pub struct FabricLink {
     throttle: Throttle,
     /// Queued words per flow, awaiting a grant.
     pending: Vec<u64>,
+    /// Sum of `pending`, kept in step with it.
+    backlog: u64,
+    /// Per-flow grants of the current cycle; all zero between ticks.
+    moved: Vec<u64>,
     /// Granted words in flight: (arrival cycle, flow, words), FIFO.
     in_flight: VecDeque<(u64, usize, u64)>,
     /// Round-robin pointer: next flow to consider for a grant.
@@ -157,6 +161,8 @@ impl FabricLink {
             latency_cycles,
             throttle: Throttle::new(words_per_cycle),
             pending: vec![0; flows],
+            backlog: 0,
+            moved: vec![0; flows],
             in_flight: VecDeque::new(),
             rr: 0,
             now: 0,
@@ -169,11 +175,12 @@ impl FabricLink {
     /// Queue `words` of `flow` at the link's ingress.
     pub fn offer(&mut self, flow: usize, words: u64) {
         self.pending[flow] += words;
+        self.backlog += words;
     }
 
     /// Total queued words across all flows.
     pub fn backlog_words(&self) -> u64 {
-        self.pending.iter().sum()
+        self.backlog
     }
 
     /// Words granted but still on the wire.
@@ -193,49 +200,43 @@ impl FabricLink {
 
     /// Advance one cycle: replenish credit, grant queued words
     /// round-robin, and pop arrivals whose latency has elapsed.
-    /// Returns `(flow, words)` batches arriving this cycle.
-    pub fn tick(&mut self) -> Vec<(usize, u64)> {
+    /// Appends the `(flow, words)` batches arriving this cycle to
+    /// `arrivals` and returns the words granted onto the wire.
+    pub fn tick(&mut self, arrivals: &mut Vec<(usize, u64)>) -> u64 {
         self.now += 1;
         self.throttle.tick();
 
-        let backlog = self.backlog_words();
-        self.max_backlog_words = self.max_backlog_words.max(backlog);
-        let budget = self.throttle.grant_up_to(backlog);
+        self.max_backlog_words = self.max_backlog_words.max(self.backlog);
+        let budget = self.throttle.grant_up_to(self.backlog);
 
         // Word-at-a-time round-robin: fair to within one word per
-        // cycle, and independent of flow insertion order.
+        // cycle, and independent of flow insertion order. The budget
+        // never exceeds the backlog, so every word finds a flow.
         let flows = self.pending.len();
-        let mut moved = vec![0u64; flows];
-        let mut remaining = budget;
-        while remaining > 0 {
-            let mut granted = false;
-            for off in 0..flows {
-                let f = (self.rr + off) % flows;
-                if self.pending[f] > 0 {
-                    self.pending[f] -= 1;
-                    moved[f] += 1;
-                    remaining -= 1;
-                    self.rr = (f + 1) % flows;
-                    granted = true;
-                    break;
+        for _ in 0..budget {
+            let f = (0..flows)
+                .map(|off| (self.rr + off) % flows)
+                .find(|&f| self.pending[f] > 0)
+                .expect("grant budget is bounded by the backlog");
+            self.pending[f] -= 1;
+            self.moved[f] += 1;
+            self.rr = (f + 1) % flows;
+        }
+        self.backlog -= budget;
+        if budget > 0 {
+            for (f, w) in self.moved.iter_mut().enumerate() {
+                if *w > 0 {
+                    self.in_flight
+                        .push_back((self.now + self.latency_cycles, f, *w));
+                    *w = 0;
                 }
             }
-            if !granted {
-                break;
-            }
         }
-        for (f, &w) in moved.iter().enumerate() {
-            if w > 0 {
-                self.forwarded_words += w;
-                self.in_flight
-                    .push_back((self.now + self.latency_cycles, f, w));
-            }
-        }
-        if self.backlog_words() > 0 {
+        self.forwarded_words += budget;
+        if self.backlog > 0 {
             self.congestion_cycles += 1;
         }
 
-        let mut arrivals = Vec::new();
         while let Some(&(due, f, w)) = self.in_flight.front() {
             if due > self.now {
                 break;
@@ -243,7 +244,7 @@ impl FabricLink {
             self.in_flight.pop_front();
             arrivals.push((f, w));
         }
-        arrivals
+        budget
     }
 
     /// Snapshot the link's cumulative statistics under `name`.
@@ -280,7 +281,9 @@ mod tests {
         let mut cycles = 0;
         while delivered < 10 {
             cycles += 1;
-            for (f, w) in link.tick() {
+            let mut arrivals = Vec::new();
+            link.tick(&mut arrivals);
+            for (f, w) in arrivals {
                 assert_eq!(f, 0);
                 delivered += w;
             }
@@ -298,10 +301,12 @@ mod tests {
         link.offer(0, 50);
         link.offer(1, 50);
         let mut got = [0u64; 2];
+        let mut arrivals = Vec::new();
         for _ in 0..40 {
-            for (f, w) in link.tick() {
-                got[f] += w;
-            }
+            link.tick(&mut arrivals);
+        }
+        for (f, w) in arrivals {
+            got[f] += w;
         }
         // One word per cycle, alternating: within a word of even.
         assert!(got[0].abs_diff(got[1]) <= 1, "{got:?}");
@@ -312,8 +317,9 @@ mod tests {
     fn congestion_is_counted_only_while_backlogged() {
         let mut link = FabricLink::new(LinkClass::RocketIo, 1.0, 0, 1);
         link.offer(0, 4);
+        let mut arrivals = Vec::new();
         for _ in 0..10 {
-            link.tick();
+            link.tick(&mut arrivals);
         }
         let r = link.report("test");
         // 4 words at 1/cycle: backlogged for the first 3 post-grant

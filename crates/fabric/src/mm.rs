@@ -15,7 +15,10 @@
 //! 1. **Values.** Every block multiply runs on the real
 //!    [`BlockEngine`] (softfloat datapath) in the same global order as
 //!    the unsharded design, so results do not depend on the shard
-//!    count. Per-block cycle counts come from the same measurement.
+//!    count. The engine is not stepped here: its fused replay applies
+//!    each C′ cell's multiply-adds in the datapath's ascending-q order
+//!    and returns the closed-form block cycle count (DESIGN.md §13), so
+//!    values and per-block cycles are those of the stepped engine.
 //! 2. **Schedule.** A cycle-stepped [`Design`] advances all shards and
 //!    links together: a shard only starts a block once its operands
 //!    crossed the fabric (else the cycle is attributed
@@ -25,11 +28,12 @@
 use fblas_core::mm::{BlockEngine, LinearArrayMm, MmParams};
 use fblas_core::mvm::DenseMatrix;
 use fblas_sim::{
-    ClockDomain, Design, EdgeKind, Harness, Probe, ProbeId, SimReport, StallCause, Topology,
+    ClockDomain, Design, EdgeKind, ExecBackend, Harness, Probe, ProbeId, SimReport, StallCause,
+    Topology,
 };
 
 use crate::link::{LinkReport, RingSpec};
-use crate::net::{Layout, RingNet};
+use crate::net::{Layout, NetDeliveries, RingNet};
 use crate::plan::MmShardPlan;
 
 /// Result of a sharded matrix-multiply run.
@@ -189,8 +193,9 @@ impl FabricMm {
     }
 
     /// [`FabricMm::run`] with the fabric schedule stepping on the
-    /// caller's harness (values always come from a private harness so
-    /// they are identical under every execution backend).
+    /// caller's harness (values always come from a private
+    /// fast-forward harness whose probe is discarded, so they are
+    /// identical under every execution backend).
     pub fn run_in(
         &self,
         harness: &mut Harness,
@@ -212,7 +217,7 @@ impl FabricMm {
         // softfloat stream — and therefore every C bit — is invariant
         // in the shard count.
         let engine = BlockEngine::new(*p);
-        let mut value_harness = Harness::new();
+        let mut value_harness = Harness::with_backend(ExecBackend::FastForward);
         let mut c_data = vec![0.0f64; n * n];
         let mut cblk = vec![0.0f64; m * m];
         let mut per_shard_macs = vec![0u64; plan.shards];
@@ -296,6 +301,7 @@ struct ShardState {
 #[derive(Debug)]
 struct MmSchedule {
     net: RingNet,
+    deliveries: NetDeliveries,
     shards: Vec<ShardState>,
     source_remaining: Vec<u64>,
     offered_words: Vec<u64>,
@@ -346,6 +352,7 @@ impl MmSchedule {
         let single_total = first_cycles + (blocks_total - 1) * eff_cycles + drain_cycles;
         Self {
             net,
+            deliveries: NetDeliveries::default(),
             shards,
             source_remaining,
             offered_words: vec![0; plan.shards],
@@ -426,11 +433,11 @@ impl Design for MmSchedule {
 
         // Move the fabric one cycle.
         let moved_before = self.net.progress_words();
-        let deliveries = self.net.tick();
-        for (j, w) in deliveries.ingress {
+        self.net.tick(&mut self.deliveries);
+        for &(j, w) in &self.deliveries.ingress {
             self.shards[j].ingress_words += w;
         }
-        for (_, w) in deliveries.returned {
+        for &(_, w) in &self.deliveries.returned {
             self.returned_words += w;
         }
         if self.net.progress_words() > moved_before {

@@ -18,7 +18,7 @@ use fblas_sim::{
 };
 
 use crate::link::{LinkClass, LinkReport, RingSpec};
-use crate::net::{Layout, RingNet};
+use crate::net::{Layout, NetDeliveries, RingNet};
 use crate::plan::{MvmShardPlan, Orientation};
 
 /// Result of a sharded matrix-vector run.
@@ -228,6 +228,7 @@ struct SliceState {
 #[derive(Debug)]
 struct MvmSchedule {
     net: RingNet,
+    deliveries: NetDeliveries,
     slices: Vec<SliceState>,
     broadcast_words: u64,
     expected_return_words: u64,
@@ -260,6 +261,7 @@ impl MvmSchedule {
         let max_cycles = per_shard_cycles.iter().copied().max().unwrap_or(0);
         Self {
             net,
+            deliveries: NetDeliveries::default(),
             slices,
             broadcast_words: plan.n as u64,
             expected_return_words: plan.n as u64,
@@ -326,11 +328,11 @@ impl Design for MvmSchedule {
         }
 
         let moved_before = self.net.progress_words();
-        let deliveries = self.net.tick();
-        for (j, w) in deliveries.ingress {
+        self.net.tick(&mut self.deliveries);
+        for &(j, w) in &self.deliveries.ingress {
             self.slices[j].ingress_words += w;
         }
-        for (_, w) in deliveries.returned {
+        for &(_, w) in &self.deliveries.returned {
             self.returned_words += w;
         }
         if self.net.progress_words() > moved_before {

@@ -185,7 +185,10 @@ pub struct RingNet {
     layout: Layout,
     links: Vec<FabricLink>,
     egress_capacity_words: u64,
-    delivered_words: u64,
+    /// Words granted onto any wire plus words delivered at any endpoint.
+    progress_words: u64,
+    /// One link's arrivals of the current cycle, reused across ticks.
+    arrivals: Vec<(usize, u64)>,
 }
 
 impl RingNet {
@@ -208,7 +211,8 @@ impl RingNet {
             layout,
             links,
             egress_capacity_words: spec.egress_capacity_words,
-            delivered_words: 0,
+            progress_words: 0,
+            arrivals: Vec::new(),
         }
     }
 
@@ -256,48 +260,37 @@ impl RingNet {
             .saturating_sub(self.links[route[0]].backlog_words())
     }
 
-    /// Position of `link` in `route`, if present.
-    fn hop_index(route: &[usize], link: usize) -> Option<usize> {
-        route.iter().position(|&l| l == link)
-    }
-
     /// Advance every link one cycle and route arrivals: words leaving
     /// a link either enter the next hop on their flow's route or land
-    /// at the endpoint (shard ingress / source return sink).
-    pub fn tick(&mut self) -> NetDeliveries {
-        let mut out = NetDeliveries::default();
+    /// at the endpoint (shard ingress / source return sink). `out` is
+    /// cleared and refilled with this cycle's deliveries.
+    pub fn tick(&mut self, out: &mut NetDeliveries) {
+        out.ingress.clear();
+        out.returned.clear();
         // Ascending link order is creation order; forward routes run
         // through ascending indices, so a word can traverse at most
         // one hop per cycle (store-and-forward, never cut-through).
         for i in 0..self.links.len() {
-            let arrivals = self.links[i].tick();
-            for (flow, words) in arrivals {
-                let meta_dir = self.layout.links()[i].dir;
-                match meta_dir {
-                    LinkDir::Forward => {
-                        let route = self.layout.forward_route(flow).to_vec();
-                        let pos = Self::hop_index(&route, i).expect("arrival off its route");
-                        if pos + 1 < route.len() {
-                            self.links[route[pos + 1]].offer(flow, words);
-                        } else {
-                            self.delivered_words += words;
-                            out.ingress.push((flow, words));
-                        }
-                    }
-                    LinkDir::Return => {
-                        let route = self.layout.return_route(flow).to_vec();
-                        let pos = Self::hop_index(&route, i).expect("arrival off its route");
-                        if pos + 1 < route.len() {
-                            self.links[route[pos + 1]].offer(flow, words);
-                        } else {
-                            self.delivered_words += words;
-                            out.returned.push((flow, words));
-                        }
-                    }
+            self.arrivals.clear();
+            self.progress_words += self.links[i].tick(&mut self.arrivals);
+            let dir = self.layout.links()[i].dir;
+            for &(flow, words) in &self.arrivals {
+                let (route, sink) = match dir {
+                    LinkDir::Forward => (self.layout.forward_route(flow), &mut out.ingress),
+                    LinkDir::Return => (self.layout.return_route(flow), &mut out.returned),
+                };
+                let pos = route
+                    .iter()
+                    .position(|&l| l == i)
+                    .expect("arrival off its route");
+                if let Some(&next) = route.get(pos + 1) {
+                    self.links[next].offer(flow, words);
+                } else {
+                    self.progress_words += words;
+                    sink.push((flow, words));
                 }
             }
         }
-        out
     }
 
     /// Whether every link is drained (no queued or in-flight words).
@@ -308,12 +301,7 @@ impl RingNet {
     /// Monotone progress counter: words delivered at any endpoint plus
     /// words granted onto any wire (traffic mid-route still counts).
     pub fn progress_words(&self) -> u64 {
-        self.delivered_words
-            + self
-                .links
-                .iter()
-                .map(FabricLink::forwarded_words)
-                .sum::<u64>()
+        self.progress_words
     }
 
     /// Per-link cumulative statistics, in layout order.
@@ -387,8 +375,10 @@ mod tests {
         let mut net = RingNet::new(Layout::new(3, 1), &spec);
         net.offer_forward(2, 6);
         let mut got = 0;
+        let mut deliveries = NetDeliveries::default();
         for _ in 0..40 {
-            for (shard, words) in net.tick().ingress {
+            net.tick(&mut deliveries);
+            for &(shard, words) in &deliveries.ingress {
                 assert_eq!(shard, 2);
                 got += words;
             }
