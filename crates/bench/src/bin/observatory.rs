@@ -53,7 +53,7 @@
 //! stepped-vs-simulated cycle ratio (`backend_speedup`).
 //!
 //! `diff` re-measures and compares against a baseline record set
-//! (`baselines/seed.json` in CI): exact cycle/flop/word/stall-counter
+//! (the committed `BENCH_0001.json` in CI): exact cycle/flop/word/stall-counter
 //! equality, bounded sustained-MFLOPS drift, no bound-classification
 //! flips, and every paper-parity figure still inside its tolerance band.
 //! Exit status is non-zero on any regression, so CI can gate on it.
@@ -78,7 +78,8 @@
 //! pool job. Without `--diff` it persists the next free `SERVE_<n>.json`
 //! in `--dir`; with `--diff <baseline>` it instead gates the fresh
 //! campaign against a committed store (exact counters, digests and SLO
-//! verdicts). Either way the `fblas-check` conservation and
+//! verdicts). The baseline is loaded and validated before the campaign
+//! runs, so a bad baseline exits 2 at once. Either way the `fblas-check` conservation and
 //! batch-amortization rules must pass. The records are byte-identical
 //! at any `--jobs` count and under every backend, like everything else
 //! the observatory writes.
@@ -92,8 +93,10 @@
 //! committed tolerance a warning — and against the `fblas-check`
 //! fabric-link-budget and scale-store rules. Without `--diff` it
 //! persists the next free `SCALE_<n>.json` in `--dir`; with `--diff
-//! <baseline>` it gates the fresh campaign against a committed store.
-//! Byte-identical at any `--jobs` count and under every backend.
+//! <baseline>` it gates the fresh campaign against a committed store,
+//! validated before the ladder runs. `serve` and `scale` share one
+//! driver ([`cmd_campaign`]). Byte-identical at any `--jobs` count and
+//! under every backend.
 //!
 //! `analyze` runs the `fblas-check` channel-graph analyses — the
 //! deadlock-freedom proof and throughput/bandwidth cuts over every
@@ -102,7 +105,7 @@
 //! from the record's own parameters. Exit status is non-zero if any
 //! proof fails or any measured rate exceeds its bound.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fblas_bench::cli;
@@ -110,16 +113,19 @@ use fblas_bench::fault_matrix::run_fault_matrix_with_jobs;
 use fblas_bench::paper_matrix::{run_matrix_telemetry, run_matrix_with_backend};
 use fblas_bench::scale_matrix::run_scale_matrix_with_jobs;
 use fblas_bench::serve_matrix::run_serve_matrix_with_jobs;
+use fblas_check::drc::Report;
 use fblas_check::graph::{cross_validate, topology_report};
 use fblas_check::{check_scale_set, check_serve_set, fabric_link_budget_report, Severity};
+use fblas_metrics::artifact::{
+    self, file_name, list_files, next_index, BENCH, SCALE, SERVE, TELEM,
+};
 use fblas_metrics::{
-    bench_file_name, diff_sets, faults as obs_faults, list_bench_files, next_bench_index,
-    next_serve_index, report as obs_report, scale as obs_scale, serve_file_name, RecordSet,
-    ScaleSet, ServeSet, WallClock,
+    diff_cells, diff_sets, faults as obs_faults, report as obs_report, scale as obs_scale,
+    FaultSet, Record, RecordSet, ScaleRecord, ScaleSet, ServeRecord, Store, WallClock,
 };
 use fblas_sim::{ExecBackend, DEFAULT_TELEM_WINDOW};
 use fblas_telemetry::trend::TrendPoint;
-use fblas_telemetry::{render_trend_section, splice_trend_section, telem_file_name, TelemSet};
+use fblas_telemetry::{render_trend_section, splice_trend_section, TelemSet};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -138,10 +144,10 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Unwrap a CLI parse result or exit 2 — the one funnel every usage
-/// error goes through, so `run`, `diff`, `faults` and `serve` cannot
-/// drift in how they reject `--jobs 0` or an unknown `--backend`.
-fn or_usage_error<T>(r: Result<T, String>) -> T {
+/// Unwrap a result or print the error and exit 2 — the one funnel every
+/// usage and IO error goes through, so no subcommand can drift in how
+/// it rejects `--jobs 0`, an unknown `--backend` or an unreadable store.
+fn or_exit<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -150,31 +156,61 @@ fn or_usage_error<T>(r: Result<T, String>) -> T {
 
 /// Parse `--jobs` with the shared validator, exiting 2 on bad input.
 fn take_jobs(args: &mut Vec<String>) -> usize {
-    or_usage_error(cli::take_jobs(args))
+    or_exit(cli::take_jobs(args))
 }
 
 /// Parse `--backend` with the shared validator, exiting 2 on bad input.
 fn take_backend(args: &mut Vec<String>) -> ExecBackend {
-    or_usage_error(cli::take_backend(args))
+    or_exit(cli::take_backend(args))
 }
 
 /// Parse `--seed` with the shared validator, exiting 2 on bad input.
 fn take_seed(args: &mut Vec<String>) -> u64 {
-    or_usage_error(cli::take_seed(args))
+    or_exit(cli::take_seed(args))
 }
 
 /// Parse the telemetry flags with the shared validator.
 fn take_telemetry(args: &mut Vec<String>) -> Option<u64> {
-    or_usage_error(cli::take_telemetry(args, DEFAULT_TELEM_WINDOW))
+    or_exit(cli::take_telemetry(args, DEFAULT_TELEM_WINDOW))
 }
 
 /// Parse `--flag <value>` with the shared helper, exiting 2 on a flag
 /// missing its value.
 fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    or_usage_error(cli::take_value(args, flag))
+    or_exit(cli::take_value(args, flag))
+}
+
+/// Parse `--dir <dir>` (default: the current directory).
+fn take_dir(args: &mut Vec<String>) -> PathBuf {
+    PathBuf::from(take_value(args, "--dir").unwrap_or_else(|| ".".into()))
 }
 
 use cli::take_flag;
+
+/// Load and parse a store, exiting 2 if it is unreadable or malformed.
+fn load_or_exit<T>(path: &Path, parse: fn(&str) -> Result<T, String>) -> T {
+    or_exit(artifact::load(path, parse))
+}
+
+/// Write a rendered store, exiting 2 on an IO error.
+fn save_or_exit(path: &Path, text: &str) {
+    or_exit(artifact::save(path, text));
+}
+
+/// Load the whole `BENCH_*.json` trajectory in `dir`, oldest first.
+/// Exits 2 on an unreadable point, or on an empty trajectory when
+/// `required`.
+fn load_trajectory(dir: &Path, required: bool) -> Vec<(u64, RecordSet)> {
+    let files = list_files(dir, BENCH);
+    if required && files.is_empty() {
+        eprintln!("error: no BENCH_*.json found in {}", dir.display());
+        std::process::exit(2);
+    }
+    files
+        .into_iter()
+        .map(|(index, path)| (index, load_or_exit(&path, RecordSet::from_json_str)))
+        .collect()
+}
 
 fn measure(
     quick: bool,
@@ -218,30 +254,21 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     let jobs = take_jobs(&mut args);
     let backend = take_backend(&mut args);
     let telemetry = take_telemetry(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
+    let dir = take_dir(&mut args);
     if !args.is_empty() {
         return usage();
     }
     let (set, wall, telem) = measure(quick, jobs, backend, telemetry);
-    let index = next_bench_index(&dir);
-    let path = dir.join(bench_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    let index = next_index(&dir, BENCH);
+    let path = dir.join(file_name(BENCH, index));
+    save_or_exit(&path, &set.to_json_string());
     let sidecar = dir.join(format!("BENCH_{index:04}.wallclock.json"));
-    if let Err(e) = std::fs::write(&sidecar, wall.to_json_string()) {
-        eprintln!("error: cannot write {}: {e}", sidecar.display());
-        return ExitCode::from(2);
-    }
+    save_or_exit(&sidecar, &wall.to_json_string());
     println!("wrote {}", path.display());
     println!("wrote {} (not for committing)", sidecar.display());
     if let Some(telem) = telem {
-        let telem_path = dir.join(telem_file_name(index));
-        if let Err(e) = telem.save(&telem_path) {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        let telem_path = dir.join(file_name(TELEM, index));
+        save_or_exit(&telem_path, &telem.to_json_string());
         println!(
             "wrote {} ({} run(s))",
             telem_path.display(),
@@ -270,7 +297,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
 /// `<baseline>.wallclock.json`, when present — must parse with
 /// consistent telemetry-config fields. Returns an error message when
 /// either check fails.
-fn validate_sidecars(wall: &WallClock, baseline_path: &std::path::Path) -> Result<(), String> {
+fn validate_sidecars(wall: &WallClock, baseline_path: &Path) -> Result<(), String> {
     let own = WallClock::from_json_str(&wall.to_json_string())
         .map_err(|e| format!("own sidecar failed validation: {e}"))?;
     if own.telemetry_window != wall.telemetry_window {
@@ -278,7 +305,7 @@ fn validate_sidecars(wall: &WallClock, baseline_path: &std::path::Path) -> Resul
     }
     let sibling = baseline_path.with_extension("wallclock.json");
     if sibling.exists() {
-        let parsed = WallClock::load(&sibling)?;
+        let parsed = artifact::load(&sibling, WallClock::from_json_str)?;
         eprintln!(
             "observatory: baseline sidecar {} ok (backend {}, telemetry {})",
             sibling.display(),
@@ -300,18 +327,9 @@ fn cmd_diff(mut args: Vec<String>) -> ExitCode {
         return usage();
     }
     let baseline_path = PathBuf::from(&args[0]);
-    let baseline = match RecordSet::load(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let baseline = load_or_exit(&baseline_path, RecordSet::from_json_str);
     let (run, wall, _telem) = measure(quick, jobs, backend, telemetry);
-    if let Err(e) = validate_sidecars(&wall, &baseline_path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    or_exit(validate_sidecars(&wall, &baseline_path));
     let report = diff_sets(&baseline, &run);
     print!("{}", report.render());
     println!("\nPaper-parity scoreboard (this run):\n");
@@ -333,65 +351,38 @@ fn cmd_diff(mut args: Vec<String>) -> ExitCode {
 }
 
 fn cmd_report(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
+    let dir = take_dir(&mut args);
     let doc =
         PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
     if !args.is_empty() {
         return usage();
     }
-    let mut labels = Vec::new();
-    let mut runs = Vec::new();
-    for (index, path) in list_bench_files(&dir) {
-        match RecordSet::load(&path) {
-            Ok(set) => {
-                labels.push(format!("BENCH_{index:04}"));
-                runs.push(set);
-            }
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let (labels, runs): (Vec<String>, Vec<RecordSet>) = load_trajectory(&dir, false)
+        .into_iter()
+        .map(|(index, set)| (format!("BENCH_{index:04}"), set))
+        .unzip();
     let section = obs_report::render_section(&labels, &runs);
     let document = std::fs::read_to_string(&doc).unwrap_or_default();
     let mut spliced = obs_report::splice_section(&document, &section);
     let faults_path = dir.join("FAULTS.json");
     let mut fault_note = String::new();
     if faults_path.exists() {
-        match fblas_metrics::FaultSet::load(&faults_path) {
-            Ok(set) => {
-                let section = obs_faults::render_fault_section(&set);
-                spliced = obs_faults::splice_fault_section(&spliced, &section);
-                fault_note = format!(" + fault coverage ({} trials)", set.records.len());
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+        let set = load_or_exit(&faults_path, FaultSet::from_json_str);
+        let section = obs_faults::render_fault_section(&set);
+        spliced = obs_faults::splice_fault_section(&spliced, &section);
+        fault_note = format!(" + fault coverage ({} trials)", set.records.len());
     }
     let mut scale_note = String::new();
-    if let Some((index, path)) = obs_scale::list_scale_files(&dir).last() {
-        match ScaleSet::load(path) {
-            Ok(set) => {
-                let section = obs_scale::render_scale_section(&set);
-                spliced = obs_scale::splice_scale_section(&spliced, &section);
-                scale_note = format!(
-                    " + scaling ladder (SCALE_{index:04}, {} rows)",
-                    set.records.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some((index, path)) = list_files(&dir, SCALE).last() {
+        let set = load_or_exit(path, ScaleSet::from_json_str);
+        let section = obs_scale::render_scale_section(&set);
+        spliced = obs_scale::splice_scale_section(&spliced, &section);
+        scale_note = format!(
+            " + scaling ladder (SCALE_{index:04}, {} rows)",
+            set.records.len()
+        );
     }
-    if let Err(e) = std::fs::write(&doc, &spliced) {
-        eprintln!("error: cannot write {}: {e}", doc.display());
-        return ExitCode::from(2);
-    }
+    save_or_exit(&doc, &spliced);
     println!(
         "spliced {} run(s){}{} into {} ({} bytes)",
         runs.len(),
@@ -409,55 +400,30 @@ fn cmd_report(mut args: Vec<String>) -> ExitCode {
 /// between the telemetry markers. Non-zero exit if any efficiency row
 /// of the latest point is outside the paper-model tolerance.
 fn cmd_trend(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
+    let dir = take_dir(&mut args);
     let doc =
         PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
     if !args.is_empty() {
         return usage();
     }
-    let bench_files = list_bench_files(&dir);
-    if bench_files.is_empty() {
-        eprintln!("error: no BENCH_*.json found in {}", dir.display());
-        return ExitCode::from(2);
-    }
-    let mut points = Vec::new();
-    let mut with_telem = 0usize;
-    for (index, path) in bench_files {
-        let records = match RecordSet::load(&path) {
-            Ok(set) => set,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
+    let points: Vec<TrendPoint> = load_trajectory(&dir, true)
+        .into_iter()
+        .map(|(index, records)| {
+            let telem_path = dir.join(file_name(TELEM, index));
+            TrendPoint {
+                label: format!("BENCH_{index:04}"),
+                records,
+                telem: telem_path
+                    .exists()
+                    .then(|| load_or_exit(&telem_path, TelemSet::from_json_str)),
             }
-        };
-        let telem_path = dir.join(telem_file_name(index));
-        let telem = if telem_path.exists() {
-            match TelemSet::load(&telem_path) {
-                Ok(set) => {
-                    with_telem += 1;
-                    Some(set)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            None
-        };
-        points.push(TrendPoint {
-            label: format!("BENCH_{index:04}"),
-            records,
-            telem,
-        });
-    }
+        })
+        .collect();
+    let with_telem = points.iter().filter(|p| p.telem.is_some()).count();
     let (section, out_of_tol) = render_trend_section(&points);
     let document = std::fs::read_to_string(&doc).unwrap_or_default();
     let spliced = splice_trend_section(&document, &section);
-    if let Err(e) = std::fs::write(&doc, &spliced) {
-        eprintln!("error: cannot write {}: {e}", doc.display());
-        return ExitCode::from(2);
-    }
+    save_or_exit(&doc, &spliced);
     println!(
         "spliced telemetry dashboard ({} point(s), {} with telemetry) into {}",
         points.len(),
@@ -488,10 +454,7 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
         jobs
     );
     let set = run_fault_matrix_with_jobs(seed, quick, jobs);
-    if let Err(e) = set.save(&out) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
+    save_or_exit(&out, &set.to_json_string());
     println!("wrote {} ({} trial(s))\n", out.display(), set.records.len());
     print!("{}", obs_faults::render_fault_scoreboard(&set));
     println!("\nGraceful degradation:\n");
@@ -512,26 +475,14 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
 /// the static bounds. Exit status is non-zero on any error, so CI can
 /// gate on the soundness of the model.
 fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
+    let dir = take_dir(&mut args);
     let verbose = take_flag(&mut args, "--verbose");
     if !args.is_empty() {
         return usage();
     }
+    let trajectory = load_trajectory(&dir, true);
     let mut reports = topology_report();
-    let bench_files = list_bench_files(&dir);
-    if bench_files.is_empty() {
-        eprintln!("error: no BENCH_*.json found in {}", dir.display());
-        return ExitCode::from(2);
-    }
-    for (_index, path) in bench_files {
-        match RecordSet::load(&path) {
-            Ok(set) => reports.push(cross_validate(&set)),
-            Err(e) => {
-                eprintln!("error: cannot load {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
+    reports.extend(trajectory.iter().map(|(_, set)| cross_validate(set)));
     let mut errors = 0;
     for report in &reports {
         print!("{}", report.render(verbose));
@@ -549,29 +500,37 @@ fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-/// `serve`: run the BLAS-as-a-service campaign on the worker pool,
-/// persist the next free `SERVE_<n>.json`, re-check the store's
-/// conservation/amortization rules, and — with `--diff <baseline>` —
-/// gate the fresh campaign byte-for-byte against a committed store.
-/// Exit status: 2 on usage/IO errors, 1 on any failed gate.
-fn cmd_serve(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let baseline = take_value(&mut args, "--diff").map(PathBuf::from);
-    if !args.is_empty() {
-        return usage();
-    }
-    eprintln!(
-        "observatory: running the {} serving campaign on {} job(s), {} backend...",
-        if quick { "quick" } else { "full" },
-        jobs,
-        backend
-    );
-    let set = run_serve_matrix_with_jobs(quick, jobs, backend);
-    for r in &set.records {
-        println!(
+/// What differs between the store-backed campaign subcommands (`serve`,
+/// `scale`); [`cmd_campaign`] owns the rest.
+struct Campaign<R> {
+    /// Subcommand name, e.g. `"serve"`.
+    cmd: &'static str,
+    /// Campaign name in the banner, e.g. `"serving"`.
+    name: &'static str,
+    /// Trajectory prefix of the persisted store.
+    prefix: &'static str,
+    /// What the `wrote` line calls a row, e.g. `"cell(s)"`.
+    rows: &'static str,
+    /// Run the campaign: `(quick, jobs, backend)`.
+    run: fn(bool, usize, ExecBackend) -> Store<R>,
+    /// One stdout line per row.
+    row: fn(&R) -> String,
+    /// The `fblas-check` reports the fresh store must pass.
+    gates: fn(&Store<R>) -> Vec<Report>,
+    /// Verdict detail when a gate reports an error.
+    gate_failure: &'static str,
+}
+
+/// `serve`: the BLAS-as-a-service campaign, gated by the conservation
+/// and batch-amortization rules.
+const SERVE_CAMPAIGN: Campaign<ServeRecord> = Campaign {
+    cmd: "serve",
+    name: "serving",
+    prefix: SERVE,
+    rows: "cell(s)",
+    run: run_serve_matrix_with_jobs,
+    row: |r| {
+        format!(
             "{:24} offered {:5}  completed {:5}  rejected {:4}  in-flight {:3}  \
              batches {:4}  staging {:9} ns  p99 {}  slo {}",
             r.cell,
@@ -585,70 +544,22 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
                 .p99()
                 .map_or_else(|| "-".to_string(), |p| format!("{p} ns")),
             if r.slo_pass { "PASS" } else { "FAIL" },
-        );
-    }
-    let report = check_serve_set(&set);
-    print!("{}", report.render(false));
-    if report.count(Severity::Error) > 0 {
-        println!("observatory serve: FAIL — conservation/amortization rules violated");
-        return ExitCode::FAILURE;
-    }
-    if let Some(baseline_path) = baseline {
-        let baseline = match ServeSet::load(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let diff = fblas_metrics::diff_serve(&set, &baseline);
-        print!("{}", diff.render());
-        if !diff.pass() {
-            println!(
-                "observatory serve: FAIL — campaign drifted from {}",
-                baseline_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "observatory serve: PASS (baseline {})",
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let index = next_serve_index(&dir);
-    let path = dir.join(serve_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {} ({} cell(s))", path.display(), set.records.len());
-    ExitCode::SUCCESS
-}
+        )
+    },
+    gates: |set| vec![check_serve_set(set)],
+    gate_failure: "conservation/amortization rules violated",
+};
 
-/// `scale`: run the multi-FPGA scaling campaign on the worker pool,
-/// gate every row against the §6.4 projection and the `fblas-check`
-/// fabric rules, persist the next free `SCALE_<n>.json`, and — with
-/// `--diff <baseline>` — gate the fresh campaign against a committed
-/// store. Exit status: 2 on usage/IO errors, 1 on any failed gate.
-fn cmd_scale(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let dir = PathBuf::from(take_value(&mut args, "--dir").unwrap_or_else(|| ".".into()));
-    let baseline = take_value(&mut args, "--diff").map(PathBuf::from);
-    if !args.is_empty() {
-        return usage();
-    }
-    eprintln!(
-        "observatory: running the {} scaling campaign on {} job(s), {} backend...",
-        if quick { "quick" } else { "full" },
-        jobs,
-        backend
-    );
-    let set = run_scale_matrix_with_jobs(quick, jobs, backend);
-    for r in &set.records {
-        println!(
+/// `scale`: the multi-FPGA ladder, gated by the fabric link budgets and
+/// the §6.4 soundness rules.
+const SCALE_CAMPAIGN: Campaign<ScaleRecord> = Campaign {
+    cmd: "scale",
+    name: "scaling",
+    prefix: SCALE,
+    rows: "row(s)",
+    run: run_scale_matrix_with_jobs,
+    row: |r| {
+        format!(
             "{:14} n {:4}  cycles {:9}  {:8.1} MFLOPS  speedup {:6.3}  eff {:5.3}  \
              model {:8.1}  div {:5.1}%  starved {:7}  backpressured {:7}  {}",
             r.cell(),
@@ -662,46 +573,73 @@ fn cmd_scale(mut args: Vec<String>) -> ExitCode {
             r.stalls_starved,
             r.stalls_backpressured,
             if r.within_bound { "ok" } else { "OVER MODEL" },
-        );
+        )
+    },
+    gates: |set| vec![fabric_link_budget_report(), check_scale_set(set)],
+    gate_failure: "fabric budget/soundness rules violated",
+};
+
+/// Run a store-backed campaign on the worker pool, print its rows, gate
+/// them with the campaign's `fblas-check` rules, then either persist the
+/// next free `<PREFIX>_<n>.json` or — with `--diff <baseline>` — gate
+/// the fresh store exactly against a committed one. The baseline is
+/// loaded before the campaign runs, so a bad one costs no simulation.
+/// Exit status: 2 on usage/IO errors, 1 on any failed gate.
+fn cmd_campaign<R: Record>(c: &Campaign<R>, mut args: Vec<String>) -> ExitCode {
+    let quick = take_flag(&mut args, "--quick");
+    let jobs = take_jobs(&mut args);
+    let backend = take_backend(&mut args);
+    let dir = take_dir(&mut args);
+    let baseline_path = take_value(&mut args, "--diff").map(PathBuf::from);
+    if !args.is_empty() {
+        return usage();
     }
-    let budgets = fabric_link_budget_report();
-    print!("{}", budgets.render(false));
-    let report = check_scale_set(&set);
-    print!("{}", report.render(false));
-    if budgets.count(Severity::Error) + report.count(Severity::Error) > 0 {
-        println!("observatory scale: FAIL — fabric budget/soundness rules violated");
+    let baseline = baseline_path.map(|path| {
+        let set = load_or_exit(&path, Store::<R>::from_json_str);
+        (path, set)
+    });
+    eprintln!(
+        "observatory: running the {} {} campaign on {} job(s), {} backend...",
+        if quick { "quick" } else { "full" },
+        c.name,
+        jobs,
+        backend
+    );
+    let set = (c.run)(quick, jobs, backend);
+    for r in &set.records {
+        println!("{}", (c.row)(r));
+    }
+    let mut errors = 0;
+    for report in (c.gates)(&set) {
+        print!("{}", report.render(false));
+        errors += report.count(Severity::Error);
+    }
+    if errors > 0 {
+        println!("observatory {}: FAIL — {}", c.cmd, c.gate_failure);
         return ExitCode::FAILURE;
     }
-    if let Some(baseline_path) = baseline {
-        let baseline = match ScaleSet::load(&baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let diff = fblas_metrics::diff_scale(&set, &baseline);
+    if let Some((path, baseline)) = baseline {
+        let diff = diff_cells(&set, &baseline);
         print!("{}", diff.render());
         if !diff.pass() {
             println!(
-                "observatory scale: FAIL — campaign drifted from {}",
-                baseline_path.display()
+                "observatory {}: FAIL — campaign drifted from {}",
+                c.cmd,
+                path.display()
             );
             return ExitCode::FAILURE;
         }
-        println!(
-            "observatory scale: PASS (baseline {})",
-            baseline_path.display()
-        );
+        println!("observatory {}: PASS (baseline {})", c.cmd, path.display());
         return ExitCode::SUCCESS;
     }
-    let index = obs_scale::next_scale_index(&dir);
-    let path = dir.join(obs_scale::scale_file_name(index));
-    if let Err(e) = set.save(&path) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    println!("wrote {} ({} row(s))", path.display(), set.records.len());
+    let path = dir.join(file_name(c.prefix, next_index(&dir, c.prefix)));
+    save_or_exit(&path, &set.to_json_string());
+    println!(
+        "wrote {} ({} {})",
+        path.display(),
+        set.records.len(),
+        c.rows
+    );
     ExitCode::SUCCESS
 }
 
@@ -717,8 +655,8 @@ fn main() -> ExitCode {
         "report" => cmd_report(args),
         "trend" => cmd_trend(args),
         "faults" => cmd_faults(args),
-        "serve" => cmd_serve(args),
-        "scale" => cmd_scale(args),
+        "serve" => cmd_campaign(&SERVE_CAMPAIGN, args),
+        "scale" => cmd_campaign(&SCALE_CAMPAIGN, args),
         "analyze" => cmd_analyze(args),
         _ => usage(),
     }

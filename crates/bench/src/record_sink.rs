@@ -10,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use fblas_metrics::{RecordSet, RunRecord, StallBreakdown};
+use fblas_metrics::{artifact, RecordSet, RunRecord, StallBreakdown};
 use fblas_sim::Harness;
 
 /// Result of scanning the process arguments for `--json`, plus the
@@ -69,7 +69,7 @@ impl RecordSink {
     /// an error message on I/O failure.
     pub fn write(&self) {
         let Some(path) = &self.path else { return };
-        match self.set.save(path) {
+        match artifact::save(path, &self.set.to_json_string()) {
             Ok(()) => eprintln!("records: wrote {}", path.display()),
             Err(e) => {
                 eprintln!("error: cannot write records: {e}");

@@ -4,7 +4,10 @@
 //! are exercised by `cargo run --release`; in debug-mode tests they would
 //! dominate the suite's runtime.
 
+use std::path::Path;
 use std::process::Command;
+
+use fblas_metrics::{artifact, FaultSet, Json, RecordSet, ScaleSet, ServeSet};
 
 fn run(bin: &str) {
     let status = Command::new(bin)
@@ -56,7 +59,7 @@ fn json_flag_writes_a_record_set() {
         .expect("failed to launch table1");
     assert!(status.success(), "table1 --json exited with {status}");
     let text = std::fs::read_to_string(&out).expect("records file missing");
-    let set = fblas_metrics::RecordSet::load(&out).expect("records must parse");
+    let set = artifact::load(&out, RecordSet::from_json_str).expect("records must parse");
     std::fs::remove_file(&out).ok();
     assert!(
         text.contains(&format!(
@@ -214,8 +217,8 @@ fn observatory_serve_writes_store_and_self_diffs_clean() {
     let second = std::fs::read(dir.join("SERVE_0002.json")).expect("SERVE_0002 missing");
     assert_eq!(first, second, "SERVE files must be byte-identical");
 
-    let set =
-        fblas_metrics::ServeSet::load(&dir.join("SERVE_0001.json")).expect("store must parse");
+    let set = artifact::load(&dir.join("SERVE_0001.json"), ServeSet::from_json_str)
+        .expect("store must parse");
     assert!(!set.records.is_empty(), "serve campaign must emit records");
 
     let status = Command::new(observatory)
@@ -250,8 +253,8 @@ fn observatory_scale_writes_store_and_self_diffs_clean() {
     let second = std::fs::read(dir.join("SCALE_0002.json")).expect("SCALE_0002 missing");
     assert_eq!(first, second, "SCALE files must be byte-identical");
 
-    let set =
-        fblas_metrics::ScaleSet::load(&dir.join("SCALE_0001.json")).expect("store must parse");
+    let set = artifact::load(&dir.join("SCALE_0001.json"), ScaleSet::from_json_str)
+        .expect("store must parse");
     assert!(!set.records.is_empty(), "scale campaign must emit records");
 
     let status = Command::new(observatory)
@@ -305,6 +308,136 @@ fn deeply_nested_baselines_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The committed store `name` at the repository root.
+fn committed(name: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// `text` with its first record repeated verbatim.
+fn with_repeated_first_record(text: &str) -> String {
+    let Ok(Json::Obj(mut members)) = Json::parse(text) else {
+        panic!("store is not an object")
+    };
+    let (_, records) = members
+        .iter_mut()
+        .find(|(k, _)| k == "records")
+        .expect("store has records");
+    let Json::Arr(rows) = records else {
+        panic!("records is not an array")
+    };
+    rows.insert(1, rows[0].clone());
+    Json::Obj(members).render()
+}
+
+/// `text` with the first numeric member after `"records"` overwritten
+/// by a literal that overflows a double.
+fn with_overflowing_number(text: &str) -> String {
+    let records = text.find("\"records\"").expect("store has records");
+    let at = (records..text.len())
+        .find(|&i| text[i..].starts_with("\": ") && text.as_bytes()[i + 3].is_ascii_digit())
+        .expect("a numeric member")
+        + 3;
+    let end = at + text[at..].find([',', '\n']).expect("number ends");
+    format!("{}1e999{}", &text[..at], &text[end..])
+}
+
+/// Malformed-store corpus: every `--diff` gate must reject a truncated,
+/// wrong-schema, repeated-cell or non-finite baseline with exit 2 and
+/// a diagnostic naming the defect, before any campaign runs.
+#[test]
+fn malformed_baselines_exit_2_on_every_gate() {
+    let dir = std::env::temp_dir().join("fblas_observatory_malformed");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    for (args, store, first_key) in [
+        (
+            &["diff", "--quick"][..],
+            "BENCH_0001.json",
+            "dot[k=2,n=2048]",
+        ),
+        (
+            &["serve", "--quick", "--diff"],
+            "SERVE_0001.json",
+            "dot64/open/b1",
+        ),
+        (
+            &["scale", "--quick", "--diff"],
+            "SCALE_0001.json",
+            "mm/linear/s1",
+        ),
+    ] {
+        let text = committed(store);
+        let duplicate = format!("duplicate record key '{first_key}'");
+        let cases = [
+            (
+                "truncated",
+                text[..text.len() / 2].to_string(),
+                "JSON error",
+            ),
+            (
+                "schema",
+                text.replacen("\"schema_version\": 1,", "\"schema_version\": 2,", 1),
+                "schema version mismatch",
+            ),
+            ("duplicate", with_repeated_first_record(&text), &duplicate),
+            ("overflow", with_overflowing_number(&text), "1e999"),
+        ];
+        for (case, body, needle) in cases {
+            let baseline = dir.join(format!("{case}-{store}"));
+            std::fs::write(&baseline, body).expect("write baseline");
+            let output = Command::new(observatory)
+                .args(args)
+                .arg(&baseline)
+                .output()
+                .expect("failed to launch observatory");
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{args:?} {case}: {:?}, stderr {stderr:?}",
+                output.status
+            );
+            assert!(
+                stderr.contains(needle),
+                "{args:?} {case}: stderr was {stderr:?}"
+            );
+            assert!(
+                !stderr.contains("running the"),
+                "{args:?} {case}: baseline must be rejected before the run: {stderr:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `serve --diff` and `scale --diff` load the baseline before running
+/// the campaign: a missing file exits 2 at once, with no banner.
+#[test]
+fn campaign_gates_reject_a_missing_baseline_before_running() {
+    let missing = std::env::temp_dir().join("fblas_observatory_no_such_baseline.json");
+    std::fs::remove_file(&missing).ok();
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    for cmd in ["serve", "scale"] {
+        let output = Command::new(observatory)
+            .args([cmd, "--quick", "--jobs", "2", "--diff"])
+            .arg(&missing)
+            .output()
+            .expect("failed to launch observatory");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{cmd}: {:?}", output.status);
+        assert!(
+            stderr.contains("cannot read"),
+            "{cmd}: stderr was {stderr:?}"
+        );
+        assert!(
+            !stderr.contains("running the"),
+            "{cmd}: campaign ran before the baseline was read: {stderr:?}"
+        );
+    }
+}
+
 /// `observatory faults` smoke: the campaign must exit clean (zero silent
 /// corruptions on covered kernels), write a loadable fault set, and emit
 /// byte-identical files at any worker count.
@@ -322,7 +455,7 @@ fn observatory_fault_campaign_is_deterministic_across_jobs() {
             .expect("failed to launch observatory faults");
         assert!(status.success(), "--jobs {jobs} campaign exited {status}");
         files.push(std::fs::read(&out).expect("FAULTS file missing"));
-        let set = fblas_metrics::FaultSet::load(&out).expect("fault set must parse");
+        let set = artifact::load(&out, FaultSet::from_json_str).expect("fault set must parse");
         assert_eq!(set.seed, 7);
         assert!(!set.records.is_empty());
         std::fs::remove_file(&out).ok();

@@ -12,8 +12,7 @@
 //! of `EXPERIMENTS.md` splices independently of the paper-parity section
 //! (whose byte-exact golden test must not be disturbed).
 
-use std::path::Path;
-
+use crate::artifact::{array, envelope, generator, open};
 use crate::json::Json;
 use crate::report::splice_between;
 
@@ -188,9 +187,7 @@ impl FaultSet {
 
     /// Serialize to the canonical byte-deterministic JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(FAULT_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
+        envelope(FAULT_SCHEMA_VERSION, &self.generator)
             .with("seed", Json::Num(self.seed as f64))
             .with(
                 "records",
@@ -206,55 +203,22 @@ impl FaultSet {
     /// Parse a document produced by [`FaultSet::to_json_string`],
     /// rejecting schema mismatches outright.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != FAULT_SCHEMA_VERSION {
-            return Err(format!(
-                "schema version mismatch: file has v{version}, this tool speaks \
-                 v{FAULT_SCHEMA_VERSION} — regenerate the fault set"
-            ));
-        }
+        let doc = open(text, "faults", FAULT_SCHEMA_VERSION)?;
         Ok(Self {
-            generator: doc
-                .get("generator")
-                .and_then(Json::as_str)
-                .ok_or("document missing 'generator'")?
-                .to_string(),
+            generator: generator(&doc)?,
             seed: doc
                 .get("seed")
                 .and_then(Json::as_u64)
                 .ok_or("document missing 'seed'")?,
-            records: doc
-                .get("records")
-                .and_then(Json::as_arr)
-                .ok_or("document missing 'records' array")?
+            records: array(&doc, "records")?
                 .iter()
                 .map(FaultRecord::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
-            degraded: doc
-                .get("degraded")
-                .and_then(Json::as_arr)
-                .ok_or("document missing 'degraded' array")?
+            degraded: array(&doc, "degraded")?
                 .iter()
                 .map(DegradedRecord::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
         })
-    }
-
-    /// Read and parse a fault-set file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
     }
 
     /// Silent corruptions among ABFT-covered kernels (`mvm/*`, `mm/*`) —

@@ -194,9 +194,10 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document. Strict: rejects trailing garbage and
-    /// arrays/objects nested more than 128 levels deep; duplicate keys
-    /// are kept as-is (first wins on [`Json::get`]).
+    /// Parse a JSON document. Strict: rejects trailing garbage, number
+    /// literals that overflow a double, and arrays/objects nested more
+    /// than 128 levels deep; duplicate keys are kept as-is (first wins
+    /// on [`Json::get`]).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -333,9 +334,16 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| JsonError::at(start, &format!("invalid number '{text}'")))
+    match text.parse::<f64>() {
+        // The writer never emits a non-finite number (it writes `null`),
+        // so a literal that overflows to ±∞ is not a document it wrote.
+        Ok(x) if x.is_infinite() => Err(JsonError::at(
+            start,
+            &format!("number '{text}' overflows a double"),
+        )),
+        Ok(x) => Ok(Json::Num(x)),
+        Err(_) => Err(JsonError::at(start, &format!("invalid number '{text}'"))),
+    }
 }
 
 fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -604,6 +612,21 @@ mod tests {
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1,").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn overflowing_number_literals_are_rejected() {
+        for lit in ["1e999", "-1e999", "1.8e308"] {
+            let err = Json::parse(&format!("{{\"speedup\": {lit}}}")).unwrap_err();
+            assert_eq!(err.offset, 12, "{lit}");
+            assert!(err.message.contains("overflows a double"), "{err}");
+        }
+        // The largest finite double and an underflow to zero still parse.
+        assert_eq!(
+            Json::parse("1.7976931348623157e308"),
+            Ok(Json::Num(f64::MAX))
+        );
+        assert_eq!(Json::parse("1e-999"), Ok(Json::Num(0.0)));
     }
 
     #[test]

@@ -11,8 +11,12 @@
 //!   probe layer's stall-cause breakdown, modeled area/clock, sustained
 //!   MFLOPS, compute- vs bandwidth-bound classification and paper-parity
 //!   deltas.
-//! * [`RecordSet`] / [`store`] — deterministic JSON persistence and the
-//!   `BENCH_<n>.json` trajectory convention.
+//! * [`artifact`] — the one store every committed family shares: the
+//!   `schema_version`/`generator` envelope, load/save, the
+//!   `<PREFIX>_<n>.json` trajectory convention, the generic [`Store`]
+//!   and the exact cell-diff gate.
+//! * [`RecordSet`] / [`store`] — the `BENCH_<n>.json` record set and its
+//!   wall-clock sidecar.
 //! * [`tolerance`] — the one shared table of paper-reported values and
 //!   tolerances; [`ParityGate`] is the PASS/FAIL gate every tool uses.
 //! * [`diff`] — strict baseline comparison (cycle drift, MFLOPS drift,
@@ -35,6 +39,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 pub mod diff;
 pub mod faults;
 pub mod json;
@@ -45,6 +50,7 @@ pub mod serve;
 pub mod store;
 pub mod tolerance;
 
+pub use artifact::{diff_cells, CellDiff, Record, Store};
 pub use diff::{diff_sets, DiffReport, DiffSeverity};
 pub use faults::{
     coverage, render_fault_scoreboard, render_fault_section, splice_fault_section, DegradedRecord,
@@ -53,16 +59,9 @@ pub use faults::{
 pub use json::Json;
 pub use record::{Bound, PaperParity, RecordKind, RunRecord, StallBreakdown, SCHEMA_VERSION};
 pub use scale::{
-    diff_scale, list_scale_files, next_scale_index, parse_scale_index, render_scale_section,
-    scale_file_name, scale_tolerance, splice_scale_section, ScaleDiff, ScaleRecord, ScaleSet,
-    SCALE_SCHEMA_VERSION, SCALE_SOUNDNESS_EPS, SCALE_TOLERANCES,
+    diff_scale, render_scale_section, scale_tolerance, splice_scale_section, ScaleDiff,
+    ScaleRecord, ScaleSet, SCALE_SCHEMA_VERSION, SCALE_SOUNDNESS_EPS, SCALE_TOLERANCES,
 };
-pub use serve::{
-    diff_serve, list_serve_files, next_serve_index, parse_serve_index, serve_file_name,
-    LatencyDigest, ServeDiff, ServeRecord, ServeSet, TenantRecord, SERVE_SCHEMA_VERSION,
-};
-pub use store::{
-    bench_file_name, list_bench_files, next_bench_index, parse_bench_index, RecordSet, WallClock,
-    WallClockEntry,
-};
+pub use serve::{LatencyDigest, ServeRecord, ServeSet, TenantRecord, SERVE_SCHEMA_VERSION};
+pub use store::{RecordSet, WallClock, WallClockEntry};
 pub use tolerance::{lookup, PaperTolerance, ParityGate, PAPER_TOLERANCES};

@@ -11,11 +11,12 @@
 //! Records are deterministic by construction: nothing time- or
 //! host-dependent is stored in them. Simulator wall-clock throughput is
 //! measured per run but kept *outside* the record (see
-//! [`WallClock`](crate::store::WallClock)) so `BENCH_*.json` stays
+//! [`WallClock`](crate::WallClock)) so `BENCH_*.json` stays
 //! byte-identical across repeated runs.
 
 use fblas_sim::{SimReport, StallCause};
 
+use crate::artifact::Record;
 use crate::json::Json;
 use crate::tolerance;
 
@@ -297,9 +298,18 @@ impl RunRecord {
             self.busy_cycles as f64 / self.cycles as f64
         }
     }
+}
+
+impl Record for RunRecord {
+    const KIND: &'static str = "bench";
+    const SCHEMA_VERSION: u64 = SCHEMA_VERSION;
+
+    fn cell_key(&self) -> String {
+        self.key()
+    }
 
     /// Serialize to the canonical JSON tree (field order fixed).
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         let config = Json::Obj(
             self.config
                 .iter()
@@ -347,7 +357,7 @@ impl RunRecord {
     }
 
     /// Deserialize from the canonical JSON tree.
-    pub fn from_json(json: &Json) -> Result<Self, String> {
+    fn from_json(json: &Json) -> Result<Self, String> {
         let str_field = |key: &str| {
             json.get(key)
                 .and_then(Json::as_str)

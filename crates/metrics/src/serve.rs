@@ -13,12 +13,11 @@
 //! Trajectory convention: committed stores live at the repository root
 //! as `SERVE_0001.json`, `SERVE_0002.json`, … and `observatory serve
 //! --diff` gates the regenerated campaign against a committed baseline
-//! with [`diff_serve`].
-
-use std::path::{Path, PathBuf};
+//! with the exact cell-diff gate ([`diff_cells`](crate::artifact::diff_cells)).
 
 use fblas_sim::LogHistogram;
 
+use crate::artifact::{Record, Store};
 use crate::json::{rle_decode, rle_encode, Json};
 
 /// Version of the serving store schema. Bump on any field change;
@@ -273,6 +272,15 @@ impl ServeRecord {
     pub fn busy_ns(&self) -> u64 {
         self.staging_ns + self.compute_ns
     }
+}
+
+impl Record for ServeRecord {
+    const KIND: &'static str = "serve";
+    const SCHEMA_VERSION: u64 = SERVE_SCHEMA_VERSION;
+
+    fn cell_key(&self) -> String {
+        self.cell.clone()
+    }
 
     fn to_json(&self) -> Json {
         Json::obj()
@@ -357,222 +365,44 @@ impl ServeRecord {
             cell,
         })
     }
+
+    fn drift(&self, base: &Self) -> Vec<String> {
+        let mut causes = Vec::new();
+        if self.completed() != base.completed() {
+            causes.push(format!(
+                "completed {} != baseline {}",
+                self.completed(),
+                base.completed()
+            ));
+        }
+        if self.rejected() != base.rejected() {
+            causes.push(format!(
+                "rejected {} != baseline {}",
+                self.rejected(),
+                base.rejected()
+            ));
+        }
+        if self.elapsed_ns != base.elapsed_ns {
+            causes.push(format!(
+                "elapsed_ns {} != baseline {}",
+                self.elapsed_ns, base.elapsed_ns
+            ));
+        }
+        if self.latency != base.latency {
+            causes.push("latency digest drifted".to_string());
+        }
+        if self.slo_pass != base.slo_pass {
+            causes.push(format!(
+                "SLO verdict flipped ({} -> {})",
+                base.slo_pass, self.slo_pass
+            ));
+        }
+        causes
+    }
 }
 
 /// An ordered collection of serving cells from one campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSet {
-    /// Tool that produced the set, e.g. `"observatory"`.
-    pub generator: String,
-    /// The cells, in campaign order.
-    pub records: Vec<ServeRecord>,
-}
-
-impl ServeSet {
-    /// An empty set for `generator`.
-    pub fn new(generator: &str) -> Self {
-        Self {
-            generator: generator.to_string(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Find a cell by its identity string.
-    pub fn find(&self, cell: &str) -> Option<&ServeRecord> {
-        self.records.iter().find(|r| r.cell == cell)
-    }
-
-    /// Serialize to the canonical byte-deterministic JSON document.
-    pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(SERVE_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
-            .with(
-                "records",
-                Json::Arr(self.records.iter().map(ServeRecord::to_json).collect()),
-            )
-            .render()
-    }
-
-    /// Parse a document produced by [`ServeSet::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != SERVE_SCHEMA_VERSION {
-            return Err(format!(
-                "serve schema version mismatch: file has v{version}, this tool speaks \
-                 v{SERVE_SCHEMA_VERSION} — regenerate the store"
-            ));
-        }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
-        let records = doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'records' array".to_string())?
-            .iter()
-            .map(ServeRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { generator, records })
-    }
-
-    /// Read and parse a serving store file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-}
-
-/// Result of gating a regenerated campaign against a baseline store.
-#[derive(Debug, Clone, Default)]
-pub struct ServeDiff {
-    /// Human-readable per-cell findings, in baseline order.
-    pub lines: Vec<String>,
-    /// Number of gate failures (0 means the diff passes).
-    pub failures: u64,
-}
-
-impl ServeDiff {
-    /// Whether the regenerated campaign matches the baseline.
-    pub fn pass(&self) -> bool {
-        self.failures == 0
-    }
-
-    /// Render the findings (one line each) followed by a verdict line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for line in &self.lines {
-            out.push_str(line);
-            out.push('\n');
-        }
-        if self.pass() {
-            out.push_str("serve diff: PASS\n");
-        } else {
-            out.push_str(&format!(
-                "serve diff: FAIL ({} finding(s))\n",
-                self.failures
-            ));
-        }
-        out
-    }
-}
-
-/// Strict comparison of a regenerated campaign against a committed
-/// baseline.
-///
-/// The serving pipeline is deterministic end to end, so the gate is
-/// exact: every baseline cell must exist with identical counters,
-/// modeled times, latency digest and SLO verdict. Cells present only in
-/// `current` are reported as informational (new cells are how the
-/// campaign grows) and do not fail the gate.
-pub fn diff_serve(current: &ServeSet, baseline: &ServeSet) -> ServeDiff {
-    let mut diff = ServeDiff::default();
-    for base in &baseline.records {
-        match current.find(&base.cell) {
-            None => {
-                diff.lines
-                    .push(format!("{}: MISSING from regenerated campaign", base.cell));
-                diff.failures += 1;
-            }
-            Some(cur) if cur == base => {
-                diff.lines.push(format!("{}: ok", base.cell));
-            }
-            Some(cur) => {
-                let mut causes = Vec::new();
-                if cur.completed() != base.completed() {
-                    causes.push(format!(
-                        "completed {} != baseline {}",
-                        cur.completed(),
-                        base.completed()
-                    ));
-                }
-                if cur.rejected() != base.rejected() {
-                    causes.push(format!(
-                        "rejected {} != baseline {}",
-                        cur.rejected(),
-                        base.rejected()
-                    ));
-                }
-                if cur.elapsed_ns != base.elapsed_ns {
-                    causes.push(format!(
-                        "elapsed_ns {} != baseline {}",
-                        cur.elapsed_ns, base.elapsed_ns
-                    ));
-                }
-                if cur.latency != base.latency {
-                    causes.push("latency digest drifted".to_string());
-                }
-                if cur.slo_pass != base.slo_pass {
-                    causes.push(format!(
-                        "SLO verdict flipped ({} -> {})",
-                        base.slo_pass, cur.slo_pass
-                    ));
-                }
-                if causes.is_empty() {
-                    causes.push("field drift outside summarized counters".to_string());
-                }
-                diff.lines
-                    .push(format!("{}: DRIFT — {}", base.cell, causes.join("; ")));
-                diff.failures += 1;
-            }
-        }
-    }
-    for cur in &current.records {
-        if baseline.find(&cur.cell).is_none() {
-            diff.lines
-                .push(format!("{}: new cell (not in baseline)", cur.cell));
-        }
-    }
-    diff
-}
-
-/// File name of serving trajectory point `index`: `SERVE_0007.json`.
-pub fn serve_file_name(index: u64) -> String {
-    format!("SERVE_{index:04}.json")
-}
-
-/// Parse an index out of a `SERVE_<n>.json` file name.
-pub fn parse_serve_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("SERVE_")?.strip_suffix(".json")?;
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `SERVE_*.json` files in `dir`, sorted by index.
-pub fn list_serve_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_serve_index) {
-                found.push((index, entry.path()));
-            }
-        }
-    }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused serving trajectory index in `dir` (1-based).
-pub fn next_serve_index(dir: &Path) -> u64 {
-    list_serve_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
-}
+pub type ServeSet = Store<ServeRecord>;
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -647,6 +477,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::{sample_record, sample_set};
     use super::*;
+    use crate::artifact::{diff_cells, file_name, list_files, load, next_index, save, SERVE};
 
     #[test]
     fn set_round_trips_losslessly() {
@@ -698,35 +529,20 @@ mod tests {
     #[test]
     fn diff_passes_on_identity_and_fails_on_drift() {
         let set = sample_set();
-        let diff = diff_serve(&set, &set);
+        let diff = diff_cells(&set, &set);
         assert!(diff.pass(), "{}", diff.render());
 
         let mut drifted = set.clone();
         drifted.records[0].tenants[0].completed += 1;
-        let diff = diff_serve(&drifted, &set);
+        let diff = diff_cells(&drifted, &set);
         assert!(!diff.pass());
-        assert!(diff.render().contains("DRIFT"), "{}", diff.render());
-
-        let missing = ServeSet::new("unit-test");
-        let diff = diff_serve(&missing, &set);
-        assert!(!diff.pass());
-        assert!(diff.render().contains("MISSING"), "{}", diff.render());
-
-        // New cells in current are informational, not failures.
-        let mut grown = set.clone();
-        grown.records.push(sample_record("extra/cell"));
-        let diff = diff_serve(&grown, &set);
-        assert!(diff.pass(), "{}", diff.render());
-        assert!(diff.render().contains("new cell"));
-    }
-
-    #[test]
-    fn serve_file_names() {
-        assert_eq!(serve_file_name(3), "SERVE_0003.json");
-        assert_eq!(parse_serve_index("SERVE_0003.json"), Some(3));
-        assert_eq!(parse_serve_index("SERVE_12.json"), Some(12));
-        assert_eq!(parse_serve_index("SERVE_0003.backup.json"), None);
-        assert_eq!(parse_serve_index("BENCH_0001.json"), None);
+        assert!(
+            diff.render()
+                .contains("mvm1024/open/batched: DRIFT — completed 5 != baseline 4"),
+            "{}",
+            diff.render()
+        );
+        assert!(diff.render().ends_with("serve diff: FAIL (1 finding(s))\n"));
     }
 
     #[test]
@@ -734,14 +550,14 @@ mod tests {
         let dir = std::env::temp_dir().join("fblas_serve_store_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_serve_index(&dir), 1);
         let set = sample_set();
-        set.save(&dir.join(serve_file_name(1))).unwrap();
-        set.save(&dir.join(serve_file_name(2))).unwrap();
-        let files = list_serve_files(&dir);
+        for index in [1, 2] {
+            save(&dir.join(file_name(SERVE, index)), &set.to_json_string()).unwrap();
+        }
+        let files = list_files(&dir, SERVE);
         assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_serve_index(&dir), 3);
-        assert_eq!(ServeSet::load(&files[0].1).unwrap(), set);
+        assert_eq!(next_index(&dir, SERVE), 3);
+        assert_eq!(load(&files[0].1, ServeSet::from_json_str).unwrap(), set);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,107 +1,22 @@
-//! Persistence: schema-versioned record sets and the `BENCH_<n>.json`
-//! trajectory convention.
+//! The BENCH record set and its wall-clock sidecar.
 //!
 //! A [`RecordSet`] is what one observatory (or bench-binary `--json`) run
 //! emits: the schema version, the generator name and the records, in run
-//! order. Sets serialize deterministically — no timestamps, no host
-//! information — so re-running an unchanged tree produces byte-identical
-//! files; the volatile simulator-throughput numbers ride in a separate
-//! [`WallClock`] sidecar instead.
+//! order — a [`Store`] of [`RunRecord`]s. Sets serialize
+//! deterministically, so re-running an unchanged tree produces
+//! byte-identical files; the volatile simulator-throughput numbers ride
+//! in a separate [`WallClock`] sidecar instead.
 //!
-//! Trajectory convention: committed runs live at the repository root as
-//! `BENCH_0001.json`, `BENCH_0002.json`, … ([`bench_file_name`]);
-//! [`next_bench_index`] scans a directory for the first free index and
-//! [`list_bench_files`] returns the committed trajectory in index order.
+//! Committed runs live at the repository root as `BENCH_0001.json`,
+//! `BENCH_0002.json`, … (the [`artifact`] trajectory convention with
+//! prefix [`BENCH`](crate::artifact::BENCH)).
 
-use std::path::{Path, PathBuf};
-
+use crate::artifact::{self, Store};
 use crate::json::Json;
 use crate::record::{RunRecord, SCHEMA_VERSION};
 
 /// An ordered collection of records from one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordSet {
-    /// Tool that produced the set, e.g. `"observatory run"`, `"table3"`.
-    pub generator: String,
-    /// The records, in run order.
-    pub records: Vec<RunRecord>,
-}
-
-impl RecordSet {
-    /// An empty set for `generator`.
-    pub fn new(generator: &str) -> Self {
-        Self {
-            generator: generator.to_string(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Append a record.
-    pub fn push(&mut self, record: RunRecord) {
-        self.records.push(record);
-    }
-
-    /// Find a record by its identity key.
-    pub fn find(&self, key: &str) -> Option<&RunRecord> {
-        self.records.iter().find(|r| r.key() == key)
-    }
-
-    /// Serialize to the canonical byte-deterministic JSON document.
-    pub fn to_json_string(&self) -> String {
-        Json::obj()
-            .with("schema_version", Json::Num(SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
-            .with(
-                "records",
-                Json::Arr(self.records.iter().map(RunRecord::to_json).collect()),
-            )
-            .render()
-    }
-
-    /// Parse a document produced by [`RecordSet::to_json_string`].
-    ///
-    /// Rejects schema-version mismatches outright: a record written by a
-    /// different schema must be regenerated, not reinterpreted.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema version mismatch: file has v{version}, this tool speaks v{SCHEMA_VERSION} \
-                 — regenerate the record set"
-            ));
-        }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
-        let records = doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'records' array".to_string())?
-            .iter()
-            .map(RunRecord::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { generator, records })
-    }
-
-    /// Read and parse a record-set file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-}
+pub type RecordSet = Store<RunRecord>;
 
 /// One simulated run's volatile throughput measurements.
 #[derive(Debug, Clone, PartialEq)]
@@ -312,17 +227,7 @@ impl WallClock {
     /// (`backend_speedup`, `cycles_per_second`, …) are recomputed from
     /// the parsed entries, not read back.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "sidecar missing 'schema_version'".to_string())?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "sidecar schema version mismatch: file has v{version}, this tool speaks \
-                 v{SCHEMA_VERSION}"
-            ));
-        }
+        let doc = artifact::open(text, "sidecar", SCHEMA_VERSION)?;
         let jobs = doc
             .get("jobs")
             .and_then(Json::as_u64)
@@ -393,49 +298,6 @@ impl WallClock {
         }
         Ok(wall)
     }
-
-    /// Read and parse a sidecar file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-}
-
-/// File name of trajectory point `index`: `BENCH_0007.json`.
-pub fn bench_file_name(index: u64) -> String {
-    format!("BENCH_{index:04}.json")
-}
-
-/// Parse an index out of a `BENCH_<n>.json` file name.
-pub fn parse_bench_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
-    // Reject the wall-clock sidecars (`BENCH_0001.wallclock.json`).
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `BENCH_*.json` files in `dir`, sorted by index.
-pub fn list_bench_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_bench_index) {
-                found.push((index, entry.path()));
-            }
-        }
-    }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused trajectory index in `dir` (1-based).
-pub fn next_bench_index(dir: &Path) -> u64 {
-    list_bench_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
 }
 
 #[cfg(test)]
@@ -491,33 +353,6 @@ mod tests {
         );
         let err = RecordSet::from_json_str(&text).unwrap_err();
         assert!(err.contains("schema version mismatch"), "{err}");
-    }
-
-    #[test]
-    fn bench_file_names() {
-        assert_eq!(bench_file_name(3), "BENCH_0003.json");
-        assert_eq!(parse_bench_index("BENCH_0003.json"), Some(3));
-        assert_eq!(parse_bench_index("BENCH_12.json"), Some(12));
-        assert_eq!(parse_bench_index("BENCH_0003.wallclock.json"), None);
-        assert_eq!(parse_bench_index("baseline.json"), None);
-    }
-
-    #[test]
-    fn trajectory_scan_and_next_index() {
-        let dir = std::env::temp_dir().join("fblas_metrics_store_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_bench_index(&dir), 1);
-        let set = sample_set();
-        set.save(&dir.join(bench_file_name(1))).unwrap();
-        set.save(&dir.join(bench_file_name(2))).unwrap();
-        std::fs::write(dir.join("BENCH_0002.wallclock.json"), "{}").unwrap();
-        let files = list_bench_files(&dir);
-        assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_bench_index(&dir), 3);
-        let loaded = RecordSet::load(&files[0].1).unwrap();
-        assert_eq!(loaded, set);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

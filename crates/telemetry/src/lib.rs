@@ -45,8 +45,5 @@ pub use phases::{
     efficiency_row, segment, steady_model, EfficiencyRow, PhaseSplit, STEADY_MODELS, STEADY_TOL,
 };
 pub use registry::{lookup, METRICS};
-pub use store::{
-    list_telem_files, next_telem_index, parse_telem_index, telem_file_name, TelemRun, TelemSet,
-    TELEM_SCHEMA_VERSION,
-};
+pub use store::{TelemRun, TelemSet, TELEM_SCHEMA_VERSION};
 pub use trend::{render_trend_section, splice_trend_section, TREND_BEGIN, TREND_END};

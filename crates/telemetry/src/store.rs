@@ -15,11 +15,12 @@
 //! prove the underlying series equal; this module only serializes them).
 //!
 //! Trajectory convention: committed stores live at the repository root
-//! as `TELEM_0001.json`, `TELEM_0002.json`, … mirroring the `BENCH_*`
-//! convention, and `observatory trend` reads them oldest-first.
+//! as `TELEM_0001.json`, `TELEM_0002.json`, … (the shared
+//! [`artifact`](fblas_metrics::artifact) convention with prefix
+//! [`TELEM`](fblas_metrics::artifact::TELEM)), and `observatory trend`
+//! reads them oldest-first.
 
-use std::path::{Path, PathBuf};
-
+use fblas_metrics::artifact::{array, envelope, generator, open, unique_keys};
 use fblas_metrics::json::{rle_decode, rle_encode};
 use fblas_metrics::Json;
 use fblas_sim::{CompSeries, LogHistogram, StallCause, TelemSeries};
@@ -213,9 +214,7 @@ impl TelemSet {
                 })
                 .collect(),
         );
-        Json::obj()
-            .with("schema_version", Json::Num(TELEM_SCHEMA_VERSION as f64))
-            .with("generator", Json::Str(self.generator.clone()))
+        envelope(TELEM_SCHEMA_VERSION, &self.generator)
             .with("window", Json::Num(self.window as f64))
             .with("runs", runs)
             .render()
@@ -227,31 +226,13 @@ impl TelemSet {
     /// store: telemetry written by a different schema must be
     /// regenerated, not reinterpreted.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let version = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "document missing 'schema_version'".to_string())?;
-        if version != TELEM_SCHEMA_VERSION {
-            return Err(format!(
-                "telemetry schema version mismatch: file has v{version}, this tool speaks \
-                 v{TELEM_SCHEMA_VERSION} — regenerate the store"
-            ));
-        }
-        let generator = doc
-            .get("generator")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "document missing 'generator'".to_string())?
-            .to_string();
+        let doc = open(text, "telemetry", TELEM_SCHEMA_VERSION)?;
         let window = doc
             .get("window")
             .and_then(Json::as_u64)
             .filter(|&w| w >= 1)
             .ok_or_else(|| "document missing positive 'window'".to_string())?;
-        let runs_json = doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "document missing 'runs' array".to_string())?;
+        let runs_json = array(&doc, "runs")?;
         let mut runs = Vec::with_capacity(runs_json.len());
         for run in runs_json {
             let key = run
@@ -291,60 +272,13 @@ impl TelemSet {
                 },
             });
         }
+        unique_keys(runs.iter().map(|r| r.key.as_str()))?;
         Ok(Self {
-            generator,
+            generator: generator(&doc)?,
             window,
             runs,
         })
     }
-
-    /// Read and parse a telemetry store file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Write the canonical document to `path`.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        std::fs::write(path, self.to_json_string())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))
-    }
-}
-
-/// File name of telemetry trajectory point `index`: `TELEM_0007.json`.
-pub fn telem_file_name(index: u64) -> String {
-    format!("TELEM_{index:04}.json")
-}
-
-/// Parse an index out of a `TELEM_<n>.json` file name.
-pub fn parse_telem_index(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("TELEM_")?.strip_suffix(".json")?;
-    if rest.contains('.') {
-        return None;
-    }
-    rest.parse().ok()
-}
-
-/// The `TELEM_*.json` files in `dir`, sorted by index.
-pub fn list_telem_files(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut found = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(index) = entry.file_name().to_str().and_then(parse_telem_index) {
-                found.push((index, entry.path()));
-            }
-        }
-    }
-    found.sort_by_key(|&(index, _)| index);
-    found
-}
-
-/// First unused telemetry trajectory index in `dir` (1-based).
-pub fn next_telem_index(dir: &Path) -> u64 {
-    list_telem_files(dir)
-        .last()
-        .map_or(1, |&(index, _)| index + 1)
 }
 
 #[cfg(test)]
@@ -393,6 +327,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::sample_set;
     use super::*;
+    use fblas_metrics::artifact::{file_name, list_files, load, next_index, save, TELEM};
 
     #[test]
     fn rle_round_trips() {
@@ -457,28 +392,28 @@ mod tests {
     }
 
     #[test]
-    fn telem_file_names() {
-        assert_eq!(telem_file_name(3), "TELEM_0003.json");
-        assert_eq!(parse_telem_index("TELEM_0003.json"), Some(3));
-        assert_eq!(parse_telem_index("TELEM_12.json"), Some(12));
-        assert_eq!(parse_telem_index("TELEM_0003.backup.json"), None);
-        assert_eq!(parse_telem_index("BENCH_0001.json"), None);
-    }
-
-    #[test]
     fn trajectory_scan_and_next_index() {
         let dir = std::env::temp_dir().join("fblas_telemetry_store_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert_eq!(next_telem_index(&dir), 1);
         let set = sample_set();
-        set.save(&dir.join(telem_file_name(1))).unwrap();
-        set.save(&dir.join(telem_file_name(2))).unwrap();
-        let files = list_telem_files(&dir);
+        for index in [1, 2] {
+            save(&dir.join(file_name(TELEM, index)), &set.to_json_string()).unwrap();
+        }
+        let files = list_files(&dir, TELEM);
         assert_eq!(files.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
-        assert_eq!(next_telem_index(&dir), 3);
-        assert_eq!(TelemSet::load(&files[0].1).unwrap(), set);
+        assert_eq!(next_index(&dir, TELEM), 3);
+        assert_eq!(load(&files[0].1, TelemSet::from_json_str).unwrap(), set);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn repeated_run_keys_are_rejected() {
+        let mut set = sample_set();
+        let run = set.runs[0].clone();
+        set.runs.push(run);
+        let err = TelemSet::from_json_str(&set.to_json_string()).unwrap_err();
+        assert_eq!(err, "duplicate record key 'dot[k=2,n=16]'");
     }
 
     #[test]
