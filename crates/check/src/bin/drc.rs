@@ -2,13 +2,10 @@
 //!
 //! * the design-rule checker over every shipped configuration;
 //! * the paper-parity coverage rule over the shared tolerance table;
-//! * the bench-thread-containment rule over the bench sources;
-//! * the fault-hook-purity rule over the whole workspace;
-//! * the workspace determinism lint over the result-affecting crates;
-//! * the fast-path parity coverage rule (every `fast_forward` override
-//!   pinned bit-identical by the backend parity suite);
-//! * the telemetry-metric-registry rule (every emitted component id
-//!   declared with a docstring, every declaration still emitted);
+//! * the source rules of `fblas_check::RULES` (bench thread containment,
+//!   fault-hook purity, workspace determinism, fast-path parity
+//!   coverage, the telemetry metric registry), in one pass that reads
+//!   each file under `crates/` once;
 //! * the channel-graph analyses (deadlock-freedom proofs, throughput
 //!   bounds, composed-bandwidth budgets) over every shipped topology;
 //! * the fabric-link-budget rule (steady-state demand vs. link rate)
@@ -35,16 +32,12 @@
 //! * `2` — usage error or an analysis could not run (unreadable tree,
 //!   missing BENCH file).
 
-use fblas_check::determinism::determinism_report;
 use fblas_check::drc::{check, infeasible_k10_with_rt_core, shipped_design_points};
 use fblas_check::fabric::fabric_link_budget_report;
-use fblas_check::fastpath::fast_path_report;
 use fblas_check::graph::{bench_cross_validation_report, topology_report};
-use fblas_check::hooks::fault_hook_report;
 use fblas_check::parity::coverage_report;
-use fblas_check::telemetry::metric_registry_report;
-use fblas_check::threads::{bench_thread_report, repo_root};
-use fblas_check::{Report, Severity};
+use fblas_check::source::repo_root;
+use fblas_check::{Report, Severity, Workspace, RULES};
 use fblas_metrics::Json;
 
 fn usage_exit() -> ! {
@@ -86,35 +79,18 @@ fn main() {
     let mut reports: Vec<Report> = points.iter().map(check).collect();
     reports.push(coverage_report());
     let root = repo_root();
-    let scans: [(&str, Result<Report, String>); 5] = [
-        (
-            "bench sources",
-            bench_thread_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "workspace sources",
-            fault_hook_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "policed sources",
-            determinism_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "fast-path sources",
-            fast_path_report(&root).map_err(|e| e.to_string()),
-        ),
-        (
-            "datapath metric sites",
-            metric_registry_report(&root).map_err(|e| e.to_string()),
-        ),
-    ];
-    for (what, scan) in scans {
-        match scan {
-            Ok(report) => reports.push(report),
-            Err(e) => {
-                eprintln!("drc: cannot scan {what}: {e}");
-                std::process::exit(2);
-            }
+    let scanned = Workspace::load(&root).and_then(|workspace| {
+        RULES
+            .iter()
+            .filter(|rule| rule.drc)
+            .map(|rule| workspace.report(rule))
+            .collect::<std::io::Result<Vec<Report>>>()
+    });
+    match scanned {
+        Ok(scanned) => reports.extend(scanned),
+        Err(e) => {
+            eprintln!("drc: cannot scan workspace sources: {e}");
+            std::process::exit(2);
         }
     }
     reports.extend(topology_report());

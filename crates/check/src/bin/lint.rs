@@ -4,25 +4,30 @@
 //! relative to this crate's manifest). With arguments, scans exactly the
 //! given files/directories instead — used by the tests to point the
 //! scanner at fixtures. Exit status 0 iff no native f64 arithmetic is
-//! found.
+//! found, 2 if a path cannot be read.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use fblas_check::lint::{scan_source, scan_tree, LintHit};
+use fblas_check::lint::{hits, LintHit};
+use fblas_check::scan::SOFTFLOAT_PURITY;
+use fblas_check::source::{load, repo_root};
+use fblas_check::Workspace;
+
+fn scan(args: &[String]) -> std::io::Result<Vec<LintHit>> {
+    let all = |files: &[&fblas_check::SourceFile]| files.iter().flat_map(|f| hits(f)).collect();
+    if args.is_empty() {
+        let workspace = Workspace::load(&repo_root())?;
+        Ok(all(&workspace.files(&SOFTFLOAT_PURITY)?))
+    } else {
+        let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
+        let files = load(&paths, |p| p.display().to_string())?;
+        Ok(all(&files.iter().collect::<Vec<_>>()))
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = if args.is_empty() {
-        let repo_root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("crate lives two levels under the repository root")
-            .to_path_buf();
-        scan_tree(&repo_root)
-    } else {
-        scan_paths(&args)
-    };
-    match result {
+    match scan(&args) {
         Ok(hits) => {
             for hit in &hits {
                 println!("{hit}");
@@ -39,33 +44,4 @@ fn main() {
             std::process::exit(2);
         }
     }
-}
-
-fn scan_paths(args: &[String]) -> std::io::Result<Vec<LintHit>> {
-    let mut hits = Vec::new();
-    for arg in args {
-        let path = Path::new(arg);
-        if path.is_dir() {
-            collect_dir(path, &mut hits)?;
-        } else {
-            let source = std::fs::read_to_string(path)?;
-            hits.extend(scan_source(arg, &source));
-        }
-    }
-    Ok(hits)
-}
-
-fn collect_dir(dir: &Path, hits: &mut Vec<LintHit>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?.collect::<Result<_, _>>()?;
-    entries.sort_by_key(std::fs::DirEntry::path);
-    for entry in entries {
-        let path = entry.path();
-        if path.is_dir() {
-            collect_dir(&path, hits)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            let source = std::fs::read_to_string(&path)?;
-            hits.extend(scan_source(&path.display().to_string(), &source));
-        }
-    }
-    Ok(())
 }

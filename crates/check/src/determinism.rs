@@ -10,8 +10,8 @@
 //! subtlest of all — the iteration order of a `HashMap`/`HashSet`, which
 //! is seeded per process. This rule scans the result-affecting crates
 //! (`core`, `sim`, `fpu`, `metrics`, `faults`, `bench`) at the token
-//! level (comments and strings stripped) and reports a
-//! [`Severity::Error`] for any such read in production code.
+//! level (comments and strings stripped) and reports an error for any
+//! such read in production code.
 //!
 //! Hash containers with *keyed* access (`get`/`insert`/`entry`) are
 //! fine — only order-revealing operations (`iter`, `keys`, `values`,
@@ -20,12 +20,13 @@
 //! results: the worker pool's thread-count default (its ordered reducer
 //! keeps output identical at any count), and the wall-clock sidecars
 //! that are never written into committed records. Test code is exempt.
+//!
+//! This module is the matcher of the rule table's determinism row
+//! ([`crate::scan::DETERMINISM`]); the table turns its sites into
+//! diagnostics.
 
-use std::io;
-use std::path::Path;
-
-use crate::drc::{Diagnostic, Report, Severity};
-use crate::source::{strip, walk_rs_files};
+use crate::scan::Site;
+use crate::source::{SourceFile, Tok};
 
 /// The result-affecting source trees, relative to the repo root. The
 /// `sw` crate joined the list when its blocked microkernel became the
@@ -44,7 +45,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
 ];
 
 /// Ambient reads proven harmless, as `(file, class)` pairs. Each entry
-/// is reported as [`Severity::Info`] so the sweep shows live coverage.
+/// is reported as Info so the sweep shows live coverage.
 pub const ALLOWED_SITES: &[(&str, &str)] = &[
     // Worker-count default only: the pool's ordered reducer makes the
     // merged output identical at any worker count (DESIGN.md §10).
@@ -82,110 +83,31 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// One ambient read found by the scanner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeterminismSite {
-    /// Repo-root-relative path of the file.
-    pub file: String,
-    /// 1-based line number.
-    pub line: usize,
-    /// Pattern class: `wall-clock`, `ambient-rng`, `host-parallelism`
-    /// or `hash-iteration`.
-    pub class: &'static str,
-    /// What matched (the pattern, or the offending expression).
-    pub what: String,
-    /// Whether the `(file, class)` pair is on [`ALLOWED_SITES`].
-    pub allowed: bool,
-}
-
-/// Identifier/punctuation token with its 1-based source line.
-fn tokenize(stripped: &str) -> Vec<(String, usize)> {
-    let mut toks = Vec::new();
-    for (li, line) in stripped.lines().enumerate() {
-        let chars: Vec<char> = line.chars().collect();
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            if c.is_alphanumeric() || c == '_' {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                toks.push((chars[start..i].iter().collect(), li + 1));
-            } else if c == ':' && chars.get(i + 1) == Some(&':') {
-                toks.push(("::".to_string(), li + 1));
-                i += 2;
-            } else if !c.is_whitespace() {
-                toks.push((c.to_string(), li + 1));
-                i += 1;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    toks
-}
-
-/// Per-line mask of `#[cfg(test)]` scopes (brace-tracked, like the
-/// fault-hook rule's scanner).
-fn test_mask(stripped: &str) -> Vec<bool> {
-    let mut mask = Vec::new();
-    let mut depth = 0usize;
-    let mut test_scopes: Vec<usize> = Vec::new();
-    let mut pending = false;
-    for line in stripped.lines() {
-        let squeezed: String = line.chars().filter(|c| !c.is_whitespace()).collect();
-        if squeezed.contains("#[cfg(test)]") {
-            pending = true;
-        }
-        mask.push(!test_scopes.is_empty() || pending);
-        for c in squeezed.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    if pending {
-                        test_scopes.push(depth);
-                        pending = false;
-                    }
-                }
-                '}' => {
-                    if test_scopes.last() == Some(&depth) {
-                        test_scopes.pop();
-                    }
-                    depth = depth.saturating_sub(1);
-                }
-                _ => {}
-            }
-        }
-    }
-    mask
-}
-
 /// Identifiers bound to a `HashMap`/`HashSet` in this file: field or
 /// `let` declarations (`x: HashMap<..>`) and direct constructions
 /// (`x = HashMap::new()`), with optional path prefix and `&`/`mut`.
-fn hash_idents(toks: &[(String, usize)]) -> Vec<String> {
+fn hash_idents(toks: &[Tok]) -> Vec<String> {
     let mut idents = Vec::new();
     for i in 0..toks.len() {
-        if toks[i].0 != "HashMap" && toks[i].0 != "HashSet" {
+        if toks[i].text != "HashMap" && toks[i].text != "HashSet" {
             continue;
         }
         // Walk back over the type path (`std :: collections ::`) and
         // reference markers to the `:` or `=` that introduced it.
         let mut j = i;
         while j > 0 {
-            let prev = &toks[j - 1].0;
+            let prev = &toks[j - 1].text;
             let is_path_component = prev != "::"
                 && prev.chars().next().is_some_and(char::is_alphabetic)
-                && toks.get(j).is_some_and(|t| t.0 == "::");
+                && toks.get(j).is_some_and(|t| t.text == "::");
             if prev == "::" || prev == "&" || prev == "mut" || is_path_component {
                 j -= 1;
             } else {
                 break;
             }
         }
-        if j >= 2 && (toks[j - 1].0 == ":" || toks[j - 1].0 == "=") {
-            let name = &toks[j - 2].0;
+        if j >= 2 && (toks[j - 1].text == ":" || toks[j - 1].text == "=") {
+            let name = &toks[j - 2].text;
             if name
                 .chars()
                 .next()
@@ -200,70 +122,58 @@ fn hash_idents(toks: &[(String, usize)]) -> Vec<String> {
     idents
 }
 
-/// Scan one source file (already labelled repo-relative) for ambient
-/// reads and hash-order dependence.
-pub fn scan_source(file_label: &str, source: &str) -> Vec<DeterminismSite> {
-    let stripped = strip(source);
-    let in_test = test_mask(&stripped);
-    let exempt = |line: usize| in_test.get(line - 1).copied().unwrap_or(false);
-    let allowed = |class: &str| ALLOWED_SITES.contains(&(file_label, class));
+/// Ambient reads and hash-order dependence in one file's production
+/// code, in line order.
+pub fn sites(file: &SourceFile) -> Vec<Site> {
+    let site = |line: usize, what: &str, class: &str| Site {
+        file: file.label.clone(),
+        line,
+        what: format!("`{what}` ({class})"),
+        allowed: ALLOWED_SITES.contains(&(file.label.as_str(), class)),
+    };
     let mut sites = Vec::new();
-    for (i, line) in stripped.lines().enumerate() {
-        let squeezed: String = line.chars().filter(|c| !c.is_whitespace()).collect();
+    for (i, squeezed) in file.squeezed.iter().enumerate() {
         for (pattern, class) in DIRECT_PATTERNS {
-            if squeezed.contains(pattern) && !exempt(i + 1) {
-                sites.push(DeterminismSite {
-                    file: file_label.to_string(),
-                    line: i + 1,
-                    class,
-                    what: (*pattern).to_string(),
-                    allowed: allowed(class),
-                });
+            if squeezed.contains(pattern) && !file.in_test(i + 1) {
+                sites.push(site(i + 1, pattern, class));
             }
         }
     }
-    let toks = tokenize(&stripped);
-    let hashes = hash_idents(&toks);
+    let toks = &file.toks;
+    let hashes = hash_idents(toks);
     let is_hash = |t: &str| hashes.iter().any(|h| h == t);
     for i in 0..toks.len() {
-        let (tok, line) = (&toks[i].0, toks[i].1);
-        if exempt(line) {
+        let (tok, line) = (&toks[i].text, toks[i].line);
+        if file.in_test(line) {
             continue;
         }
         // `map.iter()` and friends: an order-revealing method on a
         // known hash container.
         if tok == "."
             && i >= 1
-            && is_hash(&toks[i - 1].0)
+            && is_hash(&toks[i - 1].text)
             && toks
                 .get(i + 1)
-                .is_some_and(|t| ITER_METHODS.contains(&t.0.as_str()))
-            && toks.get(i + 2).is_some_and(|t| t.0 == "(")
+                .is_some_and(|t| ITER_METHODS.contains(&t.text.as_str()))
+            && toks.get(i + 2).is_some_and(|t| t.text == "(")
         {
-            sites.push(DeterminismSite {
-                file: file_label.to_string(),
-                line,
-                class: "hash-iteration",
-                what: format!("{}.{}()", toks[i - 1].0, toks[i + 1].0),
-                allowed: allowed("hash-iteration"),
-            });
+            let what = format!("{}.{}()", toks[i - 1].text, toks[i + 1].text);
+            sites.push(site(line, &what, "hash-iteration"));
         }
         // `for x in [&mut] map {`: direct iteration of the container.
         if tok == "in" {
             let mut j = i + 1;
-            while toks.get(j).is_some_and(|t| t.0 == "&" || t.0 == "mut") {
+            while toks
+                .get(j)
+                .is_some_and(|t| t.text == "&" || t.text == "mut")
+            {
                 j += 1;
             }
-            if toks.get(j).is_some_and(|t| is_hash(&t.0))
-                && toks.get(j + 1).is_some_and(|t| t.0 == "{")
+            if toks.get(j).is_some_and(|t| is_hash(&t.text))
+                && toks.get(j + 1).is_some_and(|t| t.text == "{")
             {
-                sites.push(DeterminismSite {
-                    file: file_label.to_string(),
-                    line,
-                    class: "hash-iteration",
-                    what: format!("for .. in {}", toks[j].0),
-                    allowed: allowed("hash-iteration"),
-                });
+                let what = format!("for .. in {}", toks[j].text);
+                sites.push(site(line, &what, "hash-iteration"));
             }
         }
     }
@@ -271,76 +181,19 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<DeterminismSite> {
     sites
 }
 
-/// Scan every policed tree under `repo_root`.
-pub fn scan_workspace(repo_root: &Path) -> io::Result<Vec<DeterminismSite>> {
-    let mut sites = Vec::new();
-    for tree in DETERMINISM_ROOTS {
-        let root = repo_root.join(tree);
-        if !root.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("policed source tree {} not found", root.display()),
-            ));
-        }
-        for (label, source) in walk_rs_files(&root, repo_root)? {
-            sites.extend(scan_source(&label, &source));
-        }
-    }
-    Ok(sites)
-}
-
-/// Turn scanned sites into rule diagnostics: allowlisted sites surface
-/// as Info (live coverage), everything else is an Error.
-pub fn diagnostics(sites: &[DeterminismSite]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for site in sites {
-        if site.allowed {
-            diags.push(Diagnostic {
-                rule_id: "workspace-determinism",
-                severity: Severity::Info,
-                message: format!(
-                    "{}:{}: `{}` ({}) at an allowlisted site",
-                    site.file, site.line, site.what, site.class
-                ),
-                quantities: vec![],
-            });
-        } else {
-            diags.push(Diagnostic {
-                rule_id: "workspace-determinism",
-                severity: Severity::Error,
-                message: format!(
-                    "{}:{}: `{}` ({}) in result-affecting code — BENCH byte-determinism \
-                     forbids ambient reads outside the allowlist (see DESIGN.md §12)",
-                    site.file, site.line, site.what, site.class
-                ),
-                quantities: vec![],
-            });
-        }
-    }
-    if !sites.iter().any(|s| s.allowed) {
-        diags.push(Diagnostic {
-            rule_id: "workspace-determinism",
-            severity: Severity::Warning,
-            message: "no allowlisted ambient read found — pool/sidecar moved or rule stale?"
-                .to_string(),
-            quantities: vec![],
-        });
-    }
-    diags
-}
-
-/// The determinism report over the repository at `repo_root`.
-pub fn determinism_report(repo_root: &Path) -> io::Result<Report> {
-    Ok(Report {
-        design: "workspace determinism".to_string(),
-        diagnostics: diagnostics(&scan_workspace(repo_root)?),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::repo_root;
+    use crate::drc::{Diagnostic, Severity};
+    use crate::scan::DETERMINISM;
+
+    fn scan_source(label: &str, source: &str) -> Vec<Site> {
+        sites(&SourceFile::new(label, source))
+    }
+
+    fn diagnose(label: &str, source: &str) -> Vec<Diagnostic> {
+        DETERMINISM.diagnose(&[&SourceFile::new(label, source)])
+    }
 
     #[test]
     fn wall_clock_and_rng_reads_are_errors() {
@@ -348,8 +201,7 @@ mod tests {
         let sites = scan_source("crates/sim/src/x.rs", src);
         assert_eq!(sites.len(), 2, "{sites:?}");
         assert!(sites.iter().all(|s| !s.allowed));
-        let diags = diagnostics(&sites);
-        assert!(diags
+        assert!(diagnose("crates/sim/src/x.rs", src)
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("wall-clock")));
     }
@@ -377,14 +229,14 @@ mod tests {
         // make it a call:
         assert!(sites
             .iter()
-            .any(|s| s.line == 3 && s.class == "hash-iteration"));
+            .any(|s| s.line == 3 && s.what.contains("(hash-iteration)")));
         assert!(!sites.iter().any(|s| s.what.contains("get")));
         let called = scan_source(
             "crates/core/src/y.rs",
             "fn f(m: &HashMap<u64,u32>) { for k in m.keys() { drop(k); } }",
         );
         assert_eq!(called.len(), 1, "{called:?}");
-        assert_eq!(called[0].what, "m.keys()");
+        assert_eq!(called[0].what, "`m.keys()` (hash-iteration)");
     }
 
     #[test]
@@ -393,7 +245,7 @@ mod tests {
                    fn f(r: &R) { let _ = r.set_log2.iter(); }\n";
         let sites = scan_source("crates/core/src/x.rs", src);
         assert_eq!(sites.len(), 1, "{sites:?}");
-        assert_eq!(sites[0].what, "set_log2.iter()");
+        assert_eq!(sites[0].what, "`set_log2.iter()` (hash-iteration)");
     }
 
     #[test]
@@ -408,8 +260,8 @@ mod tests {
 
     #[test]
     fn missing_allowlisted_site_is_a_warning() {
-        let diags = diagnostics(&[]);
-        assert!(diags
+        assert!(DETERMINISM
+            .diagnose(&[])
             .iter()
             .any(|d| d.severity == Severity::Warning && d.message.contains("rule stale")));
     }
@@ -418,16 +270,6 @@ mod tests {
     /// allowlist, and the allowlisted sites still exist.
     #[test]
     fn shipped_workspace_is_deterministic() {
-        let report = determinism_report(&repo_root()).expect("scan");
-        assert!(
-            report.is_feasible(),
-            "determinism errors:\n{}",
-            report.render(true)
-        );
-        assert!(
-            report.count(Severity::Info) > 0,
-            "allowlisted sites not seen"
-        );
-        assert_eq!(report.count(Severity::Warning), 0);
+        crate::scan::assert_shipped_tree_passes(&DETERMINISM);
     }
 }

@@ -11,7 +11,7 @@
 //! same way [`crate::parity`] does for the paper tolerances:
 //! [`FAST_PATH_CLAIMS`] names, for each design type with a fast path,
 //! the `backend_parity` test that exercises it across backends, and
-//! [`fast_path_report`] proves three things against the live tree:
+//! [`check_fast_paths`] proves three things against the live tree:
 //!
 //! 1. every `crates/core` source file that overrides `fast_forward`
 //!    contains at least one claimed design type (a new fast path with
@@ -21,14 +21,12 @@
 //! 3. every claimed test still exists in the parity suite by name (a
 //!    renamed or deleted test is an error).
 //!
-//! The `drc` binary appends this report to its sweep, so the CI gate
+//! This is the matcher of the rule table's fast-path row
+//! ([`crate::scan::FAST_PATH_PARITY`]), which `drc` runs, so the CI gate
 //! that proves feasibility also proves fast-path coverage.
 
-use std::io;
-use std::path::Path;
-
-use crate::drc::{Diagnostic, Report, Severity};
-use crate::source::{strip, walk_rs_files};
+use crate::drc::{Diagnostic, Severity};
+use crate::source::{matches, SourceFile};
 
 /// Which randomized parity test (in `crates/bench/tests/backend_parity.rs`)
 /// vouches for each design type that overrides `Design::fast_forward`.
@@ -62,56 +60,48 @@ pub const FAST_PATH_ROOT: &str = "crates/core/src";
 /// The parity suite every claim must point into.
 pub const PARITY_SUITE: &str = "crates/bench/tests/backend_parity.rs";
 
-/// Does this stripped source override `Design::fast_forward`? The
-/// default-method *declaration* lives in `fblas-sim`; anything matching
-/// in `crates/core` is an override.
-fn overrides_fast_forward(stripped: &str) -> bool {
-    let squeezed: String = stripped.chars().filter(|c| !c.is_whitespace()).collect();
-    squeezed.contains("fnfast_forward(")
+/// Does the file declare `fn name(`? In `crates/core` a `fast_forward`
+/// declaration is an override: the trait's default lives in `fblas-sim`.
+fn declares_fn(file: &SourceFile, name: &str) -> bool {
+    (0..file.toks.len()).any(|i| matches(&file.toks, i, &["fn", name, "("]))
 }
 
-/// Whole-word occurrence check on stripped source, so `DotProductDesign`
-/// does not match a hypothetical `DotProductDesignV2`.
-fn mentions_type(stripped: &str, name: &str) -> bool {
-    let bytes = stripped.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = stripped[from..].find(name) {
-        let start = from + pos;
-        let end = start + name.len();
-        let before_ok =
-            start == 0 || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_');
-        let after_ok =
-            end == bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
+/// Whole-word occurrence, so `DotProductDesign` does not match a
+/// hypothetical `DotProductDesignV2`.
+fn mentions_type(file: &SourceFile, name: &str) -> bool {
+    file.toks.iter().any(|t| t.text == name)
 }
 
-/// Check the claims table against the given `(label, stripped-source)`
-/// pairs for the fast-path tree plus the parity suite's stripped source.
-///
-/// Exposed separately from [`fast_path_report`] so tests can feed
-/// deliberately broken trees through the same logic.
+/// The fast-path row's matcher: [`FAST_PATH_CLAIMS`] against the
+/// fast-path tree and the parity suite among `files`.
+pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
+    let (suite, core): (Vec<&SourceFile>, Vec<&SourceFile>) =
+        files.iter().partition(|f| f.label == PARITY_SUITE);
+    let empty = SourceFile::new(PARITY_SUITE, "");
+    check_fast_paths(FAST_PATH_CLAIMS, &core, suite.first().unwrap_or(&&empty))
+}
+
+/// Check a claims table against the fast-path tree's files and the
+/// parity suite. Tests feed deliberately broken trees through it.
 pub fn check_fast_paths(
     claims: &[(&str, &str)],
-    core_files: &[(String, String)],
-    parity_suite: &str,
+    core_files: &[&SourceFile],
+    parity_suite: &SourceFile,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    let fast_files: Vec<&(String, String)> = core_files
+    let fast_files: Vec<&SourceFile> = core_files
         .iter()
-        .filter(|(_, src)| overrides_fast_forward(src))
+        .copied()
+        .filter(|f| declares_fn(f, "fast_forward"))
         .collect();
 
     // 1. Every file with a fast path must hold at least one claimed type.
-    for (label, src) in &fast_files {
+    for file in &fast_files {
+        let label = &file.label;
         let claimed: Vec<&str> = claims
             .iter()
-            .filter(|(ty, _)| mentions_type(src, ty))
+            .filter(|(ty, _)| mentions_type(file, ty))
             .map(|(ty, _)| *ty)
             .collect();
         if claimed.is_empty() {
@@ -137,7 +127,7 @@ pub fn check_fast_paths(
 
     // 2 & 3. Every claim must point at a live fast path and a live test.
     for (ty, test) in claims {
-        if !fast_files.iter().any(|(_, src)| mentions_type(src, ty)) {
+        if !fast_files.iter().any(|f| mentions_type(f, ty)) {
             diags.push(Diagnostic {
                 rule_id: "fast-path-parity",
                 severity: Severity::Error,
@@ -148,9 +138,7 @@ pub fn check_fast_paths(
                 quantities: vec![],
             });
         }
-        let decl: String = format!("fn {test}");
-        let has_test = strip_contains_decl(parity_suite, &decl);
-        if !has_test {
+        if !declares_fn(parity_suite, test) {
             diags.push(Diagnostic {
                 rule_id: "fast-path-parity",
                 severity: Severity::Error,
@@ -166,74 +154,30 @@ pub fn check_fast_paths(
     diags
 }
 
-/// Does the stripped suite declare this function (whitespace-tolerant)?
-fn strip_contains_decl(stripped: &str, decl: &str) -> bool {
-    let squeeze = |s: &str| -> String { s.chars().filter(|c| !c.is_whitespace()).collect() };
-    squeeze(stripped).contains(&squeeze(decl))
-}
-
-/// The fast-path coverage report over the repository at `repo_root`.
-pub fn fast_path_report(repo_root: &Path) -> io::Result<Report> {
-    let root = repo_root.join(FAST_PATH_ROOT);
-    if !root.is_dir() {
-        return Err(io::Error::new(
-            io::ErrorKind::NotFound,
-            format!("fast-path tree {} not found", root.display()),
-        ));
-    }
-    let core_files: Vec<(String, String)> = walk_rs_files(&root, repo_root)?
-        .into_iter()
-        .map(|(label, src)| (label, strip(&src)))
-        .collect();
-    let suite_path = repo_root.join(PARITY_SUITE);
-    let suite = std::fs::read_to_string(&suite_path).map_err(|e| {
-        io::Error::new(
-            e.kind(),
-            format!("parity suite {} unreadable: {e}", suite_path.display()),
-        )
-    })?;
-    Ok(Report {
-        design: "fast-path parity coverage".to_string(),
-        diagnostics: check_fast_paths(FAST_PATH_CLAIMS, &core_files, &strip(&suite)),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::repo_root;
 
-    fn suite_with(tests: &[&str]) -> String {
-        tests
+    fn suite_with(tests: &[&str]) -> SourceFile {
+        let src: String = tests
             .iter()
             .map(|t| format!("#[test]\nfn {t}() {{}}\n"))
-            .collect()
+            .collect();
+        SourceFile::new(PARITY_SUITE, &src)
     }
 
-    /// The live tree must pass: every fast path claimed, every claim live.
-    #[test]
-    fn shipped_fast_paths_are_covered() {
-        let report = fast_path_report(&repo_root()).expect("scan");
-        assert!(
-            report.is_feasible(),
-            "fast-path coverage errors:\n{}",
-            report.render(true)
-        );
-        assert!(
-            report.count(Severity::Info) > 0,
-            "no fast-forward overrides found — rule stale?"
-        );
+    fn file(label: &str, src: &str) -> SourceFile {
+        SourceFile::new(label, src)
     }
 
     #[test]
     fn unclaimed_fast_path_is_an_error() {
-        let files = vec![(
-            "crates/core/src/new_kernel.rs".to_string(),
+        let kernel = file(
+            "crates/core/src/new_kernel.rs",
             "pub struct NewKernelDesign;\nimpl Design for NewKernelDesign {\n\
-             fn fast_forward(&mut self, p: &mut Probe, b: ExecBackend) -> u64 { 0 }\n}"
-                .to_string(),
-        )];
-        let diags = check_fast_paths(&[], &files, "");
+             fn fast_forward(&mut self, p: &mut Probe, b: ExecBackend) -> u64 { 0 }\n}",
+        );
+        let diags = check_fast_paths(&[], &[&kernel], &suite_with(&[]));
         assert!(diags
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("new_kernel.rs")));
@@ -241,16 +185,15 @@ mod tests {
 
     #[test]
     fn stale_claim_and_missing_test_are_errors() {
-        let files = vec![(
-            "crates/core/src/dot.rs".to_string(),
-            "pub struct DotProductDesign;\nfn fast_forward() {}".to_string(),
-        )];
+        let dot = file(
+            "crates/core/src/dot.rs",
+            "pub struct DotProductDesign;\nfn fast_forward() {}",
+        );
         let claims: &[(&str, &str)] = &[
             ("DotProductDesign", "dot_parity"),
             ("GhostDesign", "ghost_parity"),
         ];
-        let suite = suite_with(&["dot_parity"]);
-        let diags = check_fast_paths(claims, &files, &suite);
+        let diags = check_fast_paths(claims, &[&dot], &suite_with(&["dot_parity"]));
         assert!(diags
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("GhostDesign")));
@@ -264,12 +207,12 @@ mod tests {
 
     #[test]
     fn covered_file_is_info() {
-        let files = vec![(
-            "crates/core/src/dot.rs".to_string(),
-            "pub struct DotProductDesign;\nfn fast_forward() {}".to_string(),
-        )];
+        let dot = file(
+            "crates/core/src/dot.rs",
+            "pub struct DotProductDesign;\nfn fast_forward() {}",
+        );
         let claims: &[(&str, &str)] = &[("DotProductDesign", "dot_parity")];
-        let diags = check_fast_paths(claims, &files, &suite_with(&["dot_parity"]));
+        let diags = check_fast_paths(claims, &[&dot], &suite_with(&["dot_parity"]));
         assert!(diags.iter().all(|d| d.severity != Severity::Error));
         assert!(diags
             .iter()
@@ -278,21 +221,19 @@ mod tests {
 
     #[test]
     fn whole_word_type_matching() {
-        let src = "struct DotProductDesignV2;";
-        assert!(!mentions_type(src, "DotProductDesign"));
-        assert!(mentions_type(
-            "let d = DotProductDesign::new();",
-            "DotProductDesign"
-        ));
+        let v2 = file("x.rs", "struct DotProductDesignV2;");
+        assert!(!mentions_type(&v2, "DotProductDesign"));
+        let call = file("x.rs", "let d = DotProductDesign::new();");
+        assert!(mentions_type(&call, "DotProductDesign"));
     }
 
     #[test]
     fn files_without_fast_forward_are_ignored() {
-        let files = vec![(
-            "crates/core/src/other.rs".to_string(),
-            "pub struct Other;\nfn cycle() {}".to_string(),
-        )];
-        let diags = check_fast_paths(&[], &files, "");
+        let other = file(
+            "crates/core/src/other.rs",
+            "pub struct Other;\nfn cycle() {}",
+        );
+        let diags = check_fast_paths(&[], &[&other], &suite_with(&[]));
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -301,5 +242,11 @@ mod tests {
         for pair in FAST_PATH_CLAIMS.windows(2) {
             assert!(pair[0].0 < pair[1].0, "{} !< {}", pair[0].0, pair[1].0);
         }
+    }
+
+    /// The live tree must pass: every fast path claimed, every claim live.
+    #[test]
+    fn shipped_fast_paths_are_covered() {
+        crate::scan::assert_shipped_tree_passes(&crate::scan::FAST_PATH_PARITY);
     }
 }

@@ -1,64 +1,38 @@
 //! Static analysis for the FPGA BLAS workspace.
 //!
-//! Two independent tools live here:
+//! Model rules, run on design points, topologies and committed stores:
 //!
-//! * [`drc`] — a **design-rule checker** that proves the paper's
+//! * [`drc`] — the **design-rule checker**: proves the paper's
 //!   feasibility bounds (area, BRAM, SRAM, bandwidth, hazard and schedule
 //!   legality) for a design point *before* any cycle is simulated, and
 //!   computes cycle-count lower bounds the simulation must not beat.
-//! * [`lint`] — a **softfloat-purity source lint**: a dependency-free
-//!   token-level scanner that rejects native `f64` arithmetic in the
-//!   datapath crates, where every floating-point operation must go
-//!   through the bit-accurate [`fblas_fpu::softfloat`] routines.
-//! * [`parity`] — a **paper-parity coverage rule** proving that every
-//!   row of the shared [`fblas_metrics::PAPER_TOLERANCES`] table is
-//!   claimed by a bench generator and that no generator claims a stale
-//!   id, so a paper figure can never silently go unchecked.
-//! * [`threads`] — a **bench-thread-containment rule**: the observatory's
-//!   byte-determinism rests on all bench parallelism flowing through the
-//!   shared worker pool's ordered reducer, so any thread-creation call in
-//!   `fblas-bench` outside `pool.rs` is an error.
-//! * [`hooks`] — a **fault-hook-purity rule**: the reliability
-//!   subsystem's disarmed-neutrality argument rests on the `.fault_*`
-//!   mutation hooks being reachable only from `Design::inject` bodies and
-//!   `crates/faults`, so a hook call anywhere else in production code is
-//!   an error.
-//! * [`graph`] — a **channel-graph analyzer** over the
-//!   [`fblas_sim::Topology`] each design exports: a deadlock-freedom
-//!   proof (every FIFO cycle can hold its in-flight token demand), a
-//!   sound steady-state throughput bound cross-validated against the
-//!   committed BENCH records, and composed-bandwidth checks on chained
-//!   topologies.
-//! * [`determinism`] — a **workspace determinism lint**: result-affecting
-//!   code in the simulation and bench crates must not read wall clocks,
-//!   host parallelism, ambient randomness, or iterate hash containers.
-//! * [`fastpath`] — a **fast-path parity coverage rule**: every design
-//!   overriding `Design::fast_forward` must be claimed by a randomized
-//!   backend-parity test, so an accelerated replay can never ship
-//!   without a bit-equality pin against cycle stepping.
-//! * [`serve`] — **serving-store conservation rules**: every tenant in
-//!   every committed `SERVE_*.json` cell must balance its books
-//!   (arrivals = completed + rejected + in-flight), latency digests
-//!   must be monotone and honest about emptiness, and every
-//!   batched/unbatched cell pair must actually demonstrate the staging
-//!   amortization the front end claims.
-//! * [`fabric`] — **fabric-link-budget and scaling-store rules**: every
-//!   shipped multi-FPGA shard plan's steady-state traffic must fit the
-//!   modeled RocketIO/RapidArray link capacities on every hop, and every
-//!   committed `SCALE_*.json` row must stay at or below its §6.4
-//!   linear-scaling projection with consistent speedup/efficiency
-//!   arithmetic and in-tolerance divergence.
-//! * [`telemetry`] — a **telemetry-metric-registry rule**: every
-//!   `.component("…")` id the datapath designs emit must be declared
-//!   with a docstring in [`fblas_telemetry::METRICS`], and every
-//!   declared id must still be emitted, so no telemetry metric is ever
-//!   undocumented or stale.
+//! * [`parity`] — **paper-parity coverage**: every row of the shared
+//!   [`fblas_metrics::PAPER_TOLERANCES`] table is claimed by a bench
+//!   generator and no generator claims a stale id.
+//! * [`graph`] — the **channel-graph analyzer** over the
+//!   [`fblas_sim::Topology`] each design exports: deadlock-freedom
+//!   proofs, throughput bounds cross-validated against the committed
+//!   BENCH records, and composed-bandwidth checks.
+//! * [`serve`] — **serving-store conservation** over committed
+//!   `SERVE_*.json` cells.
+//! * [`fabric`] — **fabric link budgets** for every shipped multi-FPGA
+//!   plan and §6.4 scaling rules over committed `SCALE_*.json` rows.
 //!
-//! The shared [`source`] module supplies the comment-/string-stripping
-//! and tree-walking primitives all source-level rules build on.
+//! Source rules, one row each in the [`scan::RULES`] table. [`source`]
+//! reads and prepares every file once; [`scan::Workspace`] runs the rows:
 //!
-//! All are exposed as libraries (used by the test suite) and through the
-//! `drc` and `lint` binaries (used by CI).
+//! | row | rule id | matcher | reads |
+//! |---|---|---|---|
+//! | [`scan::SOFTFLOAT_PURITY`] | `softfloat-purity` | [`lint`] | datapath |
+//! | [`scan::THREAD_CONTAINMENT`] | `bench-thread-containment` | [`scan`] | `crates/bench/src` |
+//! | [`scan::HOOK_PURITY`] | `fault-hook-purity` | [`scan`] | `crates` |
+//! | [`scan::DETERMINISM`] | `workspace-determinism` | [`determinism`] | result-affecting crates |
+//! | [`scan::FAST_PATH_PARITY`] | `fast-path-parity` | [`fastpath`] | `crates/core/src`, parity suite |
+//! | [`scan::METRIC_REGISTRY`] | `telemetry-metric-registry` | [`telemetry`] | datapath designs |
+//!
+//! All are libraries (used by the test suite) and run through the `drc`
+//! binary (every rule but the softfloat lint) and the `lint` binary (the
+//! softfloat lint), which CI runs.
 
 #![forbid(unsafe_code)]
 
@@ -67,28 +41,163 @@ pub mod drc;
 pub mod fabric;
 pub mod fastpath;
 pub mod graph;
-pub mod hooks;
 pub mod lint;
 pub mod parity;
+pub mod scan;
 pub mod serve;
 pub mod source;
 pub mod telemetry;
-pub mod threads;
 
-pub use determinism::{determinism_report, scan_workspace as scan_determinism, DeterminismSite};
 pub use drc::{
     check, infeasible_k10_with_rt_core, min_cycles, shipped_design_points, DesignPoint, Diagnostic,
     Kernel, Platform, Report, Severity,
 };
 pub use fabric::{check_scale_set, fabric_link_budget_report, fabric_link_budget_report_with_spec};
-pub use fastpath::{check_fast_paths, fast_path_report, FAST_PATH_CLAIMS};
 pub use graph::{
     analyze_topology, bench_cross_validation_report, shipped_topologies, topology_report,
     CycleProof, ThroughputBound,
 };
-pub use hooks::{fault_hook_report, scan_workspace_tree, HookContext, HookSite};
-pub use lint::{scan_source, scan_tree, LintHit};
 pub use parity::{check_claims, coverage_report, CLAIMS};
+pub use scan::{Rule, Workspace, RULES};
 pub use serve::check_serve_set;
-pub use telemetry::{check_sites, metric_registry_report, scan_metric_sites, MetricSite};
-pub use threads::{bench_thread_report, scan_bench_tree, ThreadSite};
+pub use source::SourceFile;
+
+/// Tests of the bench thread-containment row, [`scan::THREAD_CONTAINMENT`].
+#[cfg(test)]
+mod threads {
+    mod tests {
+        use crate::scan::{assert_shipped_tree_passes, thread_sites, THREAD_CONTAINMENT};
+        use crate::{Severity, SourceFile};
+
+        #[test]
+        fn pool_spawn_is_allowed_foreign_spawn_is_not() {
+            let pool = thread_sites(&SourceFile::new(
+                "crates/bench/src/pool.rs",
+                "fn f() { scope.spawn(|| {}); std::thread::scope(|s| {}); }",
+            ));
+            assert!(pool.iter().all(|s| s.allowed), "{pool:?}");
+            let rogue = SourceFile::new(
+                "crates/bench/src/bin/table9.rs",
+                "fn main() { std::thread::spawn(|| {}); }",
+            );
+            let sites = thread_sites(&rogue);
+            assert_eq!(sites.len(), 1);
+            assert!(!sites[0].allowed);
+            assert!(THREAD_CONTAINMENT
+                .diagnose(&[&rogue])
+                .iter()
+                .any(|d| d.severity == Severity::Error && d.message.contains("table9.rs:1")));
+        }
+
+        #[test]
+        fn comments_and_strings_do_not_fire() {
+            let src = "// thread::spawn is forbidden here\nfn f() { let _ = \"thread::spawn\"; }";
+            assert!(thread_sites(&SourceFile::new("crates/bench/src/bin/x.rs", src)).is_empty());
+        }
+
+        #[test]
+        fn whitespace_and_builder_forms_are_caught() {
+            let src = "fn f() { std::thread :: spawn(|| {}); thread::Builder::new(); }";
+            let sites = thread_sites(&SourceFile::new("crates/bench/src/bin/x.rs", src));
+            assert_eq!(sites.len(), 2, "{sites:?}");
+        }
+
+        #[test]
+        fn missing_allowed_site_is_a_warning() {
+            assert!(THREAD_CONTAINMENT
+                .diagnose(&[])
+                .iter()
+                .any(|d| d.severity == Severity::Warning && d.message.contains("pool moved")));
+        }
+
+        /// The live tree must pass: the pool is the only thread site, and
+        /// it actually contains one.
+        #[test]
+        fn shipped_bench_tree_is_contained() {
+            assert_shipped_tree_passes(&THREAD_CONTAINMENT);
+        }
+    }
+}
+
+/// Tests of the fault-hook purity row, [`scan::HOOK_PURITY`].
+#[cfg(test)]
+mod hooks {
+    mod tests {
+        use crate::scan::{assert_shipped_tree_passes, hook_sites, HOOK_PURITY};
+        use crate::{Severity, SourceFile};
+
+        #[test]
+        fn inject_body_is_allowed_free_call_is_not() {
+            let src = "impl Design for Run {\n\
+                       fn inject(&mut self, spec: &FaultSpec) -> bool {\n\
+                       self.fifo.fault_mutate(0, |v| *v = 0.0)\n\
+                       }\n\
+                       }\n\
+                       fn main() { run.fifo.fault_mutate(0, |v| *v = 0.0); }\n";
+            let file = SourceFile::new("crates/core/src/x.rs", src);
+            let sites = hook_sites(&file);
+            assert_eq!(sites.len(), 2, "{sites:?}");
+            assert!(sites[0].allowed && !sites[1].allowed, "{sites:?}");
+            assert!(HOOK_PURITY
+                .diagnose(&[&file])
+                .iter()
+                .any(|d| d.severity == Severity::Error && d.message.contains("x.rs:6")));
+        }
+
+        #[test]
+        fn hook_bodies_may_delegate_to_deeper_hooks() {
+            let src = "pub fn fault_flip_in_flight(&mut self, stage: usize, bit: u32) -> bool {\n\
+                       self.pipe.fault_mutate(stage, |t| t.v = flip(t.v, bit))\n\
+                       }\n";
+            let sites = hook_sites(&SourceFile::new("crates/fpu/src/x.rs", src));
+            assert_eq!(sites.len(), 1);
+            assert!(sites[0].allowed);
+        }
+
+        /// Exempt code yields no sites at all, so it can draw no Error.
+        #[test]
+        fn test_code_and_the_faults_crate_are_exempt() {
+            for (label, src) in [
+                (
+                    "crates/sim/src/fifo.rs",
+                    "#[cfg(test)]\nmod tests {\n fn t() { f.fault_mutate(0, id); } \n}\n",
+                ),
+                (
+                    "crates/fpu/tests/masks.rs",
+                    "fn t() { a.fault_flip_in_flight(1, 2); }",
+                ),
+                (
+                    "crates/faults/src/x.rs",
+                    "fn f() { a.fault_mutate(0, id); }",
+                ),
+            ] {
+                assert!(
+                    hook_sites(&SourceFile::new(label, src)).is_empty(),
+                    "{label}"
+                );
+            }
+        }
+
+        #[test]
+        fn read_only_fault_log_and_prose_do_not_fire() {
+            let src = "// .fault_mutate is forbidden\n\
+                       fn f() { let n = h.fault_log().unwrap(); let s = \".fault_mutate(\"; }\n";
+            assert!(hook_sites(&SourceFile::new("crates/bench/src/x.rs", src)).is_empty());
+        }
+
+        #[test]
+        fn missing_inject_sites_is_a_warning() {
+            assert!(HOOK_PURITY
+                .diagnose(&[])
+                .iter()
+                .any(|d| d.severity == Severity::Warning && d.message.contains("rule stale")));
+        }
+
+        /// The live tree must pass: every hook call sits in an inject/hook
+        /// body, a test, or the faults crate — and the inject wiring exists.
+        #[test]
+        fn shipped_workspace_is_pure() {
+            assert_shipped_tree_passes(&HOOK_PURITY);
+        }
+    }
+}

@@ -22,10 +22,8 @@
 //! 3. an explicit `// lint: allow(native-f64)` on the offending line or
 //!    the line above it.
 
-use std::io;
-use std::path::Path;
-
-use crate::source::{file_label, strip, walk_rs_files};
+use crate::drc::{Diagnostic, Severity};
+use crate::source::{skip_balanced, skip_item, Kind, SourceFile, Tok};
 
 /// One native-float-arithmetic finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,127 +104,6 @@ const ASSERT_MACROS: &[&str] = &[
 /// Marker comment that silences the lint for one line (or the next).
 const ALLOW_MARKER: &str = "lint: allow(native-f64)";
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Ident,
-    Int,
-    Float,
-    Punct,
-}
-
-#[derive(Debug, Clone)]
-struct Tok {
-    text: String,
-    line: usize,
-    kind: Kind,
-}
-
-fn tokenize(stripped: &str) -> Vec<Tok> {
-    let chars: Vec<char> = stripped.chars().collect();
-    let mut toks = Vec::new();
-    let mut line = 1;
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            line += 1;
-            i += 1;
-        } else if c.is_whitespace() {
-            i += 1;
-        } else if c.is_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            toks.push(Tok {
-                text: chars[start..i].iter().collect(),
-                line,
-                kind: Kind::Ident,
-            });
-        } else if c.is_ascii_digit() {
-            let (tok, end) = lex_number(&chars, i, line);
-            toks.push(tok);
-            i = end;
-        } else {
-            // Multi-character operators that must not be mistaken for
-            // arithmetic (or that the arithmetic check needs whole).
-            let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-            let op = match two.as_str() {
-                "->" | "=>" | "::" | "==" | "!=" | "<=" | ">=" | "&&" | "||" | ".." | "<<"
-                | ">>" | "+=" | "-=" | "*=" | "/=" | "%=" => {
-                    i += 2;
-                    two
-                }
-                _ => {
-                    i += 1;
-                    c.to_string()
-                }
-            };
-            toks.push(Tok {
-                text: op,
-                line,
-                kind: Kind::Punct,
-            });
-        }
-    }
-    toks
-}
-
-fn lex_number(chars: &[char], start: usize, line: usize) -> (Tok, usize) {
-    let mut i = start;
-    let mut is_float = false;
-    if chars[i] == '0' && matches!(chars.get(i + 1), Some('x' | 'o' | 'b')) {
-        i += 2;
-        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-            i += 1;
-        }
-    } else {
-        while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-            i += 1;
-        }
-        if i < chars.len() && chars[i] == '.' && chars.get(i + 1) != Some(&'.') {
-            // `1.0` is a float; `0..n` is a range.
-            is_float = true;
-            i += 1;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                i += 1;
-            }
-        }
-        if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
-            let mut j = i + 1;
-            if matches!(chars.get(j), Some('+' | '-')) {
-                j += 1;
-            }
-            if chars.get(j).is_some_and(char::is_ascii_digit) {
-                is_float = true;
-                i = j;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                    i += 1;
-                }
-            }
-        }
-        // Type suffix decides when present: 1f64 is a float, 1u64 is not.
-        let suffix_start = i;
-        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-            i += 1;
-        }
-        let suffix: String = chars[suffix_start..i].iter().collect();
-        if suffix.starts_with("f32") || suffix.starts_with("f64") {
-            is_float = true;
-        } else if !suffix.is_empty() {
-            is_float = false;
-        }
-    }
-    (
-        Tok {
-            text: chars[start..i].iter().collect(),
-            line,
-            kind: if is_float { Kind::Float } else { Kind::Int },
-        },
-        i,
-    )
-}
-
 /// Does this function name mark an allowlisted oracle or accounting fn?
 fn allowlisted_fn(name: &str) -> bool {
     name.starts_with("ref_")
@@ -235,85 +112,33 @@ fn allowlisted_fn(name: &str) -> bool {
         || ACCOUNTING_NAME_PATTERNS.iter().any(|p| name.contains(p))
 }
 
-/// Indices of tokens inside skipped regions: `#[cfg(test)]` items and the
-/// bodies of allowlisted functions.
+/// Indices of tokens inside skipped regions: the bodies of allowlisted
+/// functions and the arguments of assertion macros.
 fn skipped_mask(toks: &[Tok]) -> Vec<bool> {
     let mut skip = vec![false; toks.len()];
     let mut i = 0;
     while i < toks.len() {
-        if toks[i].text == "#" && matches(toks, i + 1, &["[", "cfg", "(", "test", ")", "]"]) {
-            let item_start = i;
-            i += 7;
-            // Skip any further attributes, then the item itself.
-            while i < toks.len() && toks[i].text == "#" {
-                i = skip_balanced(toks, i + 1, "[", "]");
-            }
-            i = skip_item(toks, i);
-            for s in skip.iter_mut().take(i).skip(item_start) {
-                *s = true;
-            }
-        } else if toks[i].text == "fn"
+        let item_start = i;
+        if toks[i].text == "fn"
             && toks
                 .get(i + 1)
                 .is_some_and(|t| t.kind == Kind::Ident && allowlisted_fn(&t.text))
         {
-            let item_start = i;
             i = skip_item(toks, i);
-            for s in skip.iter_mut().take(i).skip(item_start) {
-                *s = true;
-            }
         } else if toks[i].kind == Kind::Ident
             && ASSERT_MACROS.contains(&toks[i].text.as_str())
             && toks.get(i + 1).is_some_and(|t| t.text == "!")
         {
-            let item_start = i;
             i = skip_balanced(toks, i + 2, "(", ")");
-            for s in skip.iter_mut().take(i).skip(item_start) {
-                *s = true;
-            }
         } else {
             i += 1;
+            continue;
+        }
+        for s in skip.iter_mut().take(i).skip(item_start) {
+            *s = true;
         }
     }
     skip
-}
-
-fn matches(toks: &[Tok], at: usize, pat: &[&str]) -> bool {
-    pat.iter()
-        .enumerate()
-        .all(|(j, p)| toks.get(at + j).is_some_and(|t| t.text == *p))
-}
-
-/// Skip past one balanced `open … close` group starting at or after `i`.
-fn skip_balanced(toks: &[Tok], mut i: usize, open: &str, close: &str) -> usize {
-    while i < toks.len() && toks[i].text != open {
-        i += 1;
-    }
-    let mut depth = 0;
-    while i < toks.len() {
-        if toks[i].text == open {
-            depth += 1;
-        } else if toks[i].text == close {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
-}
-
-/// Skip one item (to its closing brace, or to `;` for brace-less items).
-fn skip_item(toks: &[Tok], mut i: usize) -> usize {
-    while i < toks.len() {
-        match toks[i].text.as_str() {
-            "{" => return skip_balanced(toks, i, "{", "}"),
-            ";" => return i + 1,
-            _ => i += 1,
-        }
-    }
-    i
 }
 
 /// Identifiers with local evidence of `f64` type: `name: f64` bindings,
@@ -405,10 +230,9 @@ fn ends_expression(t: &Tok) -> bool {
     matches!(t.kind, Kind::Ident | Kind::Int | Kind::Float) || t.text == ")" || t.text == "]"
 }
 
-/// Scan one source file for native f64 arithmetic. `file_label` is used
-/// in the returned hits; `source` is the file contents.
-pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
-    let raw_lines: Vec<&str> = source.lines().collect();
+/// Native f64 arithmetic in one prepared file.
+pub fn hits(file: &SourceFile) -> Vec<LintHit> {
+    let raw_lines: Vec<&str> = file.raw.lines().collect();
     let allowed_line = |line: usize| -> bool {
         // 1-based; the marker counts on the line itself or the one above.
         [line, line.saturating_sub(1)].iter().any(|&l| {
@@ -419,14 +243,13 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
         })
     };
 
-    let stripped = strip(source);
-    let toks = tokenize(&stripped);
-    let skip = skipped_mask(&toks);
-    let floaty = collect_floaty_idents(&toks);
+    let toks = &file.toks;
+    let skip = skipped_mask(toks);
+    let floaty = collect_floaty_idents(toks);
 
     let mut hits = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if skip[i] || t.kind != Kind::Punct {
+        if skip[i] || t.kind != Kind::Punct || file.in_test(t.line) {
             continue;
         }
         let op = t.text.as_str();
@@ -447,14 +270,14 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
         }
         let evidence = i
             .checked_sub(1)
-            .and_then(|p| float_evidence(&toks, p, &floaty, true))
-            .or_else(|| float_evidence(&toks, i + 1, &floaty, false));
+            .and_then(|p| float_evidence(toks, p, &floaty, true))
+            .or_else(|| float_evidence(toks, i + 1, &floaty, false));
         let Some(evidence) = evidence else { continue };
         if allowed_line(t.line) {
             continue;
         }
         hits.push(LintHit {
-            file: file_label.to_string(),
+            file: file.label.clone(),
             line: t.line,
             snippet: raw_lines
                 .get(t.line - 1)
@@ -465,31 +288,27 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Scan every `.rs` file under the [`DATAPATH_PATHS`] of `repo_root`.
-pub fn scan_tree(repo_root: &Path) -> io::Result<Vec<LintHit>> {
-    let mut hits = Vec::new();
-    for rel in DATAPATH_PATHS {
-        let path = repo_root.join(rel);
-        if path.is_file() {
-            let source = std::fs::read_to_string(&path)?;
-            hits.extend(scan_source(&file_label(&path, repo_root), &source));
-        } else if path.is_dir() {
-            for (label, source) in walk_rs_files(&path, repo_root)? {
-                hits.extend(scan_source(&label, &source));
-            }
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("datapath path {} not found", path.display()),
-            ));
-        }
-    }
-    Ok(hits)
+/// The softfloat-purity row's matcher: every hit is an Error.
+pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
+    files
+        .iter()
+        .flat_map(|f| hits(f))
+        .map(|hit| Diagnostic {
+            rule_id: "softfloat-purity",
+            severity: Severity::Error,
+            message: hit.to_string(),
+            quantities: vec![],
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan_source(label: &str, source: &str) -> Vec<LintHit> {
+        hits(&SourceFile::new(label, source))
+    }
 
     #[test]
     fn flags_native_f64_arithmetic() {

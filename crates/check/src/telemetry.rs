@@ -16,16 +16,13 @@
 //!
 //! The scan works on comment-/string-stripped source to locate call
 //! sites (prose about `.component("x")` never fires), then re-reads the
-//! *raw* line to recover the literal the stripper blanked out.
+//! *raw* line to recover the literal the stripper blanked out. It is the
+//! matcher of the rule table's registry row
+//! ([`crate::scan::METRIC_REGISTRY`]).
 
-use std::io;
-use std::path::Path;
-
-use crate::drc::{Diagnostic, Report, Severity};
-use crate::source::{strip, walk_rs_files};
+use crate::drc::{Diagnostic, Severity};
+use crate::source::SourceFile;
 use fblas_telemetry::METRICS;
-
-pub use crate::source::repo_root;
 
 /// The source trees whose `.component(...)` calls the rule polices,
 /// relative to the repo root. These are the shipped datapath designs;
@@ -55,21 +52,19 @@ fn literal_after(raw: &str, from: usize) -> Option<String> {
     Some(body[..end].to_string())
 }
 
-/// Scan one source file (already labelled repo-relative) for
-/// `.component(...)` call sites.
+/// The `.component(...)` call sites in one file.
 ///
 /// Call sites are located on the stripped source so comments and string
 /// literals never fire; the id is then parsed out of the raw line, where
 /// the literal still exists.
-pub fn scan_source(file_label: &str, source: &str) -> Vec<MetricSite> {
-    let stripped = strip(source);
+pub fn sites(file: &SourceFile) -> Vec<MetricSite> {
     let mut sites = Vec::new();
-    for ((i, stripped_line), raw_line) in stripped.lines().enumerate().zip(source.lines()) {
+    for ((i, stripped_line), raw_line) in file.stripped.lines().enumerate().zip(file.raw.lines()) {
         let mut search = 0;
         while let Some(pos) = stripped_line[search..].find(".component(") {
             let open = search + pos + ".component(".len();
             sites.push(MetricSite {
-                file: file_label.to_string(),
+                file: file.label.clone(),
                 line: i + 1,
                 id: literal_after(raw_line, open),
             });
@@ -79,29 +74,17 @@ pub fn scan_source(file_label: &str, source: &str) -> Vec<MetricSite> {
     sites
 }
 
-/// Scan every policed tree under `repo_root`.
-pub fn scan_metric_sites(repo_root: &Path) -> io::Result<Vec<MetricSite>> {
-    let mut sites = Vec::new();
-    for tree in POLICED_TREES {
-        let root = repo_root.join(tree);
-        if !root.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("policed source tree {} not found", root.display()),
-            ));
-        }
-        for (label, source) in walk_rs_files(&root, repo_root)? {
-            sites.extend(scan_source(&label, &source));
-        }
-    }
-    Ok(sites)
+/// The registry row's matcher: `files`' call sites against the shipped
+/// [`fblas_telemetry::METRICS`].
+pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
+    let sites: Vec<MetricSite> = files.iter().flat_map(|f| sites(f)).collect();
+    check_sites(&sites, METRICS)
 }
 
 /// Check scanned sites against a registry of `(id, docstring)` rows.
 ///
-/// Exposed separately from [`metric_registry_report`] so tests can feed
-/// synthetic sites and deliberately broken registries through the same
-/// logic.
+/// Exposed separately from [`check`] so tests can feed synthetic sites
+/// and deliberately broken registries through the same logic.
 pub fn check_sites(sites: &[MetricSite], registry: &[(&str, &str)]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for site in sites {
@@ -157,18 +140,13 @@ pub fn check_sites(sites: &[MetricSite], registry: &[(&str, &str)]) -> Vec<Diagn
     diags
 }
 
-/// The metric-registry report over the repository at `repo_root`,
-/// checked against the shipped [`fblas_telemetry::METRICS`].
-pub fn metric_registry_report(repo_root: &Path) -> io::Result<Report> {
-    Ok(Report {
-        design: "telemetry metric registry".to_string(),
-        diagnostics: check_sites(&scan_metric_sites(repo_root)?, METRICS),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan_source(label: &str, source: &str) -> Vec<MetricSite> {
+        sites(&SourceFile::new(label, source))
+    }
 
     fn site(id: Option<&str>) -> MetricSite {
         MetricSite {
@@ -226,14 +204,6 @@ mod tests {
     /// declaration emitted, and every call site a string literal.
     #[test]
     fn shipped_tree_matches_registry_exactly() {
-        let report = metric_registry_report(&repo_root()).expect("scan");
-        assert!(
-            report.is_feasible(),
-            "metric registry errors:\n{}",
-            report.render(true)
-        );
-        // One Info diagnostic per registry row at minimum — full cover.
-        assert!(report.count(Severity::Info) >= METRICS.len());
-        assert_eq!(report.count(Severity::Warning), 0);
+        crate::scan::assert_shipped_tree_passes(&crate::scan::METRIC_REGISTRY);
     }
 }

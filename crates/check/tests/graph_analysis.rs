@@ -3,11 +3,11 @@
 //! BENCH measurement sits under its static throughput bound, and the
 //! workspace determinism lint is clean.
 
-use fblas_check::determinism::determinism_report;
 use fblas_check::graph::{
     analyze_topology, bench_cross_validation_report, enumerate_cycles, shipped_topologies,
     throughput_bound,
 };
+use fblas_check::scan::{Workspace, DETERMINISM};
 use fblas_check::source::repo_root;
 use fblas_check::Severity;
 
@@ -93,10 +93,11 @@ fn throughput_bounds_are_finite_and_positive() {
     }
 }
 
-/// The workspace determinism lint runs clean over the live tree.
+/// The determinism row passes the live tree with no stale-rule warning.
 #[test]
 fn workspace_determinism_lint_is_clean() {
-    let report = determinism_report(&repo_root()).expect("scan");
+    let workspace = Workspace::load(&repo_root()).expect("load");
+    let report = workspace.report(&DETERMINISM).expect("scan");
     assert!(report.is_feasible(), "{}", report.render(true));
     assert_eq!(
         report.count(Severity::Warning),

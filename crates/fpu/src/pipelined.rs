@@ -47,7 +47,7 @@ impl<T> PipelinedUnit<T> {
     /// issue port: staging twice between edges is a double issue — two
     /// drivers on the same port — and a scheduling bug in the caller.
     fn stage(&mut self, a: f64, b: f64, tag: T) {
-        debug_assert!(
+        assert!(
             self.staged.is_none(),
             "double issue: a single-issue floating-point unit was given two \
              operations in the same cycle"
@@ -56,7 +56,7 @@ impl<T> PipelinedUnit<T> {
     }
 
     fn step(&mut self, input: Option<(f64, f64, T)>, op: fn(u64, u64) -> u64) -> Option<Tagged<T>> {
-        debug_assert!(
+        assert!(
             !(input.is_some() && self.staged.is_some()),
             "double issue: step(Some(..)) while another operation is staged \
              for this cycle"
@@ -117,8 +117,8 @@ impl<T> PipelinedAdder<T> {
     /// Stage `a + b` for the upcoming clock edge without advancing the
     /// clock; the next [`PipelinedAdder::step`]`(None)` issues it. Control
     /// logic with several candidate producers can use this split form —
-    /// staging twice in one cycle trips a debug assertion, catching
-    /// schedules that double-issue a single-issue unit.
+    /// staging twice in one cycle panics (in release builds too),
+    /// catching schedules that double-issue a single-issue unit.
     pub fn issue(&mut self, a: f64, b: f64, tag: T) {
         self.unit.stage(a, b, tag);
     }
@@ -205,7 +205,7 @@ impl<T> PipelinedMultiplier<T> {
     }
 
     /// Stage `a × b` for the upcoming clock edge; see
-    /// [`PipelinedAdder::issue`]. Double-staging trips a debug assertion.
+    /// [`PipelinedAdder::issue`]. Double-staging panics.
     pub fn issue(&mut self, a: f64, b: f64, tag: T) {
         self.unit.stage(a, b, tag);
     }
