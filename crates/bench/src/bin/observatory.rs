@@ -45,12 +45,11 @@
 //! its speedup fields) reflects the parallelism.
 //!
 //! `--backend <b>` selects the execution backend: `cycle` (default)
-//! steps every simulated cycle; `fast-forward` (alias `ff`) lets designs
-//! replay quiescent steady-state streaming in closed form; `native`
-//! additionally substitutes blocked-microkernel results where the
-//! substitution is proven bit-identical. All three produce byte-identical
-//! `BENCH_<n>.json` files — the sidecar records the backend and the
-//! stepped-vs-simulated cycle ratio (`backend_speedup`).
+//! steps every simulated cycle; `native` lets designs replay quiescent
+//! steady-state streaming in a fused loop that performs the datapath's
+//! own softfloat operations in the datapath's order. Both produce
+//! byte-identical `BENCH_<n>.json` files — the sidecar records the
+//! backend and the stepped-vs-simulated cycle ratio (`backend_speedup`).
 //!
 //! `diff` re-measures and compares against a baseline record set
 //! (the committed `BENCH_0001.json` in CI): exact cycle/flop/word/stall-counter
@@ -129,7 +128,7 @@ use fblas_telemetry::{render_trend_section, splice_trend_section, TelemSet};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: observatory run  [--quick] [--jobs <n>] [--backend cycle|fast-forward|native] [--dir <dir>]\n\
+        "usage: observatory run  [--quick] [--jobs <n>] [--backend cycle|native] [--dir <dir>]\n\
                                 [--telemetry-window <cycles>] [--no-telemetry]\n\
                 observatory diff <baseline.json> [--quick] [--jobs <n>] [--backend <b>]\n\
                 observatory report [--dir <dir>] [--doc <markdown>]\n\

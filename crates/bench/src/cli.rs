@@ -163,12 +163,12 @@ mod tests {
     #[test]
     fn parse_backend_covers_all_and_rejects_unknown() {
         assert_eq!(parse_backend("cycle"), Ok(ExecBackend::Cycle));
-        assert_eq!(parse_backend("fast-forward"), Ok(ExecBackend::FastForward));
-        assert_eq!(parse_backend("ff"), Ok(ExecBackend::FastForward));
         assert_eq!(parse_backend("native"), Ok(ExecBackend::Native));
-        let err = parse_backend("warp-drive").unwrap_err();
-        assert!(err.starts_with("--backend:"), "{err}");
-        assert!(err.contains("warp-drive"), "{err}");
+        for bad in ["warp-drive", "fast-forward", "ff"] {
+            let err = parse_backend(bad).unwrap_err();
+            assert!(err.starts_with("--backend:"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
     }
 
     #[test]

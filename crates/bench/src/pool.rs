@@ -76,8 +76,8 @@ pub fn run_ordered<T: Send>(jobs: Vec<Job<T>>, workers: usize) -> Vec<T> {
 }
 
 /// [`run_ordered`] with every worker harness created on the given
-/// execution backend, so the whole matrix runs cycle-stepped,
-/// fast-forwarded or native. Scheduling and ordered reduction are
+/// execution backend, so the whole matrix runs cycle-stepped or
+/// native. Scheduling and ordered reduction are
 /// unchanged — backend choice affects wall clock only, never bytes.
 pub fn run_ordered_with_backend<T: Send>(
     jobs: Vec<Job<T>>,

@@ -3,19 +3,19 @@
 //! The unit suites in `fblas-core` pin the backends to each other on a
 //! handful of named shapes; this suite is the property-style sweep: for
 //! hundreds of randomized (shape, blocking, seed) triples, the
-//! cycle-stepped datapath, the event-driven fast-forward and the native
-//! blocked microkernel must produce bit-identical results *and*
-//! bit-identical probe counters. No proptest dependency — the workspace
-//! vendors nothing — so shrinking is replaced by printing the failing
-//! `(trial, seed, shape, k)` tuple in every assert message.
+//! cycle-stepped datapath and the native fused replay must produce
+//! bit-identical results *and* bit-identical probe counters. No proptest
+//! dependency — the workspace vendors nothing — so shrinking is replaced
+//! by printing the failing `(trial, seed, shape, k)` tuple in every
+//! assert message.
 //!
-//! Data regimes follow DESIGN.md §13: kernels whose reduction order
-//! differs between datapath and microkernel (dot, asum, row-major MVM)
-//! are swept with small-integer data, where every intermediate is exact
-//! and association cannot change the answer; kernels whose update order
-//! is provably identical (axpy, scal, col-major MVM, linear-array MM) are
-//! swept with arbitrary random reals — for MM across binades and with
-//! ±0, subnormals, ±Inf and NaN mixed in.
+//! Data regimes follow DESIGN.md §13: the native replay performs the
+//! datapath's own softfloat operations in the datapath's order, so no
+//! kernel needs association-independent data. The reduction kernels
+//! (dot, asum, row-major MVM) and linear-array MM are swept with reals
+//! across binades, cycling per trial through three regimes: plain, with
+//! ±0 and subnormals, and with ±Inf and NaN as well; axpy, scal and
+//! col-major MVM with full-mantissa reals.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
@@ -46,12 +46,6 @@ impl Rng {
         lo + (self.next_u64() as usize) % (hi - lo + 1)
     }
 
-    /// Small integer-valued f64 in `[-8, 8)` — exact under any
-    /// association of softfloat adds.
-    fn int(&mut self) -> f64 {
-        (self.next_u64() % 16) as f64 - 8.0
-    }
-
     /// Arbitrary real in roughly `[-8, 8)` with a full mantissa.
     fn real(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 50) as f64 - 8.0
@@ -72,8 +66,8 @@ impl Rng {
         self.real() * 2f64.powi(self.size(0, 60) as i32 - 30)
     }
 
-    fn int_vec(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.int()).collect()
+    fn wide_vec(&mut self, n: usize, specials: u8) -> Vec<f64> {
+        (0..n).map(|_| self.wide_real(specials)).collect()
     }
 
     fn real_vec(&mut self, n: usize) -> Vec<f64> {
@@ -81,9 +75,9 @@ impl Rng {
     }
 }
 
-/// Run one closure under all three backends and assert the scalar/vector
+/// Run one closure under both backends and assert the scalar/vector
 /// payload and the probe report agree bit for bit. Returns the stepped
-/// cycles saved by the fast-forward harness (0 when the design declined).
+/// cycles saved by the native harness (0 when the design declined).
 fn assert_backends_agree<T, F>(ctx: &str, run: F) -> u64
 where
     T: PartialEq + std::fmt::Debug,
@@ -92,15 +86,11 @@ where
     let mut cycle = Harness::with_backend(ExecBackend::Cycle);
     let (base_out, base_report) = run(&mut cycle);
     assert_eq!(cycle.ff_cycles(), 0, "{ctx}: cycle backend fast-forwarded");
-    let mut saved = 0;
-    for backend in [ExecBackend::FastForward, ExecBackend::Native] {
-        let mut h = Harness::with_backend(backend);
-        let (out, report) = run(&mut h);
-        assert_eq!(out, base_out, "{ctx}: {backend} result diverged");
-        assert_eq!(report, base_report, "{ctx}: {backend} report diverged");
-        saved = h.ff_cycles();
-    }
-    saved
+    let mut native = Harness::with_backend(ExecBackend::Native);
+    let (out, report) = run(&mut native);
+    assert_eq!(out, base_out, "{ctx}: native result diverged");
+    assert_eq!(report, base_report, "{ctx}: native report diverged");
+    native.ff_cycles()
 }
 
 /// Bit-pattern view of an f64 vector, so `assert_eq!` compares exact
@@ -116,9 +106,10 @@ fn dot_product_backends_agree_across_random_shapes() {
         let mut rng = Rng::new(0xD07 + trial);
         let k = [2, 4, 8][rng.size(0, 2)];
         let n = rng.size(1, 220);
-        let u = rng.int_vec(n);
-        let v = rng.int_vec(n);
-        let ctx = format!("dot trial={trial} n={n} k={k}");
+        let specials = (trial % 3) as u8;
+        let u = rng.wide_vec(n, specials);
+        let v = rng.wide_vec(n, specials);
+        let ctx = format!("dot trial={trial} n={n} k={k} specials={specials}");
         let design = DotProductDesign::standalone(DotParams::with_k(k), 170.0);
         saved_total += assert_backends_agree(&ctx, |h| {
             let out = design.run_in(h, &u, &v);
@@ -155,14 +146,15 @@ fn axpy_and_scal_backends_agree_on_random_reals() {
 }
 
 #[test]
-fn asum_backends_agree_on_integer_data() {
+fn asum_backends_agree_on_random_reals() {
     let mut saved_total = 0;
     for trial in 0..24 {
         let mut rng = Rng::new(0xA5_13 + trial);
         let k = [2, 4, 8][rng.size(0, 2)];
         let n = rng.size(1, 200);
-        let x = rng.int_vec(n);
-        let ctx = format!("asum trial={trial} n={n} k={k}");
+        let specials = (trial % 3) as u8;
+        let x = rng.wide_vec(n, specials);
+        let ctx = format!("asum trial={trial} n={n} k={k} specials={specials}");
         let asum = AsumDesign::new(Level1Params::with_k(k));
         saved_total += assert_backends_agree(&ctx, |h| {
             let out = asum.run_in(h, &x);
@@ -173,16 +165,18 @@ fn asum_backends_agree_on_integer_data() {
 }
 
 #[test]
-fn row_major_mvm_backends_agree_on_integer_matrices() {
+fn row_major_mvm_backends_agree_on_random_reals() {
     let mut saved_total = 0;
     for trial in 0..12 {
         let mut rng = Rng::new(0x20_77 + trial);
         let k = [2, 4, 8][rng.size(0, 2)];
         let rows = rng.size(1, 48);
         let cols = rng.size(1, 48);
-        let a = DenseMatrix::from_rows(rows, cols, rng.int_vec(rows * cols));
-        let x = rng.int_vec(cols);
-        let ctx = format!("row-mvm trial={trial} rows={rows} cols={cols} k={k}");
+        let specials = (trial % 3) as u8;
+        let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, specials));
+        let x = rng.wide_vec(cols, specials);
+        let ctx =
+            format!("row-mvm trial={trial} rows={rows} cols={cols} k={k} specials={specials}");
         let mvm = RowMajorMvm::standalone(MvmParams::with_k(k), 170.0);
         saved_total += assert_backends_agree(&ctx, |h| {
             let out = mvm.run_in(h, &a, &x);
@@ -214,16 +208,15 @@ fn col_major_mvm_backends_agree_on_random_reals() {
     assert!(saved_total > 0, "no col-mvm trial ever fast-forwarded");
 }
 
-/// The substitution rule itself: the native backend may only replace the
-/// datapath's answer where DESIGN.md §13 proves bit-identity, so a
-/// *fractional-rate* design (which declines to fast-forward) must still
-/// agree under the native backend — it falls back to stepping.
+/// The decline rule itself: a *fractional-rate* design violates the
+/// fused replay's full-rate precondition (DESIGN.md §13), so under the
+/// native backend it must fall back to stepping and still agree.
 #[test]
 fn fractional_rate_designs_step_identically_under_native() {
     let mut rng = Rng::new(0xF2AC);
     let n = 96;
-    let u = rng.int_vec(n);
-    let v = rng.int_vec(n);
+    let u = rng.wide_vec(n, 2);
+    let v = rng.wide_vec(n, 2);
     let mut params = DotParams::with_k(4);
     params.words_per_cycle_per_vector = 2.0; // starved: below k
     let design = DotProductDesign::standalone(params, 170.0);
@@ -273,7 +266,7 @@ fn table4_mm_declines_fast_forward() {
         ((bits(out.c.as_slice()), out.hazard_violations), out.report)
     });
     assert_eq!(saved, 0, "m = k = 8 must decline fast-forward");
-    let mut h = Harness::with_backend(ExecBackend::FastForward);
+    let mut h = Harness::with_backend(ExecBackend::Native);
     assert!(mm.run_in(&mut h, &a, &b).hazard_violations > 0);
     assert_eq!(h.ff_cycles(), 0);
 }

@@ -176,22 +176,25 @@ fn observatory_rejects_bad_jobs_values() {
 #[test]
 fn observatory_rejects_unknown_backends() {
     let observatory = env!("CARGO_BIN_EXE_observatory");
-    for cmd in ["run", "diff", "serve", "scale"] {
-        let output = Command::new(observatory)
-            .args([cmd, "--quick", "--backend", "warp-drive"])
-            .output()
-            .expect("failed to launch observatory");
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{cmd} --backend warp-drive: {:?}",
-            output.status
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--backend:"),
-            "{cmd}: stderr was {stderr:?}"
-        );
+    // `fast-forward`/`ff` are no longer backends and must stay rejected.
+    for backend in ["warp-drive", "fast-forward", "ff"] {
+        for cmd in ["run", "diff", "serve", "scale"] {
+            let output = Command::new(observatory)
+                .args([cmd, "--quick", "--backend", backend])
+                .output()
+                .expect("failed to launch observatory");
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "{cmd} --backend {backend}: {:?}",
+                output.status
+            );
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert!(
+                stderr.contains("--backend:"),
+                "{cmd} --backend {backend}: stderr was {stderr:?}"
+            );
+        }
     }
 }
 

@@ -4,9 +4,9 @@
 //! pure function of (campaign, seed) — never of the worker count, the
 //! execution backend or the host. This suite pins that contract two
 //! ways: the quick campaign's serialized bytes across `--jobs` 1/2/8
-//! and across all three backends, and a property-style sweep of
+//! and across both backends, and a property-style sweep of
 //! randomized single cells (seed, batching, tenant mix varied per
-//! trial) re-run cycle-stepped vs fast-forward vs native, which must
+//! trial) re-run cycle-stepped vs native, which must
 //! agree record-for-record. Every store produced along the way must
 //! also satisfy the `fblas-check` conservation rules — determinism
 //! without honest books would pin the wrong thing.
@@ -32,10 +32,8 @@ fn serve_bytes_are_identical_across_jobs_counts() {
 #[test]
 fn serve_bytes_are_identical_across_backends() {
     let cycle = run_serve_matrix_with_jobs(true, 2, ExecBackend::Cycle).to_json_string();
-    for backend in [ExecBackend::FastForward, ExecBackend::Native] {
-        let run = run_serve_matrix_with_jobs(true, 2, backend).to_json_string();
-        assert_eq!(cycle, run, "backend {backend} changed the SERVE bytes");
-    }
+    let run = run_serve_matrix_with_jobs(true, 2, ExecBackend::Native).to_json_string();
+    assert_eq!(cycle, run, "backend native changed the SERVE bytes");
 }
 
 /// xorshift64* — per-trial deterministic generator, same idiom as the
@@ -116,14 +114,12 @@ fn randomized_cells_agree_across_backends_and_conserve() {
         let mut rng = Rng::new(0x5EED ^ trial);
         let spec = random_cell(trial, &mut rng);
         let cycle = run_cell(&mut Harness::new(), &spec);
-        for backend in [ExecBackend::FastForward, ExecBackend::Native] {
-            let other = run_cell(&mut Harness::with_backend(backend), &spec);
-            assert_eq!(
-                cycle, other,
-                "trial {trial} ({}) drifted under backend {backend}",
-                spec.name
-            );
-        }
+        let other = run_cell(&mut Harness::with_backend(ExecBackend::Native), &spec);
+        assert_eq!(
+            cycle, other,
+            "trial {trial} ({}) drifted under backend native",
+            spec.name
+        );
         let mut set = ServeSet::new("prop-test");
         set.records.push(cycle);
         let report = check_serve_set(&set);

@@ -7,7 +7,7 @@
 //! or executed (`--backend`). These tests pin that end to end — the
 //! `TELEM` store document, the JSONL event log and the Prometheus
 //! snapshot are compared as bytes across worker counts and across the
-//! cycle / fast-forward / native backends — and then gate the measured
+//! cycle and native backends — and then gate the measured
 //! steady-state efficiency of every modelled design against the paper's
 //! n/(n+α) prediction.
 
@@ -40,7 +40,7 @@ fn telem_store_is_byte_identical_across_jobs() {
     }
 }
 
-/// Fast-forward and native replays reconstruct the exact per-window
+/// Native replays reconstruct the exact per-window
 /// telemetry the cycle stepper would have produced (or decline, which
 /// also lands on the stepper's bytes) — so the whole `TELEM` document is
 /// backend-invariant.
@@ -48,14 +48,12 @@ fn telem_store_is_byte_identical_across_jobs() {
 fn telem_store_is_byte_identical_across_backends() {
     let (_, cycle) = quick_telem(1, ExecBackend::Cycle);
     let baseline = cycle.to_json_string();
-    for backend in [ExecBackend::FastForward, ExecBackend::Native] {
-        let (_, accel) = quick_telem(2, backend);
-        assert_eq!(
-            baseline,
-            accel.to_json_string(),
-            "TELEM bytes differ under {backend:?}"
-        );
-    }
+    let (_, native) = quick_telem(2, ExecBackend::Native);
+    assert_eq!(
+        baseline,
+        native.to_json_string(),
+        "TELEM bytes differ under native"
+    );
 }
 
 /// The exporters are pure functions of the store, so they inherit its
@@ -67,11 +65,7 @@ fn exporters_are_byte_identical_across_jobs_and_backends() {
     let events = jsonl_events(&baseline);
     let snapshot = prometheus_snapshot(&baseline);
     assert!(!events.is_empty() && !snapshot.is_empty());
-    for (workers, backend) in [
-        (8, ExecBackend::Cycle),
-        (2, ExecBackend::FastForward),
-        (2, ExecBackend::Native),
-    ] {
+    for (workers, backend) in [(8, ExecBackend::Cycle), (2, ExecBackend::Native)] {
         let (_, other) = quick_telem(workers, backend);
         assert_eq!(
             events,

@@ -29,9 +29,9 @@ use crate::scan::Site;
 use crate::source::{SourceFile, Tok};
 
 /// The result-affecting source trees, relative to the repo root. The
-/// `sw` crate joined the list when its blocked microkernel became the
-/// native backend's value engine: its outputs now land in committed
-/// records, so it is held to the same no-ambient-reads bar.
+/// `sw` crate's software oracles decide the fault campaign's residual
+/// gates, whose verdicts land in the committed `FAULTS.json`, so it is
+/// held to the same no-ambient-reads bar.
 pub const DETERMINISM_ROOTS: &[&str] = &[
     "crates/core/src",
     "crates/sim/src",

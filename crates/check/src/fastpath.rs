@@ -2,8 +2,8 @@
 //! `Design::fast_forward` must be pinned bit-identical to cycle
 //! stepping by the backend parity suite.
 //!
-//! The tentpole's soundness story (DESIGN.md §13) is that the
-//! fast-forward and native backends are *pure accelerations*: same
+//! The soundness story (DESIGN.md §13) is that the native backend is a
+//! *pure acceleration*: same
 //! results, same reports, fewer host cycles. That claim is only as
 //! strong as its test coverage, and coverage can silently rot — a new
 //! design can grow a fused replay without anyone adding it to the
@@ -33,7 +33,7 @@ use crate::source::{matches, SourceFile};
 ///
 /// Kept sorted by design type name.
 pub const FAST_PATH_CLAIMS: &[(&str, &str)] = &[
-    ("AsumDesign", "asum_backends_agree_on_integer_data"),
+    ("AsumDesign", "asum_backends_agree_on_random_reals"),
     ("AxpyDesign", "axpy_and_scal_backends_agree_on_random_reals"),
     (
         "ColMajorMvm",
@@ -49,7 +49,7 @@ pub const FAST_PATH_CLAIMS: &[(&str, &str)] = &[
     ),
     (
         "RowMajorMvm",
-        "row_major_mvm_backends_agree_on_integer_matrices",
+        "row_major_mvm_backends_agree_on_random_reals",
     ),
     ("ScalDesign", "axpy_and_scal_backends_agree_on_random_reals"),
 ];
@@ -175,7 +175,7 @@ mod tests {
         let kernel = file(
             "crates/core/src/new_kernel.rs",
             "pub struct NewKernelDesign;\nimpl Design for NewKernelDesign {\n\
-             fn fast_forward(&mut self, p: &mut Probe, b: ExecBackend) -> u64 { 0 }\n}",
+             fn fast_forward(&mut self, p: &mut Probe) -> u64 { 0 }\n}",
         );
         let diags = check_fast_paths(&[], &[&kernel], &suite_with(&[]));
         assert!(diags

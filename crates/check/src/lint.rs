@@ -50,15 +50,12 @@ impl std::fmt::Display for LintHit {
 
 /// The paths (relative to the repository root) the lint polices. The
 /// `sim` crate hosts the timing machinery (token buckets, delay lines)
-/// and the software *baselines* in `sw` are oracles by definition — but
-/// `sw`'s blocked microkernel is the native backend's value engine and
-/// must route every FLOP through softfloat just like the datapath, so
-/// it is policed too.
+/// and the software *baselines* in `sw` are oracles by definition, so
+/// neither is policed.
 pub const DATAPATH_PATHS: &[&str] = &[
     "crates/core/src",
     "crates/fpu/src/pipelined.rs",
     "crates/mem/src",
-    "crates/sw/src/microkernel.rs",
     "crates/fabric/src",
 ];
 

@@ -15,12 +15,12 @@
 
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use crate::report::SimReport;
-use fblas_fpu::softfloat::{add_f64, mul_f64};
+use fblas_fpu::softfloat::{balanced_sum, mul_f64};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::ReadChannel;
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, ExecBackend,
-    FaultKind, FaultSpec, Fifo, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
+    FaultSpec, Fifo, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
 };
 use fblas_system::{io_bound_peak_dot, ClockModel, Xd1Node};
 
@@ -282,19 +282,8 @@ impl DotProductDesign {
         };
         let report = harness.run(&mut run);
         let buffer_id = run.ids.expect("setup ran").reduction_buffer;
-
-        // Under the native backend the numeric answer comes from the
-        // `fblas-sw` softfloat microkernel, not the datapath replay
-        // (never while faults are armed — substitution would silently
-        // heal injected corruption). See DESIGN.md §13.
-        let result = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::dot(u, v)
-        } else {
-            run.result.expect("harness exits on result")
-        };
-
         DotOutcome {
-            result,
+            result: run.result.expect("harness exits on result"),
             report,
             clock: self.clock,
             peak_flops: io_bound_peak_dot(self.bandwidth_bytes_per_s()),
@@ -472,11 +461,11 @@ impl<R: Reducer> Design for DotRun<'_, R> {
     /// bit-equality. The savings come from bypassing the channels,
     /// throttles, delay line, FIFO, per-cycle buffer churn *and* the
     /// per-cycle probe traffic.
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate || !self.reducer.never_stalls() {
             return 0;
         }
-        debug_assert!(
+        assert!(
             self.groups_in == 0 && self.result.is_none(),
             "fast_forward requires fresh run state"
         );
@@ -484,10 +473,6 @@ impl<R: Reducer> Design for DotRun<'_, R> {
         let n = self.u_ch.len();
         let latency = self.tree.latency() as u64;
         let groups = self.groups as u64;
-        // Under the native backend the reducer is fed zeroed operands:
-        // its schedule is value-independent and the numeric answer is
-        // substituted from the microkernel after the run.
-        let native = backend.native_results();
         let mut products: Vec<f64> = Vec::with_capacity(self.k);
         let mut busy_runs = BusyRuns::new();
         let mut drain_runs = StallRuns::new(ids.reducer, StallCause::Drain);
@@ -510,20 +495,15 @@ impl<R: Reducer> Design for DotRun<'_, R> {
             // circuit this cycle (the backlog stays empty throughout).
             let red_in = if t > latency && t <= groups + latency {
                 let g = t - latency;
-                let value = if native {
-                    0.0
-                } else {
-                    let lo = (g as usize - 1) * self.k;
-                    let hi = (lo + self.k).min(n);
-                    products.clear();
-                    for i in lo..hi {
-                        products.push(mul_f64(self.u_ch.data()[i], self.v_ch.data()[i]));
-                    }
-                    balanced_sum(&products)
-                };
+                let lo = (g as usize - 1) * self.k;
+                let hi = (lo + self.k).min(n);
+                products.clear();
+                for i in lo..hi {
+                    products.push(mul_f64(self.u_ch.data()[i], self.v_ch.data()[i]));
+                }
                 Some(ReduceInput {
                     set_id: 0,
-                    value,
+                    value: balanced_sum(&products),
                     last: g == groups,
                 })
             } else {
@@ -583,21 +563,10 @@ impl<R: Reducer> Design for DotRun<'_, R> {
     }
 }
 
-/// Balanced-tree summation, the association order of a k-leaf adder tree.
-fn balanced_sum(vals: &[f64]) -> f64 {
-    match vals.len() {
-        0 => 0.0,
-        1 => vals[0],
-        n => {
-            let mid = n / 2;
-            add_f64(balanced_sum(&vals[..mid]), balanced_sum(&vals[mid..]))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fblas_sim::ExecBackend;
 
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>) {
         // Small integers: sums are exact under any association.
@@ -734,35 +703,25 @@ mod tests {
         assert!(out.report.cycles > xd1.run(&u, &v).report.cycles);
     }
 
-    /// Tentpole parity: the fast-forward and native backends replay the
-    /// run with bit-identical results and bit-identical probe-derived
-    /// reports, while actually skipping the cycle stepper.
+    /// The native backend replays the run with bit-identical results
+    /// and probe-derived reports on rounding-sensitive data, while
+    /// actually skipping the cycle stepper.
     #[test]
     fn backends_agree_bit_for_bit() {
         for n in [1usize, 5, 256, 2048] {
-            let (u, v) = vecs(n);
+            let u = crate::random_vec(n as u64, n);
+            let v = crate::random_vec(n as u64 + 7, n);
             let d = DotProductDesign::new(DotParams::table3(), &Xd1Node::default());
             let mut cy = Harness::new();
-            let mut ff = Harness::with_backend(ExecBackend::FastForward);
             let mut nat = Harness::with_backend(ExecBackend::Native);
             let out_cy = d.run_in(&mut cy, &u, &v);
-            let out_ff = d.run_in(&mut ff, &u, &v);
             let out_nat = d.run_in(&mut nat, &u, &v);
-            assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "n = {n}");
-            assert_eq!(out_ff.result.to_bits(), out_cy.result.to_bits());
-            assert_eq!(out_ff.report, out_cy.report, "n = {n}");
-            assert_eq!(out_nat.report, out_cy.report, "n = {n}");
-            // Integer workload: the microkernel's sequential association
-            // agrees exactly with the datapath.
+            assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "n = {n}");
             assert_eq!(out_nat.result.to_bits(), out_cy.result.to_bits());
+            assert_eq!(out_nat.report, out_cy.report, "n = {n}");
             assert_eq!(
-                out_ff.reduction_buffer_high_water,
+                out_nat.reduction_buffer_high_water,
                 out_cy.reduction_buffer_high_water
-            );
-            assert_eq!(
-                cy.probe().stall_totals(),
-                ff.probe().stall_totals(),
-                "n = {n}"
             );
             assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
         }
@@ -778,12 +737,12 @@ mod tests {
         let d = DotProductDesign::on_src(2, &SrcMapStation::default());
         let (u, v) = vecs(512);
         let mut cy = Harness::new();
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let out_cy = d.run_in(&mut cy, &u, &v);
-        let out_ff = d.run_in(&mut ff, &u, &v);
-        assert_eq!(ff.ff_cycles(), 0, "fractional rate must cycle-step");
-        assert_eq!(out_ff.result.to_bits(), out_cy.result.to_bits());
-        assert_eq!(out_ff.report, out_cy.report);
+        let out_nat = d.run_in(&mut nat, &u, &v);
+        assert_eq!(nat.ff_cycles(), 0, "fractional rate must cycle-step");
+        assert_eq!(out_nat.result.to_bits(), out_cy.result.to_bits());
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     /// A stalling ablation reducer fails the never-stalls precondition:
@@ -793,20 +752,12 @@ mod tests {
         use crate::reduce::StallingReducer;
         let (u, v) = vecs(256);
         let d = DotProductDesign::standalone(DotParams::with_k(2), 170.0);
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let mut r1 = StallingReducer::new(ADDER_STAGES);
-        let out_ff = d.run_with_reducer_in(&mut ff, &u, &v, &mut r1);
-        assert_eq!(ff.ff_cycles(), 0, "stalling reducer must cycle-step");
+        let out_nat = d.run_with_reducer_in(&mut nat, &u, &v, &mut r1);
+        assert_eq!(nat.ff_cycles(), 0, "stalling reducer must cycle-step");
         let mut r2 = StallingReducer::new(ADDER_STAGES);
         let out_cy = d.run_with_reducer(&u, &v, &mut r2);
-        assert_eq!(out_ff.report, out_cy.report);
-    }
-
-    #[test]
-    fn balanced_sum_association() {
-        // ((1+2)+(3+4)) for four leaves.
-        assert_eq!(balanced_sum(&[1.0, 2.0, 3.0, 4.0]), 10.0);
-        assert_eq!(balanced_sum(&[]), 0.0);
-        assert_eq!(balanced_sum(&[7.5]), 7.5);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 }

@@ -23,12 +23,12 @@
 use crate::dot::{DotOutcome, DotParams, DotProductDesign};
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use crate::report::SimReport;
-use fblas_fpu::softfloat::{add_f64, mul_f64, SIGN_MASK};
+use fblas_fpu::softfloat::{add_f64, balanced_sum, mul_f64, SIGN_MASK};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::{ReadChannel, WriteChannel};
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, ExecBackend,
-    FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
+    FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
 };
 use fblas_system::io_bound_peak_dot;
 
@@ -190,18 +190,8 @@ impl AxpyDesign {
             ids: None,
         };
         let report = harness.run(&mut run);
-
-        // Native backend: the numeric answer comes from the `fblas-sw`
-        // softfloat microkernel (never while faults are armed — see
-        // DESIGN.md §13).
-        let result = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::axpy(a, x, y)
-        } else {
-            run.out_ch.into_data()
-        };
-
         StreamOutcome {
-            result,
+            result: run.out_ch.into_data(),
             report,
             clock: self.clock,
         }
@@ -313,7 +303,7 @@ impl Design for AxpyRun {
     /// reconstructed analytically through the batched recording API —
     /// bit-identical to the stepped run's, as the parity suites assert —
     /// and the elementwise values are computed in one flat pass.
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate {
             return 0;
         }
@@ -322,7 +312,6 @@ impl Design for AxpyRun {
         let k = self.k as u64;
         let groups = n.div_ceil(k.max(1));
         let pipe_lat = self.pipe.latency() as u64;
-        let native = backend.native_results();
         let total = groups + pipe_lat;
         assert!(
             total < self.limit,
@@ -330,14 +319,9 @@ impl Design for AxpyRun {
             self.limit
         );
 
-        // Values, in stream order. Under the native backend zeros are
-        // pushed — the answer is substituted from the microkernel.
+        // Values, in stream order.
         for i in 0..self.n {
-            let v = if native {
-                0.0
-            } else {
-                add_f64(mul_f64(self.a, self.x_ch.data()[i]), self.y_ch.data()[i])
-            };
+            let v = add_f64(mul_f64(self.a, self.x_ch.data()[i]), self.y_ch.data()[i]);
             self.out_ch.push_unthrottled(v);
         }
         self.fed = self.n;
@@ -494,16 +478,8 @@ impl ScalDesign {
             ids: None,
         };
         let report = harness.run(&mut run);
-
-        // Native backend: microkernel result, never under armed faults.
-        let result = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::scal(a, x)
-        } else {
-            run.out_ch.into_data()
-        };
-
         StreamOutcome {
-            result,
+            result: run.out_ch.into_data(),
             report,
             clock: self.clock,
         }
@@ -597,7 +573,7 @@ impl Design for ScalRun {
 
     /// Fused replay (DESIGN.md §13), same closed-form schedule as axpy
     /// with the multiplier-only pipeline and a single input stream.
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate {
             return 0;
         }
@@ -606,7 +582,6 @@ impl Design for ScalRun {
         let k = self.k as u64;
         let groups = n.div_ceil(k.max(1));
         let pipe_lat = self.pipe.latency() as u64;
-        let native = backend.native_results();
         let total = groups + pipe_lat;
         assert!(
             total < self.limit,
@@ -615,12 +590,8 @@ impl Design for ScalRun {
         );
 
         for i in 0..self.n {
-            let v = if native {
-                0.0
-            } else {
-                mul_f64(self.a, self.x_ch.data()[i])
-            };
-            self.out_ch.push_unthrottled(v);
+            self.out_ch
+                .push_unthrottled(mul_f64(self.a, self.x_ch.data()[i]));
         }
         self.fed = self.n;
 
@@ -791,16 +762,8 @@ impl AsumDesign {
             ids: None,
         };
         let report = harness.run(&mut run);
-
-        // Native backend: microkernel result, never under armed faults.
-        let result = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::asum(x)
-        } else {
-            run.result.expect("harness exits on result")
-        };
-
         AsumOutcome {
-            result,
+            result: run.result.expect("harness exits on result"),
             report,
             clock: self.clock,
             peak_flops: io_bound_peak_dot(
@@ -872,7 +835,7 @@ impl Design for AsumRun {
                 // want−1 tree adds plus the free magnitude op on the
                 // last lane: totals n over the run (n−1 adds + 1).
                 probe.flops(want as u64);
-                tree_in = Some((balanced(&mags), self.groups_in == self.groups));
+                tree_in = Some((balanced_sum(&mags), self.groups_in == self.groups));
             } else {
                 probe.stall(ids.front_end, StallCause::InputStarved);
             }
@@ -917,7 +880,7 @@ impl Design for AsumRun {
     /// stream and no backlog gate — group t fires at cycle t and its
     /// balanced magnitude sum reaches the reduction circuit
     /// tree-latency cycles later.
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate {
             return 0;
         }
@@ -925,7 +888,6 @@ impl Design for AsumRun {
         let n = self.n as u64;
         let groups = self.groups as u64;
         let latency = self.tree.latency() as u64;
-        let native = backend.native_results();
         let mut mags: Vec<f64> = Vec::with_capacity(self.k);
         let mut busy_runs = BusyRuns::new();
         let mut drain_runs = StallRuns::new(ids.reducer, StallCause::Drain);
@@ -941,20 +903,15 @@ impl Design for AsumRun {
             let feeding = t <= groups;
             let red_in = if t > latency && t <= groups + latency {
                 let g = t - latency;
-                let value = if native {
-                    0.0
-                } else {
-                    let lo = (g as usize - 1) * self.k;
-                    let hi = (lo + self.k).min(self.n);
-                    mags.clear();
-                    for v in &self.x_ch.data()[lo..hi] {
-                        mags.push(f64::from_bits(v.to_bits() & !SIGN_MASK));
-                    }
-                    balanced(&mags)
-                };
+                let lo = (g as usize - 1) * self.k;
+                let hi = (lo + self.k).min(self.n);
+                mags.clear();
+                for v in &self.x_ch.data()[lo..hi] {
+                    mags.push(f64::from_bits(v.to_bits() & !SIGN_MASK));
+                }
                 Some(ReduceInput {
                     set_id: 0,
-                    value,
+                    value: balanced_sum(&mags),
                     last: g == groups,
                 })
             } else {
@@ -1030,21 +987,10 @@ pub fn nrm2_design(k: usize) -> DotProductDesign {
     DotProductDesign::standalone(DotParams::with_k(k), 170.0)
 }
 
-/// Balanced-tree association of the lane values.
-fn balanced(vals: &[f64]) -> f64 {
-    match vals.len() {
-        0 => 0.0,
-        1 => vals[0],
-        n => {
-            let mid = n / 2;
-            add_f64(balanced(&vals[..mid]), balanced(&vals[mid..]))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fblas_sim::ExecBackend;
 
     fn int_vec(seed: usize, n: usize) -> Vec<f64> {
         (0..n)
@@ -1149,57 +1095,42 @@ mod tests {
         AxpyDesign::new(Level1Params::with_k(2)).run(1.0, &[1.0], &[1.0, 2.0]);
     }
 
-    /// Tentpole parity: each streaming design replays bit-identically
-    /// (results and probe-derived reports) under fast-forward and
-    /// native, while skipping the cycle stepper entirely.
+    /// Backend parity: each streaming design replays bit-identically
+    /// (results and probe-derived reports) under native on random reals,
+    /// while skipping the cycle stepper entirely.
     #[test]
     fn backends_agree_bit_for_bit() {
+        let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for n in [1usize, 3, 63, 1000] {
-            let x = int_vec(1, n);
-            let y = int_vec(2, n);
-            let backends = || {
-                [
-                    Harness::new(),
-                    Harness::with_backend(ExecBackend::FastForward),
-                    Harness::with_backend(ExecBackend::Native),
-                ]
-            };
+            let x = crate::random_vec(n as u64, n);
+            let y = crate::random_vec(n as u64 + 5, n);
 
             let axpy = AxpyDesign::new(Level1Params::with_k(4));
-            let [mut cy, mut ff, mut nat] = backends();
+            let (mut cy, mut nat) = (Harness::new(), Harness::with_backend(ExecBackend::Native));
             let out_cy = axpy.run_in(&mut cy, 3.0, &x, &y);
-            let out_ff = axpy.run_in(&mut ff, 3.0, &x, &y);
             let out_nat = axpy.run_in(&mut nat, 3.0, &x, &y);
-            assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "axpy n = {n}");
-            assert_eq!(out_ff.result, out_cy.result, "axpy n = {n}");
-            assert_eq!(out_ff.report, out_cy.report, "axpy n = {n}");
-            assert_eq!(out_nat.result, out_cy.result, "axpy n = {n}");
+            assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "axpy n = {n}");
+            assert_eq!(bits(&out_nat.result), bits(&out_cy.result), "axpy n = {n}");
             assert_eq!(out_nat.report, out_cy.report, "axpy n = {n}");
-            assert_eq!(cy.probe().stall_totals(), ff.probe().stall_totals());
+            assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
 
             let scal = ScalDesign::new(Level1Params::with_k(4));
-            let [mut cy, mut ff, mut nat] = backends();
+            let (mut cy, mut nat) = (Harness::new(), Harness::with_backend(ExecBackend::Native));
             let out_cy = scal.run_in(&mut cy, -2.5, &x);
-            let out_ff = scal.run_in(&mut ff, -2.5, &x);
             let out_nat = scal.run_in(&mut nat, -2.5, &x);
-            assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "scal n = {n}");
-            assert_eq!(out_ff.result, out_cy.result, "scal n = {n}");
-            assert_eq!(out_ff.report, out_cy.report, "scal n = {n}");
-            assert_eq!(out_nat.result, out_cy.result, "scal n = {n}");
+            assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "scal n = {n}");
+            assert_eq!(bits(&out_nat.result), bits(&out_cy.result), "scal n = {n}");
             assert_eq!(out_nat.report, out_cy.report, "scal n = {n}");
-            assert_eq!(cy.probe().stall_totals(), ff.probe().stall_totals());
+            assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
 
             let asum = AsumDesign::new(Level1Params::with_k(4));
-            let [mut cy, mut ff, mut nat] = backends();
+            let (mut cy, mut nat) = (Harness::new(), Harness::with_backend(ExecBackend::Native));
             let out_cy = asum.run_in(&mut cy, &x);
-            let out_ff = asum.run_in(&mut ff, &x);
             let out_nat = asum.run_in(&mut nat, &x);
-            assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "asum n = {n}");
-            assert_eq!(out_ff.result.to_bits(), out_cy.result.to_bits());
-            assert_eq!(out_ff.report, out_cy.report, "asum n = {n}");
+            assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "asum n = {n}");
             assert_eq!(out_nat.result.to_bits(), out_cy.result.to_bits());
             assert_eq!(out_nat.report, out_cy.report, "asum n = {n}");
-            assert_eq!(cy.probe().stall_totals(), ff.probe().stall_totals());
+            assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
         }
     }
 }

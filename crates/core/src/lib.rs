@@ -43,3 +43,18 @@ pub mod report;
 pub mod topology;
 
 pub use report::SimReport;
+
+/// Deterministic xorshift64* stream of finite doubles in (-8, 8): the
+/// rounding-sensitive operands of the backend-parity unit tests.
+#[cfg(test)]
+pub(crate) fn random_vec(seed: u64, n: usize) -> Vec<f64> {
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 50) as f64 - 8.0
+        })
+        .collect()
+}

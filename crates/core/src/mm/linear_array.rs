@@ -18,8 +18,8 @@
 //! added), so the §5.1 latency formulas are *measured*; [`LinearArrayMm`]
 //! chains (n/m)³ block multiplies with the overlap rule (effective latency
 //! m³/k per block) to produce the full-matrix result and Table 4's cycle
-//! counts. On hazard-free blockings the fast-forward and native backends
-//! replay stage 2 in one fused loop instead (DESIGN.md §13).
+//! counts. On hazard-free blockings the native backend replays stage 2 in
+//! one fused loop instead (DESIGN.md §13).
 
 #[cfg(test)]
 use super::ref_matmul;
@@ -28,8 +28,8 @@ use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
 use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, ExecBackend,
-    FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
+    FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
 };
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
@@ -273,10 +273,9 @@ impl Design for BlockRun<'_> {
     /// the run ends when the last add lands: B + `mult_stages` +
     /// `adder_stages` cycles. Each C′ cell receives its updates in
     /// ascending q whatever the operands are, so the values fold into one
-    /// q-outer loop with the datapath's exact softfloat sequence, under
-    /// both fast backends (there is no microkernel substitution). Declined
+    /// q-outer loop with the datapath's exact softfloat sequence. Declined
     /// when m²/k < α: the stepped engine then records the hazard windows.
-    fn fast_forward(&mut self, probe: &mut Probe, _backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.params.hazard_free() {
             return 0;
         }
@@ -623,6 +622,7 @@ impl LinearArrayMm {
 mod tests {
     use super::*;
     use crate::mm::testmat::int_pair;
+    use fblas_sim::ExecBackend;
 
     #[test]
     fn block_engine_matches_reference() {
@@ -741,19 +741,19 @@ mod tests {
                         engine.multiply_accumulate_in(&mut stepped_h, &a, &b, &mut stepped_c);
                     assert_eq!(stepped.cycles, closed_form_block_cycles(&p), "{ctx}");
 
-                    let mut ff_h = Harness::with_backend(ExecBackend::FastForward);
-                    let mut ff_c = vec![0.5; m * m];
-                    let ff = engine.multiply_accumulate_in(&mut ff_h, &a, &b, &mut ff_c);
-                    assert!(ff_h.ff_cycles() > 0, "{ctx}: fast-forward declined");
-                    assert_eq!(ff, stepped, "{ctx}");
-                    assert_eq!(bits(&ff_c), bits(&stepped_c), "{ctx}");
+                    let mut nat_h = Harness::with_backend(ExecBackend::Native);
+                    let mut nat_c = vec![0.5; m * m];
+                    let nat = engine.multiply_accumulate_in(&mut nat_h, &a, &b, &mut nat_c);
+                    assert!(nat_h.ff_cycles() > 0, "{ctx}: fast-forward declined");
+                    assert_eq!(nat, stepped, "{ctx}");
+                    assert_eq!(bits(&nat_c), bits(&stepped_c), "{ctx}");
                     assert_eq!(
-                        ff_h.probe().component_stats(),
+                        nat_h.probe().component_stats(),
                         stepped_h.probe().component_stats(),
                         "{ctx}"
                     );
                     assert_eq!(
-                        ff_h.probe().busy_cycles(),
+                        nat_h.probe().busy_cycles(),
                         stepped_h.probe().busy_cycles(),
                         "{ctx}"
                     );

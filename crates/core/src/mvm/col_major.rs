@@ -15,7 +15,7 @@ use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
     clear_f64_bit, flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind,
-    ExecBackend, FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
 
@@ -195,16 +195,7 @@ impl ColMajorMvm {
             ids: None,
         };
         let report = harness.run(&mut run);
-
-        // The interleaved accumulator updates each y element once per
-        // column in ascending-j order — exactly the microkernel's fold —
-        // so the native substitution is bit-identical on *all* data, not
-        // just integer workloads. Never substitute with faults armed.
-        let y = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::gemv(a.as_slice(), rows, cols, x, y0)
-        } else {
-            run.y_store.contents().to_vec()
-        };
+        let y = run.y_store.contents().to_vec();
         MvmOutcome::new(y, report, self.clock, self.params.matrix_words_per_cycle)
     }
 }
@@ -358,11 +349,11 @@ impl Design for ColMvmRun<'_> {
     /// loop's stall/busy/occupancy conditions, landed through the
     /// batched recording API — bit-identical to the stepped run's, as
     /// the parity suites assert.
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate {
             return 0;
         }
-        debug_assert!(
+        assert!(
             self.col == 0 && self.writes_done == 0,
             "fast_forward must run before the first cycle"
         );
@@ -371,7 +362,6 @@ impl Design for ColMvmRun<'_> {
         let feed_total = self.cols as u64 * cpc;
         let m = self.mult.latency() as u64;
         let alpha = self.adder.latency() as u64;
-        let native = backend.native_results();
         let total = feed_total + m + alpha;
         assert!(
             total < self.limit,
@@ -382,16 +372,13 @@ impl Design for ColMvmRun<'_> {
         // Values: retires happen in ascending feed-slot order, which is
         // exactly ascending (column, row) — one flat pass over A with
         // the same y-store read/modify/write sequence as the stepped
-        // datapath. The native backend skips it (the answer is
-        // substituted from the microkernel after the run).
-        if !native {
-            for col in 0..self.cols {
-                let xj = self.x[col];
-                for i in 0..self.rows {
-                    let aij = self.a_ch.data()[col * self.rows + i];
-                    let v = add_f64(self.y_store.read(i), mul_f64(aij, xj));
-                    self.y_store.write(i, v);
-                }
+        // datapath.
+        for col in 0..self.cols {
+            let xj = self.x[col];
+            for i in 0..self.rows {
+                let aij = self.a_ch.data()[col * self.rows + i];
+                let v = add_f64(self.y_store.read(i), mul_f64(aij, xj));
+                self.y_store.write(i, v);
             }
         }
         let elems = self.rows as u64 * self.cols as u64;
@@ -522,6 +509,7 @@ impl Design for ColMvmRun<'_> {
 mod tests {
     use super::*;
     use crate::mvm::testmat::int_case;
+    use fblas_sim::ExecBackend;
 
     #[test]
     fn result_exact_for_integer_matrix() {
@@ -582,26 +570,12 @@ mod tests {
         );
     }
 
-    /// Deterministic xorshift64* stream of finite doubles in (-8, 8).
-    fn random_vec(seed: u64, n: usize) -> Vec<f64> {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        (0..n)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 11) as f64 / (1u64 << 50) as f64 - 8.0
-            })
-            .collect()
-    }
-
-    /// The tentpole parity pin, on *random* data: the interleaved
-    /// accumulator's update order is exactly the microkernel's
-    /// ascending-j fold, so even the native backend is bit-identical on
-    /// rounding-sensitive inputs (unlike the tree-based designs, which
-    /// need association-independent data).
+    /// The parity pin, on *random* data: the native backend replays the
+    /// interleaved accumulator's update order, so it is bit-identical on
+    /// rounding-sensitive inputs.
     #[test]
     fn backends_agree_bit_for_bit_on_random_data() {
+        use crate::random_vec;
         for n in [64usize, 129] {
             let a = DenseMatrix::from_rows(n, n, random_vec(n as u64, n * n));
             let x = random_vec(n as u64 + 3, n);
@@ -609,19 +583,13 @@ mod tests {
             for y0 in [None, Some(&y0[..])] {
                 let d = ColMajorMvm::standalone(MvmParams::with_k(4), 170.0);
                 let mut cy = Harness::new();
-                let mut ff = Harness::with_backend(ExecBackend::FastForward);
                 let mut nat = Harness::with_backend(ExecBackend::Native);
                 let out_cy = d.run_with_initial_in(&mut cy, &a, &x, y0);
-                let out_ff = d.run_with_initial_in(&mut ff, &a, &x, y0);
                 let out_nat = d.run_with_initial_in(&mut nat, &a, &x, y0);
-                assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "n = {n}");
                 assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "n = {n}");
                 let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out_ff.y), bits(&out_cy.y), "n = {n}");
                 assert_eq!(bits(&out_nat.y), bits(&out_cy.y), "n = {n}");
-                assert_eq!(out_ff.report, out_cy.report, "n = {n}");
                 assert_eq!(out_nat.report, out_cy.report, "n = {n}");
-                assert_eq!(cy.probe().stall_totals(), ff.probe().stall_totals());
                 assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
             }
         }
@@ -633,12 +601,12 @@ mod tests {
         let x: Vec<f64> = (0..9).map(|j| f64::from(j % 3)).collect();
         let d = ColMajorMvm::standalone(MvmParams::with_k(4), 170.0);
         let mut cy = Harness::new();
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let out_cy = d.run_in(&mut cy, &a, &x);
-        let out_ff = d.run_in(&mut ff, &a, &x);
-        assert_eq!(ff.ff_cycles(), out_cy.report.cycles);
-        assert_eq!(out_ff.y, out_cy.y);
-        assert_eq!(out_ff.report, out_cy.report);
+        let out_nat = d.run_in(&mut nat, &a, &x);
+        assert_eq!(nat.ff_cycles(), out_cy.report.cycles);
+        assert_eq!(out_nat.y, out_cy.y);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     /// A sub-chunk stream rate violates the full-rate precondition: the
@@ -652,12 +620,12 @@ mod tests {
         let (a, x) = int_case(64);
         let d = ColMajorMvm::standalone(params, 170.0);
         let mut cy = Harness::new();
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let out_cy = d.run_in(&mut cy, &a, &x);
-        let out_ff = d.run_in(&mut ff, &a, &x);
-        assert_eq!(ff.ff_cycles(), 0, "fractional rate must cycle-step");
-        assert_eq!(out_ff.y, out_cy.y);
-        assert_eq!(out_ff.report, out_cy.report);
+        let out_nat = d.run_in(&mut nat, &a, &x);
+        assert_eq!(nat.ff_cycles(), 0, "fractional rate must cycle-step");
+        assert_eq!(out_nat.y, out_cy.y);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     #[test]

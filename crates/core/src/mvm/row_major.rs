@@ -11,11 +11,11 @@
 
 use super::{DenseMatrix, MvmOutcome, MvmParams};
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
-use fblas_fpu::softfloat::{add_f64, mul_f64};
+use fblas_fpu::softfloat::{balanced_sum, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, ExecBackend,
-    FaultKind, FaultSpec, Fifo, Harness, MarkRuns, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
+    FaultSpec, Fifo, Harness, MarkRuns, Probe, ProbeId, StallCause, StallRuns, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
 
@@ -212,20 +212,12 @@ impl RowMajorMvm {
             ids: None,
         };
         let report = harness.run(&mut run);
-
-        // Under the native backend the fused fast path feeds zeroes (the
-        // schedule is value-independent) and the result comes from the
-        // blocked microkernel, which performs the same softfloat ops in a
-        // different association: identical on the association-independent
-        // (integer-valued) workloads the parity suite pins. Never
-        // substitute when faults are armed — that would heal the fault.
-        let y = if harness.backend().native_results() && !harness.faults_armed() {
-            fblas_sw::microkernel::gemv(a.as_slice(), rows, cols, x, y0)
-        } else {
-            run.y
-        };
-
-        MvmOutcome::new(y, report, self.clock, self.params.matrix_words_per_cycle)
+        MvmOutcome::new(
+            run.y,
+            report,
+            self.clock,
+            self.params.matrix_words_per_cycle,
+        )
     }
 }
 
@@ -313,7 +305,7 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
                         let xj = self.x_stores[j % self.k].read(j / self.k);
                         prods.push(mul_f64(aij, xj));
                     }
-                    let value = balanced(&prods);
+                    let value = balanced_sum(&prods);
                     // One mul per element plus one accumulation add per
                     // element (tree + reduction, amortized): 2·cols·rows
                     // over the run, the analytic §4.2 count.
@@ -388,11 +380,11 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
     /// reduction circuit and accumulates plain integers; probe counters
     /// are reconstructed through the batched recording API afterwards,
     /// bit-identical to the stepped run's (the parity suites assert it).
-    fn fast_forward(&mut self, probe: &mut Probe, backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate || !self.reducer.never_stalls() {
             return 0;
         }
-        debug_assert!(
+        assert!(
             self.row == 0 && self.done_rows == 0,
             "fast_forward must run before the first cycle"
         );
@@ -404,7 +396,12 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
         let rows = self.rows as u64;
         let feed_total = rows * per_row;
         let elems = rows * self.cols as u64;
-        let native = backend.native_results();
+        // The stored x, in column order: the lane banks hold x[j] at
+        // bank j mod k, word j / k.
+        let x: Vec<f64> = (0..self.cols)
+            .map(|j| self.x_stores[j % self.k].read(j / self.k))
+            .collect();
+        let a = self.a_ch.data();
         let mut prods: Vec<f64> = Vec::with_capacity(self.k);
         let mut busy_runs = BusyRuns::new();
         let mut feed_runs = MarkRuns::new(ids.front_end);
@@ -429,29 +426,19 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
                 let r = idx / per_row;
                 let pos = idx % per_row;
                 let (value, last) = if pos < inj {
-                    let v = if native {
-                        0.0
-                    } else {
-                        self.y0.expect("guarded")[r as usize]
-                    };
-                    (v, false)
+                    (self.y0.expect("guarded")[r as usize], false)
                 } else {
                     let g = (pos - inj) as usize;
                     let lo = g * self.k;
                     let hi = (lo + self.k).min(self.cols);
-                    let v = if native {
-                        0.0
-                    } else {
-                        prods.clear();
-                        let base = r as usize * self.cols;
-                        for j in lo..hi {
-                            let aij = self.a_ch.data()[base + j];
-                            let xj = self.x_stores[j % self.k].read(j / self.k);
-                            prods.push(mul_f64(aij, xj));
-                        }
-                        balanced(&prods)
-                    };
-                    (v, g + 1 == self.groups_per_row)
+                    let row = &a[r as usize * self.cols..][lo..hi];
+                    prods.clear();
+                    prods.extend(
+                        row.iter()
+                            .zip(&x[lo..hi])
+                            .map(|(&aij, &xj)| mul_f64(aij, xj)),
+                    );
+                    (balanced_sum(&prods), g + 1 == self.groups_per_row)
                 };
                 Some(ReduceInput {
                     set_id: r,
@@ -545,22 +532,11 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
     }
 }
 
-/// Balanced-tree association of the k lane products.
-fn balanced(vals: &[f64]) -> f64 {
-    match vals.len() {
-        0 => 0.0,
-        1 => vals[0],
-        n => {
-            let mid = n / 2;
-            add_f64(balanced(&vals[..mid]), balanced(&vals[mid..]))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mvm::testmat::int_case;
+    use fblas_sim::ExecBackend;
 
     #[test]
     fn result_exact_for_integer_matrix() {
@@ -635,37 +611,31 @@ mod tests {
         assert!(res.is_err(), "oversized x must be rejected");
     }
 
-    /// The tentpole parity pin: fast-forward replays the exact probe
-    /// sequence, so both accelerated backends reproduce the cycle
-    /// stepper's result *and* report bit-for-bit, with and without a
-    /// carried-in y0, on square and ragged shapes.
+    /// The parity pin: the native backend replays the exact probe
+    /// sequence and the tree + reducer association, so it reproduces the
+    /// cycle stepper's result *and* report bit-for-bit on random reals,
+    /// with and without a carried-in y0, on square and ragged shapes.
     #[test]
     fn backends_agree_bit_for_bit() {
+        use crate::random_vec;
         for n in [8usize, 64, 129] {
-            let (a, x) = int_case(n);
-            let y0: Vec<f64> = (0..n).map(|i| f64::from((i % 7) as u8)).collect();
+            let a = DenseMatrix::from_rows(n, n, random_vec(n as u64, n * n));
+            let x = random_vec(n as u64 + 3, n);
+            let y0 = random_vec(n as u64 + 9, n);
             for y0 in [None, Some(&y0[..])] {
                 let d = RowMajorMvm::standalone(MvmParams::with_k(4), 170.0);
                 let mut cy = Harness::new();
-                let mut ff = Harness::with_backend(ExecBackend::FastForward);
                 let mut nat = Harness::with_backend(ExecBackend::Native);
                 let run = |h: &mut Harness| {
                     let mut r = SingleAdderReducer::new(fblas_fpu::ADDER_STAGES);
                     d.run_with_reducer_in(h, &a, &x, y0, &mut r)
                 };
                 let out_cy = run(&mut cy);
-                let out_ff = run(&mut ff);
                 let out_nat = run(&mut nat);
-                assert_eq!(ff.ff_cycles(), out_cy.report.cycles, "n = {n}");
                 assert_eq!(nat.ff_cycles(), out_cy.report.cycles, "n = {n}");
                 let bits = |y: &[f64]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&out_ff.y), bits(&out_cy.y), "n = {n}");
-                // Integer workload: the microkernel's j-ascending fold
-                // agrees exactly with the tree + reducer association.
                 assert_eq!(bits(&out_nat.y), bits(&out_cy.y), "n = {n}");
-                assert_eq!(out_ff.report, out_cy.report, "n = {n}");
                 assert_eq!(out_nat.report, out_cy.report, "n = {n}");
-                assert_eq!(cy.probe().stall_totals(), ff.probe().stall_totals());
                 assert_eq!(cy.probe().stall_totals(), nat.probe().stall_totals());
             }
         }
@@ -677,12 +647,12 @@ mod tests {
         let x: Vec<f64> = (0..7).map(|j| f64::from(j % 3)).collect();
         let d = RowMajorMvm::standalone(MvmParams::with_k(4), 170.0);
         let mut cy = Harness::new();
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let out_cy = d.run_in(&mut cy, &a, &x);
-        let out_ff = d.run_in(&mut ff, &a, &x);
-        assert_eq!(ff.ff_cycles(), out_cy.report.cycles);
-        assert_eq!(out_ff.y, out_cy.y);
-        assert_eq!(out_ff.report, out_cy.report);
+        let out_nat = d.run_in(&mut nat, &a, &x);
+        assert_eq!(nat.ff_cycles(), out_cy.report.cycles);
+        assert_eq!(out_nat.y, out_cy.y);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     /// A sub-group stream rate violates the full-rate precondition: the
@@ -697,12 +667,12 @@ mod tests {
         let (a, x) = int_case(32);
         let d = RowMajorMvm::standalone(params, 170.0);
         let mut cy = Harness::new();
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let out_cy = d.run_in(&mut cy, &a, &x);
-        let out_ff = d.run_in(&mut ff, &a, &x);
-        assert_eq!(ff.ff_cycles(), 0, "fractional rate must cycle-step");
-        assert_eq!(out_ff.y, out_cy.y);
-        assert_eq!(out_ff.report, out_cy.report);
+        let out_nat = d.run_in(&mut nat, &a, &x);
+        assert_eq!(nat.ff_cycles(), 0, "fractional rate must cycle-step");
+        assert_eq!(out_nat.y, out_cy.y);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     /// A stalling ablation reducer fails the never-stalls precondition:
@@ -712,13 +682,13 @@ mod tests {
         use crate::reduce::StallingReducer;
         let (a, x) = int_case(16);
         let d = RowMajorMvm::standalone(MvmParams::with_k(2), 170.0);
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         let mut r1 = StallingReducer::new(fblas_fpu::ADDER_STAGES);
-        let out_ff = d.run_with_reducer_in(&mut ff, &a, &x, None, &mut r1);
-        assert_eq!(ff.ff_cycles(), 0, "stalling reducer must cycle-step");
+        let out_nat = d.run_with_reducer_in(&mut nat, &a, &x, None, &mut r1);
+        assert_eq!(nat.ff_cycles(), 0, "stalling reducer must cycle-step");
         let mut r2 = StallingReducer::new(fblas_fpu::ADDER_STAGES);
         let out_cy = d.run_with_reducer(&a, &x, None, &mut r2);
-        assert_eq!(out_ff.report, out_cy.report);
+        assert_eq!(out_nat.report, out_cy.report);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub trait Reducer {
     /// never back-pressures its input stream — and its cycle-by-cycle
     /// schedule is value-independent. Opting in (the proposed §4.3
     /// circuit does) lets owning designs fast-forward their streaming
-    /// phase under `ExecBackend::FastForward`/`Native`: with no
+    /// phase under `ExecBackend::Native`: with no
     /// back-pressure possible, the feed schedule is a closed form and
     /// the backlog FIFO is provably empty every cycle. The conservative
     /// default keeps every other circuit on the cycle-stepped path.

@@ -1,5 +1,5 @@
-//! Telemetry parity: fast-forwarded runs must reconstruct the *exact*
-//! windowed time-series and latency histograms the cycle stepper
+//! Telemetry parity: native (fast-forwarded) runs must reconstruct the
+//! *exact* windowed time-series and latency histograms the cycle stepper
 //! produces — positioned batch recording, not just matching totals —
 //! without declining fast-forward (CI gates on the ≥10× speedup, so a
 //! design that silently declined under telemetry would regress it).
@@ -18,14 +18,14 @@ use fblas_sim::{Design, ExecBackend, Harness, Probe, ProbeId, StallCause, TelemS
 /// Deliberately small and odd: many windows and a ragged final window.
 const WINDOW: u64 = 7;
 
-/// Integer-valued vector so every association is exact.
+/// Operand data; the schedule, and so the telemetry, never depends on it.
 fn ivec(n: usize, phase: usize) -> Vec<f64> {
     (0..n).map(|i| ((i * 3 + phase) % 11) as f64).collect()
 }
 
-/// Run the same design once per backend with telemetry enabled and
-/// assert the accelerated backends (a) did not decline fast-forward and
-/// (b) reproduced the stepped run's telemetry byte-for-byte.
+/// Run the same design on both backends with telemetry enabled and
+/// assert the native run (a) did not decline fast-forward and (b)
+/// reproduced the stepped run's telemetry byte-for-byte.
 fn assert_telem_parity(label: &str, run: &dyn Fn(&mut Harness)) -> Vec<TelemSeries> {
     let mut cy = Harness::new();
     cy.enable_telemetry(WINDOW);
@@ -37,20 +37,18 @@ fn assert_telem_parity(label: &str, run: &dyn Fn(&mut Harness)) -> Vec<TelemSeri
         "{label}: workload too small to exercise windowing"
     );
 
-    for backend in [ExecBackend::FastForward, ExecBackend::Native] {
-        let mut h = Harness::with_backend(backend);
-        h.enable_telemetry(WINDOW);
-        run(&mut h);
-        assert!(
-            h.ff_cycles() > 0,
-            "{label}: {backend:?} declined fast-forward under telemetry"
-        );
-        assert_eq!(
-            h.take_telemetry(),
-            reference,
-            "{label}: {backend:?} telemetry diverged from the cycle stepper"
-        );
-    }
+    let mut h = Harness::with_backend(ExecBackend::Native);
+    h.enable_telemetry(WINDOW);
+    run(&mut h);
+    assert!(
+        h.ff_cycles() > 0,
+        "{label}: native declined fast-forward under telemetry"
+    );
+    assert_eq!(
+        h.take_telemetry(),
+        reference,
+        "{label}: native telemetry diverged from the cycle stepper"
+    );
     reference
 }
 
@@ -221,7 +219,7 @@ impl Design for JitterFeed {
         4 * self.total + 64
     }
 
-    fn fast_forward(&mut self, probe: &mut Probe, _backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if probe.telemetry_enabled() {
             // Documented decline: this schedule has no closed positional
             // form, so windowed series must come from the cycle stepper.
@@ -253,21 +251,21 @@ fn unpositionable_design_declines_fast_forward_under_telemetry() {
     // the stepped run's report.
     let mut cy = Harness::new();
     let cy_report = cy.run(&mut JitterFeed::new(100));
-    let mut ff = Harness::with_backend(ExecBackend::FastForward);
-    let ff_report = ff.run(&mut JitterFeed::new(100));
-    assert!(ff.ff_cycles() > 0, "totals-only path must fast-forward");
-    assert_eq!(ff_report.cycles, cy_report.cycles);
-    assert_eq!(ff_report, cy_report);
+    let mut nat = Harness::with_backend(ExecBackend::Native);
+    let nat_report = nat.run(&mut JitterFeed::new(100));
+    assert!(nat.ff_cycles() > 0, "totals-only path must fast-forward");
+    assert_eq!(nat_report.cycles, cy_report.cycles);
+    assert_eq!(nat_report, cy_report);
 
     // Telemetry on: the design declines, the harness cycle-steps, and
     // the series is the stepped ground truth.
     let mut cy_t = Harness::new();
     cy_t.enable_telemetry(WINDOW);
     cy_t.run(&mut JitterFeed::new(100));
-    let mut ff_t = Harness::with_backend(ExecBackend::FastForward);
-    ff_t.enable_telemetry(WINDOW);
-    let report = ff_t.run(&mut JitterFeed::new(100));
-    assert_eq!(ff_t.ff_cycles(), 0, "telemetry must force the decline");
+    let mut nat_t = Harness::with_backend(ExecBackend::Native);
+    nat_t.enable_telemetry(WINDOW);
+    let report = nat_t.run(&mut JitterFeed::new(100));
+    assert_eq!(nat_t.ff_cycles(), 0, "telemetry must force the decline");
     assert_eq!(report.cycles, 149);
-    assert_eq!(ff_t.take_telemetry(), cy_t.take_telemetry());
+    assert_eq!(nat_t.take_telemetry(), cy_t.take_telemetry());
 }

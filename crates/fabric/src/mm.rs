@@ -193,9 +193,9 @@ impl FabricMm {
     }
 
     /// [`FabricMm::run`] with the fabric schedule stepping on the
-    /// caller's harness (values always come from a private
-    /// fast-forward harness whose probe is discarded, so they are
-    /// identical under every execution backend).
+    /// caller's harness (values always come from a private native
+    /// harness whose probe is discarded, so they are identical under
+    /// every execution backend).
     pub fn run_in(
         &self,
         harness: &mut Harness,
@@ -217,7 +217,7 @@ impl FabricMm {
         // softfloat stream — and therefore every C bit — is invariant
         // in the shard count.
         let engine = BlockEngine::new(*p);
-        let mut value_harness = Harness::with_backend(ExecBackend::FastForward);
+        let mut value_harness = Harness::with_backend(ExecBackend::Native);
         let mut c_data = vec![0.0f64; n * n];
         let mut cblk = vec![0.0f64; m * m];
         let mut per_shard_macs = vec![0u64; plan.shards];

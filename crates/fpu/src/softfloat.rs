@@ -306,6 +306,22 @@ pub fn add_f64(a: f64, b: f64) -> f64 {
     f64::from_bits(sf_add(a.to_bits(), b.to_bits()))
 }
 
+/// Balanced-tree summation through [`add_f64`]: the association order
+/// of a `vals.len()`-leaf adder tree (left half, right half, combine).
+/// Every stepped datapath and its fused replay sum through this one
+/// fold, so the two agree on every input. Empty input sums to `+0.0`.
+#[inline]
+pub fn balanced_sum(vals: &[f64]) -> f64 {
+    match vals.len() {
+        0 => 0.0,
+        1 => vals[0],
+        n => {
+            let mid = n / 2;
+            add_f64(balanced_sum(&vals[..mid]), balanced_sum(&vals[mid..]))
+        }
+    }
+}
+
 /// Convenience wrapper: subtract two `f64`s through the softfloat core.
 #[inline]
 pub fn sub_f64(a: f64, b: f64) -> f64 {
@@ -321,6 +337,14 @@ pub fn mul_f64(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn balanced_sum_association() {
+        // ((1+2)+(3+4)) for four leaves.
+        assert_eq!(balanced_sum(&[1.0, 2.0, 3.0, 4.0]), 10.0);
+        assert_eq!(balanced_sum(&[]), 0.0);
+        assert_eq!(balanced_sum(&[7.5]), 7.5);
+    }
 
     /// Bit-exact equality, treating all NaNs as one equivalence class.
     fn same(ours: u64, native: f64) -> bool {

@@ -52,9 +52,8 @@ pub struct WallClock {
     pub entries: Vec<WallClockEntry>,
     /// Worker count the matrix ran with (1 = serial).
     pub jobs: u64,
-    /// Execution backend the matrix ran under (`cycle`, `fast-forward`
-    /// or `native`) — provenance only; the record bytes are
-    /// backend-invariant.
+    /// Execution backend the matrix ran under (`cycle` or `native`) —
+    /// provenance only; the record bytes are backend-invariant.
     pub backend: String,
     /// End-to-end wall time for the whole matrix. Under a pool this is
     /// less than [`WallClock::total_seconds`]; 0.0 means "not measured".
@@ -106,7 +105,7 @@ impl WallClock {
 
     /// Backend cycle-compression ratio: simulated cycles accounted for
     /// per cycle actually stepped. 1.0 on the cycle backend; under
-    /// fast-forward the ratio is what the fused replays bought. 0 when
+    /// native the ratio is what the fused replays bought. 0 when
     /// nothing was stepped at all (the same zero-denominator clamp the
     /// rates use).
     pub fn backend_speedup(&self) -> f64 {
@@ -375,16 +374,13 @@ mod tests {
         let mut w = WallClock::new();
         assert_eq!(w.backend, "cycle", "cycle by default");
         assert_eq!(w.backend_speedup(), 0.0, "empty sidecar clamps");
-        w.backend = "fast-forward".to_string();
+        w.backend = "native".to_string();
         w.push("dot[k=2,n=64]", 1000, 100, 0.1);
         w.push("mvm[k=4,n=64]", 3000, 300, 0.1);
         assert_eq!(w.total_stepped_cycles(), 400);
         assert!((w.backend_speedup() - 10.0).abs() < 1e-12);
         let doc = Json::parse(&w.to_json_string()).unwrap();
-        assert_eq!(
-            doc.get("backend").and_then(Json::as_str),
-            Some("fast-forward")
-        );
+        assert_eq!(doc.get("backend").and_then(Json::as_str), Some("native"));
         assert_eq!(
             doc.get("total_stepped_cycles").and_then(Json::as_u64),
             Some(400)
@@ -460,7 +456,7 @@ mod tests {
     fn wallclock_telemetry_fields_round_trip() {
         let mut w = WallClock::new();
         w.jobs = 4;
-        w.backend = "fast-forward".to_string();
+        w.backend = "native".to_string();
         w.elapsed_seconds = 0.25;
         w.telemetry_window = Some(4096);
         w.push("dot[k=2,n=64]", 1000, 100, 0.125);
@@ -477,7 +473,7 @@ mod tests {
         let parsed = WallClock::from_json_str(&text).unwrap();
         assert_eq!(parsed.telemetry_window, Some(4096));
         assert_eq!(parsed.jobs, 4);
-        assert_eq!(parsed.backend, "fast-forward");
+        assert_eq!(parsed.backend, "native");
         assert_eq!(parsed.entries, w.entries);
         assert!((parsed.backend_speedup() - 10.0).abs() < 1e-12);
 

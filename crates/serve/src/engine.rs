@@ -438,10 +438,8 @@ mod tests {
         let a = run_cell(&mut Harness::new(), &spec);
         let b = run_cell(&mut Harness::new(), &spec);
         assert_eq!(a, b);
-        let c = run_cell(&mut Harness::with_backend(ExecBackend::FastForward), &spec);
-        assert_eq!(a, c, "fast-forward calibration changed the record");
-        let d = run_cell(&mut Harness::with_backend(ExecBackend::Native), &spec);
-        assert_eq!(a, d, "native calibration changed the record");
+        let c = run_cell(&mut Harness::with_backend(ExecBackend::Native), &spec);
+        assert_eq!(a, c, "native calibration changed the record");
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! time through the discrete-event engine. Because the execution
 //! backends are cycle-identical by contract (the PR-7 parity suites),
 //! the calibrated profile — and therefore the whole `SERVE_*.json`
-//! store — is byte-identical under `cycle`, `fast-forward` and `native`
-//! execution.
+//! store — is byte-identical under `cycle` and `native` execution.
 //!
 //! The staging split mirrors the paper's Table 4 story: the Level-2
 //! design spends 8.0 ms end to end on a 1024x1024 `MvM` of which only
@@ -100,7 +99,7 @@ fn synth(rng: &mut SplitMix64) -> f64 {
 /// Run the class's design once on `harness` and distill its profile.
 ///
 /// The harness keeps whatever backend it was constructed with, so a
-/// campaign calibrated under fast-forward replay must agree with one
+/// campaign calibrated under native replay must agree with one
 /// calibrated cycle by cycle — the serve determinism suite checks
 /// exactly that.
 pub fn calibrate(harness: &mut Harness, class: &ShapeClass) -> ServiceProfile {
@@ -188,9 +187,9 @@ mod tests {
         let p1 = calibrate(&mut h1, &class);
         let p2 = calibrate(&mut h2, &class);
         assert_eq!(p1, p2);
-        let mut ff = Harness::with_backend(ExecBackend::FastForward);
+        let mut nat = Harness::with_backend(ExecBackend::Native);
         assert_eq!(
-            calibrate(&mut ff, &class),
+            calibrate(&mut nat, &class),
             p1,
             "backend changed the profile"
         );

@@ -15,25 +15,17 @@
 //! [`ExecBackend`] selects how a [`Harness`](crate::Harness) answers the
 //! two questions:
 //!
-//! * [`ExecBackend::Cycle`] — the classic path: every cycle is stepped
-//!   through [`Design::cycle`](crate::Design::cycle). Reference
-//!   semantics; always available.
-//! * [`ExecBackend::FastForward`] — event-driven fast-forwarding: a
-//!   design whose streaming phase is provably quiescent (input rate ≥
-//!   consumption rate, reducer never back-pressures) replays the whole
-//!   run in a fused loop via
+//! * [`ExecBackend::Cycle`] — the reference path: every cycle is stepped
+//!   through [`Design::cycle`](crate::Design::cycle). Always available.
+//! * [`ExecBackend::Native`] — the fast path: a design whose streaming
+//!   phase is provably quiescent (input rate ≥ consumption rate, reducer
+//!   never back-pressures) replays the whole run in a fused loop via
 //!   [`Design::fast_forward`](crate::Design::fast_forward), performing
-//!   the *same* softfloat arithmetic in the *same* order while
-//!   reconstructing probe counters analytically. Bit-identical results
-//!   and reports, a fraction of the wall clock.
-//! * [`ExecBackend::Native`] — the cost loop runs with zeroed operands
-//!   (legal because the schedule is value-independent) and the numeric
-//!   answer comes from the `fblas-sw` blocked microkernels, which route
-//!   every FLOP through `fblas-fpu` softfloat. Fastest; results are
-//!   bit-identical wherever the microkernel applies the datapath's
-//!   operand order (always for axpy/scal/col-major `MvM`; for
-//!   reduction-based kernels on association-independent data, which is
-//!   what every committed workload uses).
+//!   the *same* softfloat arithmetic in the *same* order as the datapath
+//!   (adder tree and reduction circuit included) while reconstructing
+//!   probe counters analytically. Because the paper's schedules do not
+//!   depend on operand values, results and reports are bit-identical to
+//!   cycle stepping on every input, at a fraction of the wall clock.
 //!
 //! Fast-forwarding is *declined* — transparently falling back to cycle
 //! stepping — whenever its soundness preconditions fail: armed faults,
@@ -50,39 +42,25 @@ pub enum ExecBackend {
     #[default]
     Cycle,
     /// Replay quiescent streaming phases in a fused loop; identical
-    /// arithmetic, analytically reconstructed counters.
-    FastForward,
-    /// Cost loop with zeroed operands; results from the `fblas-sw`
-    /// softfloat microkernels.
+    /// arithmetic in identical order, analytically reconstructed
+    /// counters.
     Native,
 }
 
 impl ExecBackend {
     /// All backends, in the order the CLI documents them.
-    pub const ALL: [ExecBackend; 3] = [
-        ExecBackend::Cycle,
-        ExecBackend::FastForward,
-        ExecBackend::Native,
-    ];
+    pub const ALL: [ExecBackend; 2] = [ExecBackend::Cycle, ExecBackend::Native];
 
     /// Whether this backend asks designs to fast-forward quiescent
-    /// phases (true for both `FastForward` and `Native` — the native
-    /// backend uses the same fused cost loop, minus the arithmetic).
+    /// phases.
     pub fn fast_forwards(self) -> bool {
-        !matches!(self, ExecBackend::Cycle)
-    }
-
-    /// Whether numeric results come from the native microkernel instead
-    /// of the datapath replay.
-    pub fn native_results(self) -> bool {
         matches!(self, ExecBackend::Native)
     }
 
-    /// The canonical CLI spelling (`cycle`, `fast-forward`, `native`).
+    /// The canonical CLI spelling (`cycle`, `native`).
     pub fn as_str(self) -> &'static str {
         match self {
             ExecBackend::Cycle => "cycle",
-            ExecBackend::FastForward => "fast-forward",
             ExecBackend::Native => "native",
         }
     }
@@ -100,10 +78,9 @@ impl FromStr for ExecBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "cycle" => Ok(ExecBackend::Cycle),
-            "fast-forward" | "ff" => Ok(ExecBackend::FastForward),
             "native" => Ok(ExecBackend::Native),
             other => Err(format!(
-                "unknown backend {other:?} (expected cycle, fast-forward or native)"
+                "unknown backend {other:?} (expected cycle or native)"
             )),
         }
     }
@@ -122,23 +99,17 @@ mod tests {
     }
 
     #[test]
-    fn ff_is_an_alias() {
-        assert_eq!("ff".parse::<ExecBackend>(), Ok(ExecBackend::FastForward));
-    }
-
-    #[test]
     fn unknown_backends_are_diagnosed() {
-        let err = "turbo".parse::<ExecBackend>().unwrap_err();
-        assert!(err.contains("turbo"), "{err}");
+        for name in ["turbo", "fast-forward", "ff"] {
+            let err = name.parse::<ExecBackend>().unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
     }
 
     #[test]
     fn default_is_cycle_and_only_cycle_declines_fast_forward() {
         assert_eq!(ExecBackend::default(), ExecBackend::Cycle);
         assert!(!ExecBackend::Cycle.fast_forwards());
-        assert!(ExecBackend::FastForward.fast_forwards());
         assert!(ExecBackend::Native.fast_forwards());
-        assert!(ExecBackend::Native.native_results());
-        assert!(!ExecBackend::FastForward.native_results());
     }
 }

@@ -93,14 +93,13 @@ pub trait Design {
     ///   channel rate below the consume width or a reducer that can
     ///   stall); or
     /// * execute the **entire run** — identical softfloat arithmetic in
-    ///   identical order (or zeroed operands under
-    ///   [`ExecBackend::Native`]), identical per-cycle probe samples,
+    ///   identical order, identical per-cycle probe samples,
     ///   bulk-reconstructed busy/stall/flop/io counters — leaving
     ///   [`Design::done`] true, and return the number of cycles the run
     ///   took. A partial fast-forward is not allowed: the fused loop
     ///   bypasses the design's channels and pipelines, so resuming
     ///   `cycle()` mid-run would observe inconsistent state.
-    fn fast_forward(&mut self, _probe: &mut Probe, _backend: ExecBackend) -> u64 {
+    fn fast_forward(&mut self, _probe: &mut Probe) -> u64 {
         0
     }
 }
@@ -124,8 +123,8 @@ pub struct Harness {
     /// Armed fault schedule, if any. `None` (the default) keeps the run
     /// loop on the zero-cost path: one `Option` test per cycle.
     faults: Option<ArmedFaults>,
-    /// How runs execute: cycle-stepped (default), fast-forwarded, or
-    /// native-microkernel results over the fast-forward cost loop.
+    /// How runs execute: cycle-stepped (default) or natively replayed
+    /// through `Design::fast_forward` where a design allows it.
     backend: ExecBackend,
     /// Cycles skipped past the cycle-stepper by `Design::fast_forward`,
     /// cumulative across runs (the wallclock sidecar reports per-run
@@ -181,14 +180,6 @@ impl Harness {
     /// The execution backend subsequent runs will use.
     pub fn backend(&self) -> ExecBackend {
         self.backend
-    }
-
-    /// Whether a fault schedule is currently armed. Fault injection and
-    /// fast-forwarding are mutually exclusive: an armed harness always
-    /// cycle-steps (and native result substitution must not be applied,
-    /// or injected faults would be silently healed).
-    pub fn faults_armed(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Cycles skipped past the cycle-stepper by fast-forwarding,
@@ -270,7 +261,7 @@ impl Harness {
         // per-cycle inject dispatch, waveforms need per-cycle samples of
         // components the fused loop bypasses.
         if self.backend.fast_forwards() && self.faults.is_none() && !self.probe.is_deep() {
-            let skipped = design.fast_forward(&mut self.probe, self.backend);
+            let skipped = design.fast_forward(&mut self.probe);
             if skipped > 0 {
                 assert!(
                     skipped < limit,

@@ -439,8 +439,8 @@ impl Probe {
 
     /// Batched [`Probe::end_cycle`] outcome: add `n` busy cycles.
     pub fn record_busy_cycles(&mut self, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
-        debug_assert!(
+        assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(
             self.telem.is_none(),
             "unpositioned batch recording with telemetry enabled; \
              use record_busy_cycles_at"
@@ -452,8 +452,8 @@ impl Probe {
     /// touching the per-cycle busy flag (pair with
     /// [`Probe::record_busy_cycles`]).
     pub fn record_busy_marks(&mut self, id: ProbeId, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
-        debug_assert!(
+        assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(
             self.telem.is_none(),
             "unpositioned batch recording with telemetry enabled; \
              use record_busy_marks_at"
@@ -466,8 +466,8 @@ impl Probe {
     /// stall diagnosis exactly like the per-cycle path). No-op when
     /// `n == 0`.
     pub fn record_stalls(&mut self, id: ProbeId, cause: StallCause, n: u64, last_cycle: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
-        debug_assert!(
+        assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(
             self.telem.is_none(),
             "unpositioned batch recording with telemetry enabled; \
              use record_stalls_at"
@@ -483,8 +483,8 @@ impl Probe {
     /// Batched [`Probe::sample_depth`]: record `n` occupancy samples of
     /// the same `depth` for `id`. No-op when `n == 0`.
     pub fn record_depths(&mut self, id: ProbeId, depth: usize, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
-        debug_assert!(
+        assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(
             self.telem.is_none(),
             "unpositioned batch recording with telemetry enabled; \
              use record_depths_at"
@@ -513,7 +513,7 @@ impl Probe {
     /// Positioned [`Probe::record_busy_cycles`]: `n` busy cycles covering
     /// run-relative cycles `start..start + n`. No-op when `n == 0`.
     pub fn record_busy_cycles_at(&mut self, start: u64, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(!self.deep, "bulk recording on a deep probe");
         if n == 0 {
             return;
         }
@@ -526,7 +526,7 @@ impl Probe {
     /// Positioned [`Probe::record_busy_marks`]: one FP-issue mark of `id`
     /// per cycle of `start..start + n`. No-op when `n == 0`.
     pub fn record_busy_marks_at(&mut self, id: ProbeId, start: u64, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(!self.deep, "bulk recording on a deep probe");
         if n == 0 {
             return;
         }
@@ -540,7 +540,7 @@ impl Probe {
     /// attributed to `cause` per cycle of `start..start + n`; the stall
     /// diagnosis sees the span's last cycle. No-op when `n == 0`.
     pub fn record_stalls_at(&mut self, id: ProbeId, cause: StallCause, start: u64, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(!self.deep, "bulk recording on a deep probe");
         if n == 0 {
             return;
         }
@@ -556,7 +556,7 @@ impl Probe {
     /// `depth` for `id` per cycle of `start..start + n`. No-op when
     /// `n == 0`.
     pub fn record_depths_at(&mut self, id: ProbeId, depth: usize, start: u64, n: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(!self.deep, "bulk recording on a deep probe");
         if n == 0 {
             return;
         }
@@ -574,7 +574,7 @@ impl Probe {
     /// monotone base so a later per-cycle `sample_rate` continues from
     /// the right total.
     pub fn record_rate_base(&mut self, id: ProbeId, total: u64) {
-        debug_assert!(!self.deep, "bulk recording on a deep probe");
+        assert!(!self.deep, "bulk recording on a deep probe");
         self.comps[id.0].last_total = total;
     }
 

@@ -12,7 +12,7 @@
 
 use crate::csr::CsrMatrix;
 use fblas_core::reduce::{ReduceInput, Reducer, SingleAdderReducer};
-use fblas_fpu::softfloat::{add_f64, mul_f64};
+use fblas_fpu::softfloat::{balanced_sum, mul_f64};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_sim::{
     ClockDomain, DelayLine, Design, EdgeKind, Harness, Probe, ProbeId, StallCause, Throttle,
@@ -323,7 +323,7 @@ impl<R: Reducer> Design for SpmvRun<'_, R> {
                         })
                         .collect();
                     prods.resize(self.k, 0.0);
-                    let value = balanced(&prods);
+                    let value = balanced_sum(&prods);
                     if *consumed == 0 {
                         self.row_start[*r] = probe.run_cycle();
                     }
@@ -402,18 +402,6 @@ impl<R: Reducer> Design for SpmvRun<'_, R> {
 
     fn progress(&self) -> Option<u64> {
         Some(self.values_fed + self.reducer.adds_issued() + self.done as u64)
-    }
-}
-
-/// Balanced-tree association of the k lane products.
-fn balanced(vals: &[f64]) -> f64 {
-    match vals.len() {
-        0 => 0.0,
-        1 => vals[0],
-        n => {
-            let mid = n / 2;
-            add_f64(balanced(&vals[..mid]), balanced(&vals[mid..]))
-        }
     }
 }
 

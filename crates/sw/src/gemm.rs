@@ -6,9 +6,7 @@
 //! implementation: each C element accumulates its products in
 //! ascending-q order from a zero seed regardless of block size or
 //! thread count, and all rungs agree bit-for-bit on **any** input (not
-//! just integer data; pinned by regression tests below). The softfloat
-//! analogue for the native execution backend lives in
-//! [`crate::microkernel`].
+//! just integer data; pinned by regression tests below).
 
 /// Reference multiply: the blocked engine degenerated to one
 /// whole-matrix block. Historically a separate (i, j, q) triple loop;

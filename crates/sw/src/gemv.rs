@@ -8,7 +8,6 @@
 //! historically kept a per-panel partial sum and folded it in at panel
 //! end — a different association that diverged from the naive rung on
 //! rounding-sensitive data; deduplicating onto one nest fixed that.)
-//! The softfloat analogue is [`crate::microkernel::gemv`].
 
 /// Reference y = A·x: the panelled engine with one whole-row panel.
 pub fn gemv_naive(a: &[f64], rows: usize, cols: usize, x: &[f64]) -> Vec<f64> {

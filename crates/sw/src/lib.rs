@@ -16,7 +16,6 @@ pub mod dot;
 pub mod gemm;
 pub mod gemv;
 pub mod level1;
-pub mod microkernel;
 
 pub use dot::{dot_naive, dot_unrolled};
 pub use gemm::{gemm_blocked, gemm_naive, gemm_parallel, gemm_transposed};
