@@ -1,4 +1,4 @@
-//! Criterion bench pinning the native backend's raison d'être: its
+//! Host-time guard pinning the native backend's raison d'être: its
 //! fused replays must actually be faster than cycle stepping on the
 //! streaming kernels they target.
 //!
@@ -19,7 +19,6 @@
 //! `backend_parity` integration suite and the per-design unit suites
 //! pin that.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fblas_bench::synth_int;
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
@@ -65,16 +64,8 @@ fn time_once(mut f: impl FnMut()) -> Duration {
     t.elapsed()
 }
 
-fn bench_backend_speedup(c: &mut Criterion) {
+fn main() {
     let w = workload();
-    let mut g = c.benchmark_group(format!("backend_speedup_dot{DOT_N}_mvm{MVM_N}"));
-    g.sample_size(10);
-    for backend in ExecBackend::ALL {
-        g.bench_function(backend.as_str(), |bench| {
-            bench.iter(|| run_once(&w, backend));
-        });
-    }
-    g.finish();
 
     // The guard proper: interleaved minima so clock drift and scheduler
     // noise hit all backends alike.
@@ -94,6 +85,3 @@ fn bench_backend_speedup(c: &mut Criterion) {
         "native is only {native_speedup:.2}x over cycle stepping (floor: 1.2x)"
     );
 }
-
-criterion_group!(benches, bench_backend_speedup);
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Criterion bench guarding the probe layer's cost on the k = 8
+//! Host-time guard on the probe layer's cost on the k = 8
 //! matrix-multiply workload (one 32×32 block on the PE array).
 //!
 //! Three things are measured:
@@ -21,7 +21,6 @@
 //! deterministic `harness_probe` and `telemetry_matrix` integration
 //! tests; this bench covers the time axis.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use fblas_bench::synth_int;
 use fblas_core::mm::{BlockEngine, MmParams};
 use fblas_core::mvm::DenseMatrix;
@@ -65,20 +64,8 @@ fn time_once(mut f: impl FnMut()) -> Duration {
     t.elapsed()
 }
 
-fn bench_probe_overhead(c: &mut Criterion) {
+fn main() {
     let (engine, a, b) = workload();
-    let mut g = c.benchmark_group(format!("probe_overhead_mm_k{K}_m{M}"));
-    g.sample_size(10);
-    g.bench_function("probes_off", |bench| {
-        bench.iter(|| run_once(&engine, &a, &b, Mode::Off));
-    });
-    g.bench_function("probes_telem", |bench| {
-        bench.iter(|| run_once(&engine, &a, &b, Mode::Telem));
-    });
-    g.bench_function("probes_deep", |bench| {
-        bench.iter(|| run_once(&engine, &a, &b, Mode::Deep));
-    });
-    g.finish();
 
     // The guards proper. Warm up once per mode, then take interleaved
     // minima so clock drift and scheduler noise hit all modes alike.
@@ -114,6 +101,3 @@ fn bench_probe_overhead(c: &mut Criterion) {
         telem_overhead * 100.0
     );
 }
-
-criterion_group!(benches, bench_probe_overhead);
-criterion_main!(benches);

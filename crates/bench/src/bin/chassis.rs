@@ -1,11 +1,13 @@
 //! Regenerates the **§6.4 multi-FPGA predictions**: one chassis
 //! (12.4 GFLOPS) and a 12-chassis installation (148.3 GFLOPS), with the
-//! bandwidth-requirement checks, plus a functional validation of the
+//! bandwidth-requirement checks and the per-link fabric budgets of the
+//! six- and twelve-FPGA plans, plus a functional validation of the
 //! hierarchical design at a simulation-friendly size.
 
 use fblas_bench::{print_table, synth_int, vs_paper};
 use fblas_core::mm::{ref_matmul, HierarchicalMm, HierarchicalParams};
 use fblas_core::mvm::DenseMatrix;
+use fblas_fabric::{mm_link_budgets, mm_plans, RingSpec};
 use fblas_system::projection::{
     hierarchical_dram_bytes_per_s, hierarchical_sram_bytes_per_s, multi_fpga_fill_cycles,
     scaled_sustained_gflops,
@@ -74,20 +76,37 @@ fn main() {
         system.inter_chassis_bytes_per_s / 1e9
     );
 
-    // Measured (not just computed) link feasibility: simulate the chassis
-    // ring at the design's injection schedule.
-    let ring = fblas_system::RingConfig::xd1_chassis();
-    let stats = fblas_system::simulate_ring(&ring, 20);
-    println!(
-        "\nRing simulation at the §6.4.1 operating point: {} blocks delivered over {} \
-         cycles,\nmax per-hop backlog {} words, worst lag {} cycles — sustainable: {}.",
-        stats.blocks_delivered,
-        stats.cycles,
-        stats.max_queue_words,
-        stats.worst_lag_cycles,
-        stats.sustainable
-    );
-    assert!(stats.sustainable);
+    // Per-link feasibility on the fabric model the scaling ladder
+    // simulates: the full ladder's chassis plans (six FPGAs on one ring,
+    // twelve across two chassis) under the XD1 RocketIO/RapidArray spec.
+    let chassis_plans: Vec<_> = mm_plans(false)
+        .into_iter()
+        .filter(|p| matches!((p.shards, p.chassis), (6, 1) | (12, 2)))
+        .collect();
+    assert_eq!(chassis_plans.len(), 2, "both chassis points in the ladder");
+    for plan in &chassis_plans {
+        let rows: Vec<Vec<String>> = mm_link_budgets(plan, &RingSpec::xd1(plan.clock_mhz))
+            .iter()
+            .map(|b| {
+                assert!(b.feasible(), "{}: demand exceeds capacity: {b:?}", b.link);
+                vec![
+                    b.link.clone(),
+                    b.class.name().to_string(),
+                    format!("{:.4}", b.demand_words_per_cycle),
+                    format!("{:.4}", b.capacity_words_per_cycle),
+                ]
+            })
+            .collect();
+        print_table(
+            &format!(
+                "Fabric link budgets, MM s = {} c = {} (words/cycle at {:.0} MHz)",
+                plan.shards, plan.chassis, plan.clock_mhz
+            ),
+            &["link", "class", "demand", "capacity"],
+            &rows,
+        );
+    }
+    println!("\nEvery fabric link of the six- and twelve-FPGA plans is feasible.");
 
     // Functional validation of the multi-FPGA schedule at a small size:
     // 6 FPGAs, b = 96, m = 8, n = 192.

@@ -56,6 +56,8 @@
 //! equality, bounded sustained-MFLOPS drift, no bound-classification
 //! flips, and every paper-parity figure still inside its tolerance band.
 //! Exit status is non-zero on any regression, so CI can gate on it.
+//! `run` and `diff` share one driver ([`cmd_bench`]); `diff` loads its
+//! baseline before the matrix runs and takes no `--dir`.
 //!
 //! `report` loads every committed `BENCH_*.json`, renders the
 //! paper-parity scoreboard, the kernel table and the sustained-MFLOPS
@@ -107,9 +109,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fblas_bench::cli;
+use fblas_bench::cli::{self, or_exit, take_flag};
 use fblas_bench::fault_matrix::run_fault_matrix_with_jobs;
-use fblas_bench::paper_matrix::{run_matrix_telemetry, run_matrix_with_backend};
+use fblas_bench::paper_matrix::run_matrix;
 use fblas_bench::scale_matrix::run_scale_matrix_with_jobs;
 use fblas_bench::serve_matrix::run_serve_matrix_with_jobs;
 use fblas_check::drc::Report;
@@ -143,49 +145,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Unwrap a result or print the error and exit 2 — the one funnel every
-/// usage and IO error goes through, so no subcommand can drift in how
-/// it rejects `--jobs 0`, an unknown `--backend` or an unreadable store.
-fn or_exit<T>(r: Result<T, String>) -> T {
-    r.unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Parse `--jobs` with the shared validator, exiting 2 on bad input.
-fn take_jobs(args: &mut Vec<String>) -> usize {
-    or_exit(cli::take_jobs(args))
-}
-
-/// Parse `--backend` with the shared validator, exiting 2 on bad input.
-fn take_backend(args: &mut Vec<String>) -> ExecBackend {
-    or_exit(cli::take_backend(args))
-}
-
-/// Parse `--seed` with the shared validator, exiting 2 on bad input.
-fn take_seed(args: &mut Vec<String>) -> u64 {
-    or_exit(cli::take_seed(args))
-}
-
-/// Parse the telemetry flags with the shared validator.
-fn take_telemetry(args: &mut Vec<String>) -> Option<u64> {
-    or_exit(cli::take_telemetry(args, DEFAULT_TELEM_WINDOW))
-}
-
-/// Parse `--flag <value>` with the shared helper, exiting 2 on a flag
-/// missing its value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    or_exit(cli::take_value(args, flag))
-}
-
-/// Parse `--dir <dir>` (default: the current directory).
-fn take_dir(args: &mut Vec<String>) -> PathBuf {
-    PathBuf::from(take_value(args, "--dir").unwrap_or_else(|| ".".into()))
-}
-
-use cli::take_flag;
-
 /// Load and parse a store, exiting 2 if it is unreadable or malformed.
 fn load_or_exit<T>(path: &Path, parse: fn(&str) -> Result<T, String>) -> T {
     or_exit(artifact::load(path, parse))
@@ -209,85 +168,6 @@ fn load_trajectory(dir: &Path, required: bool) -> Vec<(u64, RecordSet)> {
         .into_iter()
         .map(|(index, path)| (index, load_or_exit(&path, RecordSet::from_json_str)))
         .collect()
-}
-
-fn measure(
-    quick: bool,
-    jobs: usize,
-    backend: ExecBackend,
-    telemetry: Option<u64>,
-) -> (RecordSet, WallClock, Option<TelemSet>) {
-    eprintln!(
-        "observatory: running the {} paper matrix on {} job(s), {} backend, telemetry {}...",
-        if quick { "quick" } else { "full" },
-        jobs,
-        backend,
-        telemetry.map_or_else(|| "off".to_string(), |w| format!("window={w}")),
-    );
-    let (set, wall, telem) = match telemetry {
-        Some(window) => {
-            let (set, wall, telem) = run_matrix_telemetry(quick, jobs, backend, window);
-            (set, wall, Some(telem))
-        }
-        None => {
-            let (set, wall) = run_matrix_with_backend(quick, jobs, backend);
-            (set, wall, None)
-        }
-    };
-    eprintln!(
-        "observatory: {} record(s), {} simulated cycles in {:.2}s elapsed \
-         ({:.2}s summed, {:.2}x speedup, {:.2}M cycles/s, {:.2}x backend speedup)",
-        set.records.len(),
-        wall.total_cycles(),
-        wall.elapsed_seconds,
-        wall.total_seconds(),
-        wall.aggregate_speedup(),
-        wall.cycles_per_second() / 1e6,
-        wall.backend_speedup()
-    );
-    (set, wall, telem)
-}
-
-fn cmd_run(mut args: Vec<String>) -> ExitCode {
-    let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let telemetry = take_telemetry(&mut args);
-    let dir = take_dir(&mut args);
-    if !args.is_empty() {
-        return usage();
-    }
-    let (set, wall, telem) = measure(quick, jobs, backend, telemetry);
-    let index = next_index(&dir, BENCH);
-    let path = dir.join(file_name(BENCH, index));
-    save_or_exit(&path, &set.to_json_string());
-    let sidecar = dir.join(format!("BENCH_{index:04}.wallclock.json"));
-    save_or_exit(&sidecar, &wall.to_json_string());
-    println!("wrote {}", path.display());
-    println!("wrote {} (not for committing)", sidecar.display());
-    if let Some(telem) = telem {
-        let telem_path = dir.join(file_name(TELEM, index));
-        save_or_exit(&telem_path, &telem.to_json_string());
-        println!(
-            "wrote {} ({} run(s))",
-            telem_path.display(),
-            telem.runs.len()
-        );
-    }
-    let failing: Vec<&str> = set
-        .records
-        .iter()
-        .flat_map(|r| &r.paper)
-        .filter(|p| !p.within_tolerance())
-        .map(|p| p.figure_id.as_str())
-        .collect();
-    if failing.is_empty() {
-        println!("paper parity: all figures within tolerance");
-        ExitCode::SUCCESS
-    } else {
-        println!("paper parity: OUT OF TOLERANCE: {}", failing.join(", "));
-        ExitCode::FAILURE
-    }
 }
 
 /// Validate the wallclock sidecars `diff` can see: the freshly-measured
@@ -317,42 +197,100 @@ fn validate_sidecars(wall: &WallClock, baseline_path: &Path) -> Result<(), Strin
     Ok(())
 }
 
-fn cmd_diff(mut args: Vec<String>) -> ExitCode {
+/// `run` and `diff`: measure the paper matrix on the worker pool. `diff`
+/// takes one positional baseline `BENCH_<n>.json`, loaded before the
+/// matrix runs, and gates the fresh records exactly against it; `run`
+/// instead persists the records, their wallclock sidecar and the
+/// telemetry store as the next free `BENCH_<n>.json`/`TELEM_<n>.json` in
+/// `--dir` and checks every paper figure against its tolerance. Exit
+/// status: 2 on usage/IO errors, 1 on a failed gate.
+fn cmd_bench(mut args: Vec<String>, diff: bool) -> ExitCode {
     let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let telemetry = take_telemetry(&mut args);
-    if args.len() != 1 {
-        return usage();
-    }
-    let baseline_path = PathBuf::from(&args[0]);
-    let baseline = load_or_exit(&baseline_path, RecordSet::from_json_str);
-    let (run, wall, _telem) = measure(quick, jobs, backend, telemetry);
-    or_exit(validate_sidecars(&wall, &baseline_path));
-    let report = diff_sets(&baseline, &run);
-    print!("{}", report.render());
-    println!("\nPaper-parity scoreboard (this run):\n");
-    print!("{}", obs_report::render_scoreboard(&run));
-    if report.passes() {
-        println!(
-            "\nobservatory diff: PASS (baseline {})",
-            baseline_path.display()
-        );
-        ExitCode::SUCCESS
-    } else {
+    let jobs = or_exit(cli::take_jobs(&mut args));
+    let backend = or_exit(cli::take_backend(&mut args));
+    let telemetry = or_exit(cli::take_telemetry(&mut args, DEFAULT_TELEM_WINDOW));
+    let dir = or_exit(cli::take_value(&mut args, "--dir"));
+    let baseline_path = match (diff, dir.is_some(), args.as_slice()) {
+        (false, _, []) => None,
+        (true, false, [path]) => Some(PathBuf::from(path)),
+        _ => return usage(),
+    };
+    let dir = PathBuf::from(dir.unwrap_or_else(|| ".".into()));
+    let baseline = baseline_path.map(|path| {
+        let set = load_or_exit(&path, RecordSet::from_json_str);
+        (path, set)
+    });
+    eprintln!(
+        "observatory: running the {} paper matrix on {} job(s), {} backend, telemetry {}...",
+        if quick { "quick" } else { "full" },
+        jobs,
+        backend,
+        telemetry.map_or_else(|| "off".to_string(), |w| format!("window={w}")),
+    );
+    let (set, wall, telem) = run_matrix(quick, jobs, backend, telemetry);
+    eprintln!(
+        "observatory: {} record(s), {} simulated cycles in {:.2}s elapsed \
+         ({:.2}s summed, {:.2}x speedup, {:.2}M cycles/s, {:.2}x backend speedup)",
+        set.records.len(),
+        wall.total_cycles(),
+        wall.elapsed_seconds,
+        wall.total_seconds(),
+        wall.aggregate_speedup(),
+        wall.cycles_per_second() / 1e6,
+        wall.backend_speedup()
+    );
+    if let Some((path, baseline)) = baseline {
+        or_exit(validate_sidecars(&wall, &path));
+        let report = diff_sets(&baseline, &set);
+        print!("{}", report.render());
+        println!("\nPaper-parity scoreboard (this run):\n");
+        print!("{}", obs_report::render_scoreboard(&set));
+        if report.passes() {
+            println!("\nobservatory diff: PASS (baseline {})", path.display());
+            return ExitCode::SUCCESS;
+        }
         println!(
             "\nobservatory diff: FAIL — {} regression(s) vs {}",
             report.regressions(),
-            baseline_path.display()
+            path.display()
         );
+        return ExitCode::FAILURE;
+    }
+    let index = next_index(&dir, BENCH);
+    let path = dir.join(file_name(BENCH, index));
+    save_or_exit(&path, &set.to_json_string());
+    let sidecar = dir.join(format!("BENCH_{index:04}.wallclock.json"));
+    save_or_exit(&sidecar, &wall.to_json_string());
+    println!("wrote {}", path.display());
+    println!("wrote {} (not for committing)", sidecar.display());
+    if telemetry.is_some() {
+        let telem_path = dir.join(file_name(TELEM, index));
+        save_or_exit(&telem_path, &telem.to_json_string());
+        println!(
+            "wrote {} ({} run(s))",
+            telem_path.display(),
+            telem.runs.len()
+        );
+    }
+    let failing: Vec<&str> = set
+        .records
+        .iter()
+        .flat_map(|r| &r.paper)
+        .filter(|p| !p.within_tolerance())
+        .map(|p| p.figure_id.as_str())
+        .collect();
+    if failing.is_empty() {
+        println!("paper parity: all figures within tolerance");
+        ExitCode::SUCCESS
+    } else {
+        println!("paper parity: OUT OF TOLERANCE: {}", failing.join(", "));
         ExitCode::FAILURE
     }
 }
 
 fn cmd_report(mut args: Vec<String>) -> ExitCode {
-    let dir = take_dir(&mut args);
-    let doc =
-        PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
+    let dir = or_exit(cli::take_path(&mut args, "--dir", "."));
+    let doc = or_exit(cli::take_path(&mut args, "--doc", "EXPERIMENTS.md"));
     if !args.is_empty() {
         return usage();
     }
@@ -399,9 +337,8 @@ fn cmd_report(mut args: Vec<String>) -> ExitCode {
 /// between the telemetry markers. Non-zero exit if any efficiency row
 /// of the latest point is outside the paper-model tolerance.
 fn cmd_trend(mut args: Vec<String>) -> ExitCode {
-    let dir = take_dir(&mut args);
-    let doc =
-        PathBuf::from(take_value(&mut args, "--doc").unwrap_or_else(|| "EXPERIMENTS.md".into()));
+    let dir = or_exit(cli::take_path(&mut args, "--dir", "."));
+    let doc = or_exit(cli::take_path(&mut args, "--doc", "EXPERIMENTS.md"));
     if !args.is_empty() {
         return usage();
     }
@@ -440,9 +377,9 @@ fn cmd_trend(mut args: Vec<String>) -> ExitCode {
 
 fn cmd_faults(mut args: Vec<String>) -> ExitCode {
     let quick = take_flag(&mut args, "--quick");
-    let seed = take_seed(&mut args);
-    let jobs = take_jobs(&mut args);
-    let out = PathBuf::from(take_value(&mut args, "--out").unwrap_or_else(|| "FAULTS.json".into()));
+    let seed = or_exit(cli::take_seed(&mut args));
+    let jobs = or_exit(cli::take_jobs(&mut args));
+    let out = or_exit(cli::take_path(&mut args, "--out", "FAULTS.json"));
     if !args.is_empty() {
         return usage();
     }
@@ -474,7 +411,7 @@ fn cmd_faults(mut args: Vec<String>) -> ExitCode {
 /// the static bounds. Exit status is non-zero on any error, so CI can
 /// gate on the soundness of the model.
 fn cmd_analyze(mut args: Vec<String>) -> ExitCode {
-    let dir = take_dir(&mut args);
+    let dir = or_exit(cli::take_path(&mut args, "--dir", "."));
     let verbose = take_flag(&mut args, "--verbose");
     if !args.is_empty() {
         return usage();
@@ -586,10 +523,10 @@ const SCALE_CAMPAIGN: Campaign<ScaleRecord> = Campaign {
 /// Exit status: 2 on usage/IO errors, 1 on any failed gate.
 fn cmd_campaign<R: Record>(c: &Campaign<R>, mut args: Vec<String>) -> ExitCode {
     let quick = take_flag(&mut args, "--quick");
-    let jobs = take_jobs(&mut args);
-    let backend = take_backend(&mut args);
-    let dir = take_dir(&mut args);
-    let baseline_path = take_value(&mut args, "--diff").map(PathBuf::from);
+    let jobs = or_exit(cli::take_jobs(&mut args));
+    let backend = or_exit(cli::take_backend(&mut args));
+    let dir = or_exit(cli::take_path(&mut args, "--dir", "."));
+    let baseline_path = or_exit(cli::take_value(&mut args, "--diff")).map(PathBuf::from);
     if !args.is_empty() {
         return usage();
     }
@@ -649,8 +586,8 @@ fn main() -> ExitCode {
     }
     let cmd = args.remove(0);
     match cmd.as_str() {
-        "run" => cmd_run(args),
-        "diff" => cmd_diff(args),
+        "run" => cmd_bench(args, false),
+        "diff" => cmd_bench(args, true),
         "report" => cmd_report(args),
         "trend" => cmd_trend(args),
         "faults" => cmd_faults(args),

@@ -10,6 +10,8 @@
 //! binaries funnel every error through one `exit code 2` adapter —
 //! usage errors are distinguishable from gate failures (exit 1) in CI.
 
+use std::path::PathBuf;
+
 use fblas_sim::ExecBackend;
 
 use crate::pool;
@@ -35,6 +37,24 @@ pub fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, 
         i += 1;
     }
     Ok(None)
+}
+
+/// Parse `--flag <path>` out of `args`, falling back to `default`.
+pub fn take_path(args: &mut Vec<String>, flag: &str, default: &str) -> Result<PathBuf, String> {
+    Ok(PathBuf::from(
+        take_value(args, flag)?.unwrap_or_else(|| default.to_string()),
+    ))
+}
+
+/// Unwrap a result or print the error and exit 2 — the one funnel every
+/// usage and IO error of the bench binaries goes through, so no
+/// subcommand can drift in how it rejects `--jobs 0`, an unknown
+/// `--backend`, a flag missing its path or an unreadable store.
+pub fn or_exit<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Parse a bare `--flag`, removing it.
@@ -191,6 +211,13 @@ mod tests {
         assert_eq!(take_backend(&mut a).unwrap(), ExecBackend::Cycle);
         assert_eq!(take_seed(&mut a).unwrap(), 7);
         assert_eq!(take_telemetry(&mut a, 512).unwrap(), Some(512));
+        assert_eq!(take_path(&mut a, "--dir", ".").unwrap(), PathBuf::from("."));
+        let mut b = argv(&["--out", "x.json"]);
+        assert_eq!(
+            take_path(&mut b, "--out", "FAULTS.json").unwrap(),
+            PathBuf::from("x.json")
+        );
+        assert!(take_path(&mut argv(&["--dir"]), "--dir", ".").is_err());
     }
 
     #[test]

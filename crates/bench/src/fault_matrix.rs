@@ -9,6 +9,7 @@
 
 use fblas_faults::{degrade_mm, degrade_row_mvm, run_trial, trial_specs, DegradedRun, TrialResult};
 use fblas_metrics::{DegradedRecord, FaultRecord, FaultSet};
+use fblas_sim::ExecBackend;
 
 use crate::pool::{self, Job};
 
@@ -75,7 +76,8 @@ pub fn run_fault_matrix_with_jobs(seed: u64, quick: bool, workers: usize) -> Fau
         FULL_TRIALS_PER_FAMILY
     };
     let mut set = FaultSet::new("observatory faults", seed);
-    set.records = pool::run_ordered(fault_jobs(seed, trials), workers);
+    set.records =
+        pool::run_ordered_with_backend(fault_jobs(seed, trials), workers, ExecBackend::Cycle);
     set.degraded
         .push(record_from_degraded(&degrade_row_mvm(seed)));
     set.degraded.push(record_from_degraded(&degrade_mm(seed)));

@@ -12,7 +12,7 @@
 //!
 //! Every entry is an independent [`Job`]: it synthesizes its own
 //! workload, instantiates its own design and cost models, and runs on a
-//! worker-owned harness. [`run_matrix_with_jobs`] schedules the jobs on
+//! worker-owned harness. [`run_matrix`] schedules the jobs on
 //! the shared pool ([`crate::pool`]) and reassembles the records in
 //! submission order, so `--jobs N` output is byte-identical to serial
 //! (see DESIGN.md §10 for the determinism argument).
@@ -452,51 +452,22 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
     list
 }
 
-/// Execute the full (or quick) paper matrix on `workers` pool workers and
-/// return the canonical record set plus the host-throughput sidecar.
+/// Execute the full (or quick) paper matrix on `workers` pool workers
+/// under `backend` and return the canonical record set, the
+/// host-throughput sidecar and — when `telem_window` is set — one sealed
+/// telemetry series per simulated entry at that window width (the
+/// analytic hierarchical design never touches a harness and contributes
+/// none; with telemetry off the set is empty).
 ///
-/// The record set is byte-identical for every `workers` value (ordered
-/// reduce over independent jobs); only the sidecar's timings — and its
-/// `jobs`/`elapsed_seconds`/speedup fields — vary.
-pub fn run_matrix_with_jobs(quick: bool, workers: usize) -> (RecordSet, WallClock) {
-    run_matrix_with_backend(quick, workers, ExecBackend::Cycle)
-}
-
-/// [`run_matrix_with_jobs`] under an execution backend. The record set
-/// is byte-identical for every backend — the native backend replays
-/// the exact probe sequence and softfloat operation order — while the
-/// sidecar reports which backend ran, how many
-/// cycles were actually stepped, and the resulting cycle-compression
-/// ratio ([`WallClock::backend_speedup`]).
-pub fn run_matrix_with_backend(
-    quick: bool,
-    workers: usize,
-    backend: ExecBackend,
-) -> (RecordSet, WallClock) {
-    let (set, wall, _telem) = run_matrix_inner(quick, workers, backend, None);
-    (set, wall)
-}
-
-/// [`run_matrix_with_backend`] with windowed telemetry enabled at
-/// `window` cycles: additionally returns the [`TelemSet`] holding one
-/// sealed series per simulated entry (the analytic hierarchical design
-/// never touches a harness and contributes none).
-///
-/// The telemetry set inherits both matrix invariants: byte-identical
-/// for every `workers` value (run-relative windows on worker-owned
-/// harnesses, ordered reduction) and for every backend (native replay
-/// reconstructs the positioned telemetry of the cycles it skips — the
-/// `telemetry_parity` suite pins this per design).
-pub fn run_matrix_telemetry(
-    quick: bool,
-    workers: usize,
-    backend: ExecBackend,
-    window: u64,
-) -> (RecordSet, WallClock, TelemSet) {
-    run_matrix_inner(quick, workers, backend, Some(window))
-}
-
-fn run_matrix_inner(
+/// The record set and the telemetry set are byte-identical for every
+/// `workers` value (ordered reduce over independent jobs, run-relative
+/// windows on worker-owned harnesses) and for every backend (the native
+/// backend replays the exact probe sequence and softfloat operation
+/// order, and reconstructs the positioned telemetry of the cycles it
+/// skips). Only the sidecar varies: its timings, its
+/// `jobs`/`elapsed_seconds`/speedup fields, which backend ran and how
+/// many cycles were actually stepped ([`WallClock::backend_speedup`]).
+pub fn run_matrix(
     quick: bool,
     workers: usize,
     backend: ExecBackend,
@@ -539,11 +510,6 @@ fn run_matrix_inner(
     (set, wall, telem_set)
 }
 
-/// Serial paper matrix: [`run_matrix_with_jobs`] with one worker.
-pub fn run_matrix(quick: bool) -> (RecordSet, WallClock) {
-    run_matrix_with_jobs(quick, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,8 +517,8 @@ mod tests {
 
     #[test]
     fn quick_matrix_is_deterministic_and_classified() {
-        let (a, _) = run_matrix(true);
-        let (b, _) = run_matrix(true);
+        let (a, _, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
+        let (b, _, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
         assert_eq!(a.to_json_string(), b.to_json_string());
         // The §4.4 argument recovered from measurements: streaming
         // kernels are bandwidth-bound, the blocked multiplier is not.
@@ -564,8 +530,8 @@ mod tests {
 
     #[test]
     fn quick_matrix_self_diff_is_clean() {
-        let (a, _) = run_matrix(true);
-        let (b, _) = run_matrix(true);
+        let (a, _, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
+        let (b, _, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
         let d = fblas_metrics::diff_sets(&a, &b);
         assert!(d.passes(), "{}", d.render());
     }
@@ -576,8 +542,8 @@ mod tests {
     /// sidecar's backend/stepped-cycle provenance differs.
     #[test]
     fn backends_produce_identical_bytes() {
-        let (cycle, wc) = run_matrix_with_backend(true, 1, ExecBackend::Cycle);
-        let (nat, wn) = run_matrix_with_backend(true, 2, ExecBackend::Native);
+        let (cycle, wc, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
+        let (nat, wn, _) = run_matrix(true, 2, ExecBackend::Native, None);
         assert_eq!(
             cycle.to_json_string(),
             nat.to_json_string(),
@@ -602,10 +568,10 @@ mod tests {
     /// sidecar must cover every simulated record either way.
     #[test]
     fn parallel_matrix_bytes_match_serial() {
-        let (serial, wall1) = run_matrix_with_jobs(true, 1);
+        let (serial, wall1, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
         assert_eq!(wall1.jobs, 1);
         for workers in [2, 3, 8] {
-            let (pooled, wall) = run_matrix_with_jobs(true, workers);
+            let (pooled, wall, _) = run_matrix(true, workers, ExecBackend::Cycle, None);
             assert_eq!(
                 serial.to_json_string(),
                 pooled.to_json_string(),

@@ -11,9 +11,9 @@
 //!   drew short jobs steals the long tail instead of idling behind a
 //!   static partition.
 //! * **Reduction** is ordered: each result is tagged with its submission
-//!   index and placed into its slot, so [`run_ordered`] returns results
-//!   in exactly the order the jobs were submitted, regardless of which
-//!   worker finished when.
+//!   index and placed into its slot, so [`run_ordered_with_backend`]
+//!   returns results in exactly the order the jobs were submitted,
+//!   regardless of which worker finished when.
 //!
 //! With one worker the pool degenerates to the serial loop (one harness,
 //! jobs in submission order), which is why `--jobs 1` reproduces the old
@@ -62,23 +62,16 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
 
-/// Run `jobs` on `workers` self-scheduling workers and return the results
-/// in submission order.
+/// Run `jobs` on `workers` self-scheduling workers, every worker harness
+/// created on `backend`, and return the results in submission order.
 ///
 /// `workers` is clamped to `[1, jobs.len()]`. With one worker no threads
 /// are spawned at all: the jobs run in order on the caller's thread
 /// through a single harness — the exact serial semantics the observatory
-/// had before the pool existed. A panicking job (the matrix entries carry
-/// correctness asserts) propagates to the caller after the other workers
-/// drain.
-pub fn run_ordered<T: Send>(jobs: Vec<Job<T>>, workers: usize) -> Vec<T> {
-    run_ordered_with_backend(jobs, workers, ExecBackend::Cycle)
-}
-
-/// [`run_ordered`] with every worker harness created on the given
-/// execution backend, so the whole matrix runs cycle-stepped or
-/// native. Scheduling and ordered reduction are
-/// unchanged — backend choice affects wall clock only, never bytes.
+/// had before the pool existed. Scheduling and ordered reduction do not
+/// depend on the backend: backend choice affects wall clock only, never
+/// bytes. A panicking job (the matrix entries carry correctness asserts)
+/// propagates to the caller after the other workers drain.
 pub fn run_ordered_with_backend<T: Send>(
     jobs: Vec<Job<T>>,
     workers: usize,
@@ -154,6 +147,10 @@ pub fn run_ordered_with_backend<T: Send>(
 mod tests {
     use super::*;
 
+    fn run_cycle<T: Send>(jobs: Vec<Job<T>>, workers: usize) -> Vec<T> {
+        run_ordered_with_backend(jobs, workers, ExecBackend::Cycle)
+    }
+
     fn square_jobs(n: usize) -> Vec<Job<usize>> {
         (0..n)
             .map(|i| Job::new(&format!("sq/{i}"), move |_h| i * i))
@@ -163,32 +160,22 @@ mod tests {
     #[test]
     fn results_come_back_in_submission_order() {
         for workers in [1, 2, 3, 8, 64] {
-            let out = run_ordered(square_jobs(17), workers);
+            let out = run_cycle(square_jobs(17), workers);
             assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_and_oversized_inputs_are_fine() {
-        assert!(run_ordered(Vec::<Job<u8>>::new(), 4).is_empty());
-        assert_eq!(run_ordered(square_jobs(2), 100), vec![0, 1]);
-        assert_eq!(run_ordered(square_jobs(3), 0), vec![0, 1, 4]);
+        assert!(run_cycle(Vec::<Job<u8>>::new(), 4).is_empty());
+        assert_eq!(run_cycle(square_jobs(2), 100), vec![0, 1]);
+        assert_eq!(run_cycle(square_jobs(3), 0), vec![0, 1, 4]);
     }
 
     #[test]
     fn jobs_see_a_working_harness() {
         use fblas_core::dot::{DotParams, DotProductDesign};
-        let jobs: Vec<Job<f64>> = (0..4)
-            .map(|i| {
-                Job::new(&format!("dot/{i}"), move |h: &mut Harness| {
-                    let design = DotProductDesign::standalone(DotParams::table3(), 170.0);
-                    let u = crate::synth_int(i, 64, 8);
-                    let v = crate::synth_int(i + 1, 64, 8);
-                    design.run_in(h, &u, &v).result
-                })
-            })
-            .collect();
-        let serial = run_ordered(
+        let jobs = || -> Vec<Job<f64>> {
             (0..4)
                 .map(|i| {
                     Job::new(&format!("dot/{i}"), move |h: &mut Harness| {
@@ -198,10 +185,9 @@ mod tests {
                         design.run_in(h, &u, &v).result
                     })
                 })
-                .collect(),
-            1,
-        );
-        assert_eq!(run_ordered(jobs, 3), serial);
+                .collect()
+        };
+        assert_eq!(run_cycle(jobs(), 3), run_cycle(jobs(), 1));
     }
 
     #[test]
@@ -217,6 +203,6 @@ mod tests {
             Job::new("ok", |_h: &mut Harness| 1u8),
             Job::new("bad", |_h: &mut Harness| panic!("boom")),
         ];
-        run_ordered(jobs, 2);
+        run_cycle(jobs, 2);
     }
 }

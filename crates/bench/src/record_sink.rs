@@ -13,6 +13,8 @@ use std::path::PathBuf;
 use fblas_metrics::{artifact, RecordSet, RunRecord, StallBreakdown};
 use fblas_sim::Harness;
 
+use crate::cli;
+
 /// Result of scanning the process arguments for `--json`, plus the
 /// records collected so far.
 pub struct RecordSink {
@@ -33,23 +35,9 @@ impl RecordSink {
     /// `generator` names the producing binary in the record set.
     /// Exits with an error message when the flag is given without a path.
     pub fn from_args(generator: &str) -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(arg) = args.next() {
-            if arg == "--json" {
-                match args.next() {
-                    Some(p) => path = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --json requires a path argument");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(p) = arg.strip_prefix("--json=") {
-                path = Some(PathBuf::from(p));
-            }
-        }
+        let mut args: Vec<String> = std::env::args().skip(1).collect();
         Self {
-            path,
+            path: cli::or_exit(cli::take_value(&mut args, "--json")).map(PathBuf::from),
             set: RecordSet::new(generator),
         }
     }

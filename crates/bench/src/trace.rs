@@ -17,6 +17,8 @@ use std::path::PathBuf;
 
 use fblas_sim::Harness;
 
+use crate::cli;
+
 /// Telemetry window for traced runs. Much finer than the
 /// [`fblas_sim::DEFAULT_TELEM_WINDOW`] the observatory uses: trace
 /// kernels are a few hundred cycles, and the counter tracks are for
@@ -34,22 +36,10 @@ impl TraceOption {
     ///
     /// Exits with an error message when the flag is given without a path.
     pub fn from_args() -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(arg) = args.next() {
-            if arg == "--trace" {
-                match args.next() {
-                    Some(p) => path = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --trace requires a path argument");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(p) = arg.strip_prefix("--trace=") {
-                path = Some(PathBuf::from(p));
-            }
+        let mut args: Vec<String> = std::env::args().skip(1).collect();
+        Self {
+            path: cli::or_exit(cli::take_value(&mut args, "--trace")).map(PathBuf::from),
         }
-        Self { path }
     }
 
     /// Whether a trace file was requested.

@@ -1,7 +1,7 @@
 //! Smoke tests: the fast table/figure binaries must run to completion
 //! (their internal assertions re-check the paper claims on every run).
-//! The heavyweight ones (`table3`, `table4`, `chassis`, `cpu_compare`)
-//! are exercised by `cargo run --release`; in debug-mode tests they would
+//! The heavyweight ones (`table3`, `table4`, `cpu_compare`) are
+//! exercised by `cargo run --release`; in debug-mode tests they would
 //! dominate the suite's runtime.
 
 use std::path::Path;
@@ -44,6 +44,13 @@ fn fig12_runs() {
 #[test]
 fn alpha_sweep_runs() {
     run(env!("CARGO_BIN_EXE_alpha_sweep"));
+}
+
+/// `chassis` asserts the §6.4 bandwidth checks and the feasibility of
+/// every fabric link of the six- and twelve-FPGA plans.
+#[test]
+fn chassis_runs() {
+    run(env!("CARGO_BIN_EXE_chassis"));
 }
 
 /// `--json` smoke: every bench binary shares the `RecordSink` writer, so
@@ -195,6 +202,36 @@ fn observatory_rejects_unknown_backends() {
                 "{cmd} --backend {backend}: stderr was {stderr:?}"
             );
         }
+    }
+}
+
+/// Usage errors exit 2 before any work: a stray positional, a `diff`
+/// without exactly one baseline or with a `--dir`, and a `--json` or
+/// `--trace` flag missing its path.
+#[test]
+fn usage_errors_exit_2() {
+    let observatory = env!("CARGO_BIN_EXE_observatory");
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let verify_all = env!("CARGO_BIN_EXE_verify_all");
+    for (bin, args) in [
+        (observatory, &["run", "extra"][..]),
+        (observatory, &["diff"]),
+        (observatory, &["diff", "a.json", "b.json"]),
+        (observatory, &["diff", "--dir", "/tmp", "x.json"]),
+        (observatory, &["faults", "extra"]),
+        (table1, &["--json"]),
+        (verify_all, &["--trace"]),
+    ] {
+        let output = Command::new(bin)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{bin} {args:?}: {:?}",
+            output.status
+        );
     }
 }
 

@@ -11,7 +11,7 @@
 //! steady-state efficiency of every modelled design against the paper's
 //! n/(n+α) prediction.
 
-use fblas_bench::paper_matrix::{run_matrix_telemetry, run_matrix_with_jobs};
+use fblas_bench::paper_matrix::run_matrix;
 use fblas_metrics::RecordSet;
 use fblas_sim::{ExecBackend, DEFAULT_TELEM_WINDOW};
 use fblas_telemetry::{
@@ -19,7 +19,7 @@ use fblas_telemetry::{
 };
 
 fn quick_telem(workers: usize, backend: ExecBackend) -> (RecordSet, TelemSet) {
-    let (set, _wall, telem) = run_matrix_telemetry(true, workers, backend, DEFAULT_TELEM_WINDOW);
+    let (set, _wall, telem) = run_matrix(true, workers, backend, Some(DEFAULT_TELEM_WINDOW));
     (set, telem)
 }
 
@@ -85,7 +85,7 @@ fn exporters_are_byte_identical_across_jobs_and_backends() {
 #[test]
 fn telemetry_does_not_perturb_the_measurement() {
     let (with_telem, _) = quick_telem(1, ExecBackend::Cycle);
-    let (without, _wall) = run_matrix_with_jobs(true, 1);
+    let (without, _wall, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
     assert_eq!(with_telem.to_json_string(), without.to_json_string());
 }
 

@@ -63,7 +63,7 @@ impl CgSolver {
         let n = a.n_rows();
         assert_eq!(a.n_cols(), n, "CG needs a square system");
         assert_eq!(b.len(), n, "right-hand side length mismatch");
-        debug_assert!(
+        assert!(
             a.is_symmetric(),
             "conjugate gradient requires a symmetric matrix"
         );
@@ -224,6 +224,16 @@ mod tests {
     #[should_panic(expected = "positive diagonal")]
     fn non_spd_diagonal_rejected() {
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, -1.0), (1, 1, 1.0)]);
+        CgSolver::new(SpmvParams::with_k(2), 1e-6, 10).solve(&a, &[1.0, 1.0]);
+    }
+
+    /// The symmetry precondition holds in release builds too: CG is
+    /// undefined on a non-symmetric system, even one whose diagonal
+    /// would pass the SPD check.
+    #[test]
+    #[should_panic(expected = "symmetric")]
+    fn non_symmetric_matrix_rejected() {
+        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 1, 2.0)]);
         CgSolver::new(SpmvParams::with_k(2), 1e-6, 10).solve(&a, &[1.0, 1.0]);
     }
 }

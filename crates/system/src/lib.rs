@@ -35,7 +35,6 @@ pub mod device;
 pub mod peak;
 pub mod projection;
 pub mod rate;
-pub mod ring;
 pub mod src_station;
 pub mod xd1;
 
@@ -45,5 +44,4 @@ pub use device::{FpgaDevice, XC2VP100, XC2VP50};
 pub use peak::{device_peak_flops, io_bound_peak_dot, io_bound_peak_mvm};
 pub use projection::{ChassisProjection, ProjectionPoint};
 pub use rate::{rate_or_zero, units_per};
-pub use ring::{simulate_ring, RingConfig, RingStats};
 pub use xd1::{Xd1Chassis, Xd1Node, Xd1System};

@@ -292,13 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_ring_demand_is_zero() {
-        let mut cfg = crate::ring::RingConfig::xd1_chassis();
-        cfg.interval_cycles = 0;
-        assert_eq!(cfg.demand_words_per_cycle(), 0.0);
-    }
-
-    #[test]
     fn projected_bandwidths_met_by_xd1() {
         // §6.4.1: with the smallest/fastest PE the requirements stay within
         // XD1's provisioning (12.8 GB/s SRAM, 3.2 GB/s DRAM).
