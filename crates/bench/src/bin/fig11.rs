@@ -3,45 +3,11 @@
 //! function of PE area (1600–2000 slices) and PE clock (160–200 MHz),
 //! with the 25 % routing deduction.
 
-use fblas_bench::print_table;
-use fblas_bench::record_sink::RecordSink;
-use fblas_bench::trace::{trace_reference_kernels, TraceOption};
-use fblas_metrics::RunRecord;
-use fblas_system::{ChassisProjection, XC2VP50};
+use fblas_bench::chassis_sweep;
+use fblas_system::XC2VP50;
 
 fn main() {
-    let trace = TraceOption::from_args();
-    let mut sink = RecordSink::from_args("fig11");
-    let proj = ChassisProjection::xd1(XC2VP50);
-
-    let clocks: Vec<u32> = (160..=200).step_by(10).collect();
-    let mut headers: Vec<String> = vec!["PE area (slices)".into()];
-    headers.extend(clocks.iter().map(|c| format!("{c} MHz")));
-    let headers_ref: Vec<&str> = headers.iter().map(std::string::String::as_str).collect();
-
-    let rows: Vec<Vec<String>> = (1600..=2000u32)
-        .step_by(100)
-        .map(|pe| {
-            let mut row = vec![format!(
-                "{pe} ({} PEs)",
-                proj.point(pe, 160.0).pes_per_device
-            )];
-            row.extend(
-                clocks
-                    .iter()
-                    .map(|&c| format!("{:.1}", proj.point(pe, f64::from(c)).chassis_gflops)),
-            );
-            row
-        })
-        .collect();
-
-    print_table(
-        "Figure 11: Projected chassis GFLOPS, XC2VP50 (6 FPGAs, 25% routing derate)",
-        &headers_ref,
-        &rows,
-    );
-
-    let best = proj.point(1600, 200.0);
+    let best = chassis_sweep(11, XC2VP50, 50);
     println!(
         "\nBest point (1600 slices @ 200 MHz): {:.1} GFLOPS (paper: \"more than 27\" with \
          fractional PEs; flooring to {} whole PEs gives the value above).",
@@ -53,14 +19,4 @@ fn main() {
         best.required_sram_bytes_per_s / 1e9,
         best.required_dram_bytes_per_s / 1e6
     );
-    assert!(best.required_sram_bytes_per_s < 12.8e9);
-    assert!(best.required_dram_bytes_per_s < 3.2e9);
-    sink.push(
-        RunRecord::modeled("model/projection", &[("xc2vp", 50)], 200.0, 1600)
-            .with_paper("fig11.best.gflops", best.chassis_gflops),
-    );
-
-    // This binary is analytic; trace the representative kernels instead.
-    trace_reference_kernels(&trace);
-    sink.write();
 }

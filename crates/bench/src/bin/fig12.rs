@@ -3,45 +3,11 @@
 //! twice the slices, hence about twice the projected performance
 //! (≈50 GFLOPS per chassis at the best point).
 
-use fblas_bench::print_table;
-use fblas_bench::record_sink::RecordSink;
-use fblas_bench::trace::{trace_reference_kernels, TraceOption};
-use fblas_metrics::RunRecord;
+use fblas_bench::chassis_sweep;
 use fblas_system::{ChassisProjection, XC2VP100, XC2VP50};
 
 fn main() {
-    let trace = TraceOption::from_args();
-    let mut sink = RecordSink::from_args("fig12");
-    let proj = ChassisProjection::xd1(XC2VP100);
-
-    let clocks: Vec<u32> = (160..=200).step_by(10).collect();
-    let mut headers: Vec<String> = vec!["PE area (slices)".into()];
-    headers.extend(clocks.iter().map(|c| format!("{c} MHz")));
-    let headers_ref: Vec<&str> = headers.iter().map(std::string::String::as_str).collect();
-
-    let rows: Vec<Vec<String>> = (1600..=2000u32)
-        .step_by(100)
-        .map(|pe| {
-            let mut row = vec![format!(
-                "{pe} ({} PEs)",
-                proj.point(pe, 160.0).pes_per_device
-            )];
-            row.extend(
-                clocks
-                    .iter()
-                    .map(|&c| format!("{:.1}", proj.point(pe, f64::from(c)).chassis_gflops)),
-            );
-            row
-        })
-        .collect();
-
-    print_table(
-        "Figure 12: Projected chassis GFLOPS, XC2VP100 (6 FPGAs, 25% routing derate)",
-        &headers_ref,
-        &rows,
-    );
-
-    let best = proj.point(1600, 200.0);
+    let best = chassis_sweep(12, XC2VP100, 100);
     let best50 = ChassisProjection::xd1(XC2VP50).point(1600, 200.0);
     println!(
         "\nBest point: {:.1} GFLOPS — {:.2}× the XC2VP50 chassis ({:.1} GFLOPS); \
@@ -56,14 +22,4 @@ fn main() {
         best.required_sram_bytes_per_s / 1e9,
         best.required_dram_bytes_per_s / 1e6
     );
-    assert!(best.required_sram_bytes_per_s < 12.8e9);
-    assert!(best.required_dram_bytes_per_s < 3.2e9);
-    sink.push(
-        RunRecord::modeled("model/projection", &[("xc2vp", 100)], 200.0, 1600)
-            .with_paper("fig12.best.gflops", best.chassis_gflops),
-    );
-
-    // This binary is analytic; trace the representative kernels instead.
-    trace_reference_kernels(&trace);
-    sink.write();
 }

@@ -17,7 +17,12 @@
 //! writes the canonical record set to the next free `BENCH_<n>.json` in
 //! `--dir` (default: current directory). The records are
 //! byte-deterministic; host throughput (simulated cycles per second)
-//! goes to a `BENCH_<n>.wallclock.json` sidecar instead.
+//! goes to a `BENCH_<n>.wallclock.json` sidecar instead. It then prints
+//! the per-figure paper-parity scoreboard and the verdict "paper parity:
+//! N of N figures within tolerance", exiting 1 if any figure leaves its
+//! band; `run` and `diff` are the one gate on the paper's claims. The
+//! `--quick` matrix skips the full-size simulations, so its verdict also
+//! counts the table's figures it did not measure.
 //!
 //! Windowed telemetry is on by default: the same run seals one
 //! time-resolved series per simulated kernel (busy/stall/occupancy per
@@ -123,6 +128,7 @@ use fblas_metrics::artifact::{
 use fblas_metrics::{
     diff_cells, diff_sets, faults as obs_faults, report as obs_report, scale as obs_scale,
     FaultSet, Record, RecordSet, ScaleRecord, ScaleSet, ServeRecord, Store, WallClock,
+    PAPER_TOLERANCES,
 };
 use fblas_sim::{ExecBackend, DEFAULT_TELEM_WINDOW};
 use fblas_telemetry::trend::TrendPoint;
@@ -202,8 +208,9 @@ fn validate_sidecars(wall: &WallClock, baseline_path: &Path) -> Result<(), Strin
 /// matrix runs, and gates the fresh records exactly against it; `run`
 /// instead persists the records, their wallclock sidecar and the
 /// telemetry store as the next free `BENCH_<n>.json`/`TELEM_<n>.json` in
-/// `--dir` and checks every paper figure against its tolerance. Exit
-/// status: 2 on usage/IO errors, 1 on a failed gate.
+/// `--dir`, prints the per-figure parity scoreboard and checks every
+/// paper figure against its tolerance. Exit status: 2 on usage/IO
+/// errors, 1 on a failed gate.
 fn cmd_bench(mut args: Vec<String>, diff: bool) -> ExitCode {
     let quick = take_flag(&mut args, "--quick");
     let jobs = or_exit(cli::take_jobs(&mut args));
@@ -272,18 +279,31 @@ fn cmd_bench(mut args: Vec<String>, diff: bool) -> ExitCode {
             telem.runs.len()
         );
     }
-    let failing: Vec<&str> = set
-        .records
+    println!("\nPaper-parity scoreboard (this run):\n");
+    print!("{}", obs_report::render_scoreboard(&set));
+    let figures: Vec<_> = set.records.iter().flat_map(|r| &r.paper).collect();
+    let failing: Vec<&str> = figures
         .iter()
-        .flat_map(|r| &r.paper)
         .filter(|p| !p.within_tolerance())
         .map(|p| p.figure_id.as_str())
         .collect();
+    let unmeasured = PAPER_TOLERANCES
+        .iter()
+        .filter(|t| !figures.iter().any(|p| p.figure_id == t.id))
+        .count();
+    let mut verdict = format!(
+        "paper parity: {} of {} figures within tolerance",
+        figures.len() - failing.len(),
+        figures.len()
+    );
+    if unmeasured > 0 {
+        verdict += &format!(", {unmeasured} of {} not measured", PAPER_TOLERANCES.len());
+    }
     if failing.is_empty() {
-        println!("paper parity: all figures within tolerance");
+        println!("\n{verdict}");
         ExitCode::SUCCESS
     } else {
-        println!("paper parity: OUT OF TOLERANCE: {}", failing.join(", "));
+        println!("\n{verdict}; OUT OF TOLERANCE: {}", failing.join(", "));
         ExitCode::FAILURE
     }
 }

@@ -6,7 +6,7 @@
 
 use fblas_bench::record_sink::{measure, RecordSink};
 use fblas_bench::trace::TraceOption;
-use fblas_bench::{print_table, synth_int, vs_paper};
+use fblas_bench::{print_table, synth_int, vs_figure};
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::mvm::{DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_metrics::RunRecord;
@@ -91,8 +91,8 @@ fn main() {
         ],
         vec![
             "Sustained MFLOPS".into(),
-            vs_paper(dot_mflops, 557.0, "MFLOPS"),
-            vs_paper(mvm_mflops, 1355.0, "MFLOPS"),
+            vs_figure(dot_mflops, "table3.dot.mflops"),
+            vs_figure(mvm_mflops, "table3.mvm.mflops"),
         ],
         vec![
             "% of peak MFLOPS".into(),

@@ -7,7 +7,7 @@
 
 use fblas_bench::record_sink::{measure, RecordSink};
 use fblas_bench::trace::TraceOption;
-use fblas_bench::{print_table, synth_int, vs_paper};
+use fblas_bench::{print_table, synth_int, vs_figure};
 use fblas_core::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams};
 use fblas_core::mvm::{DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_mem::{DmaModel, SramBanks, SRAM_WORD_BITS};
@@ -123,8 +123,8 @@ fn main() {
         ],
         vec![
             "Sustained performance".into(),
-            vs_paper(sustained / 1e6, 262.0, "MFLOPS"),
-            vs_paper(l3_sustained / 1e9, 2.06, "GFLOPS"),
+            vs_figure(sustained / 1e6, "table4.l2.mflops"),
+            vs_figure(l3_sustained / 1e9, "table4.l3.gflops"),
         ],
         vec![
             "% of peak".into(),

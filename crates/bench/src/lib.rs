@@ -16,7 +16,6 @@
 //! | `cpu_compare` | §6.3 CPU dgemm comparison (measured on this host) |
 //! | `ablation` | reduction-circuit and design-choice ablations |
 //! | `alpha_sweep` | buffer/latency bounds vs adder depth α |
-//! | `verify_all` | PASS/FAIL re-derivation of every headline claim |
 //!
 //! Run them with `cargo run --release -p fblas-bench --bin <name>`.
 //! Every binary accepts `--trace <out.json>` to dump a Chrome
@@ -24,9 +23,11 @@
 //! `--json <out.json>` to emit its measurements as canonical
 //! [`fblas_metrics`] run records (see [`record_sink`]).
 //!
-//! The `observatory` binary ties the records together: `observatory run`
-//! executes the full paper matrix ([`paper_matrix`]) and persists a
-//! `BENCH_<n>.json` trajectory file, `observatory diff` gates a fresh
+//! The `observatory` binary ties the records together and is the one
+//! gate on the paper's claims: `observatory run` executes the full paper
+//! matrix ([`paper_matrix`], the one producer of every paper figure),
+//! persists a `BENCH_<n>.json` trajectory file and checks every figure
+//! against the shared tolerance table, `observatory diff` gates a fresh
 //! run against a committed baseline, `observatory report` renders
 //! the scoreboard into `EXPERIMENTS.md`, `observatory faults` fans
 //! the seeded fault-injection campaign ([`fault_matrix`]) across the
@@ -47,6 +48,11 @@ pub mod scale_matrix;
 pub mod serve_matrix;
 pub mod trace;
 pub mod workloads;
+
+use fblas_metrics::RunRecord;
+use fblas_system::{ChassisProjection, FpgaDevice, ProjectionPoint};
+use record_sink::RecordSink;
+use trace::{trace_reference_kernels, TraceOption};
 
 /// Render a fixed-width text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -85,6 +91,67 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 pub fn vs_paper(measured: f64, paper: f64, unit: &str) -> String {
     let delta = (measured - paper) / paper * 100.0;
     format!("{measured:.3} {unit} (paper {paper:.3}, {delta:+.1}%)")
+}
+
+/// [`vs_paper`] against the paper value and unit of the shared tolerance
+/// row `id`.
+///
+/// # Panics
+/// If `id` is not in [`fblas_metrics::PAPER_TOLERANCES`].
+pub fn vs_figure(measured: f64, id: &str) -> String {
+    let t = fblas_metrics::lookup(id).unwrap_or_else(|| panic!("unknown paper figure '{id}'"));
+    vs_paper(measured, t.paper, t.unit)
+}
+
+/// Figures 11 and 12: print the projected GFLOPS of one XD1 chassis of
+/// `device` (the XC2VP`part`) over PE areas of 1600–2000 slices and PE
+/// clocks of 160–200 MHz, record the best point (1600 slices @ 200 MHz)
+/// as `fig<figure>.best.gflops` and return it. The sweep is analytic, so
+/// `--trace` traces the reference kernels instead.
+pub fn chassis_sweep(figure: u32, device: FpgaDevice, part: i64) -> ProjectionPoint {
+    let trace = TraceOption::from_args();
+    let generator = format!("fig{figure}");
+    let mut sink = RecordSink::from_args(&generator);
+    let proj = ChassisProjection::xd1(device);
+
+    let clocks: Vec<u32> = (160..=200).step_by(10).collect();
+    let mut headers: Vec<String> = vec!["PE area (slices)".into()];
+    headers.extend(clocks.iter().map(|c| format!("{c} MHz")));
+    let headers_ref: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let rows: Vec<Vec<String>> = (1600..=2000u32)
+        .step_by(100)
+        .map(|pe| {
+            let mut row = vec![format!(
+                "{pe} ({} PEs)",
+                proj.point(pe, 160.0).pes_per_device
+            )];
+            row.extend(
+                clocks
+                    .iter()
+                    .map(|&c| format!("{:.1}", proj.point(pe, f64::from(c)).chassis_gflops)),
+            );
+            row
+        })
+        .collect();
+    print_table(
+        &format!(
+            "Figure {figure}: Projected chassis GFLOPS, XC2VP{part} ({} FPGAs, 25% routing derate)",
+            proj.fpgas_per_chassis
+        ),
+        &headers_ref,
+        &rows,
+    );
+
+    let best = proj.point(1600, 200.0);
+    assert!(best.required_sram_bytes_per_s < 12.8e9);
+    assert!(best.required_dram_bytes_per_s < 3.2e9);
+    sink.push(
+        RunRecord::modeled("model/projection", &[("xc2vp", part)], 200.0, 1600)
+            .with_paper(&format!("{generator}.best.gflops"), best.chassis_gflops),
+    );
+    trace_reference_kernels(&trace);
+    sink.write();
+    best
 }
 
 /// Deterministic pseudo-random matrix data in [-1, 1) without pulling a
@@ -137,5 +204,9 @@ mod tests {
     fn vs_paper_formats_delta() {
         let s = vs_paper(110.0, 100.0, "MFLOPS");
         assert!(s.contains("+10.0%"), "{s}");
+        assert_eq!(
+            vs_figure(2.06, "table4.l3.gflops"),
+            vs_paper(2.06, 2.06, "GFLOPS")
+        );
     }
 }

@@ -80,8 +80,9 @@ fn json_flag_writes_a_record_set() {
 }
 
 /// `observatory run --quick` smoke: two runs into the same directory must
-/// produce byte-identical BENCH files, and `observatory diff` against the
-/// first file must be clean (exit 0).
+/// produce byte-identical BENCH files, the verdict must count the figures
+/// the quick matrix checked and those it never measured, and `observatory diff`
+/// against the first file must be clean (exit 0).
 #[test]
 fn observatory_quick_run_is_deterministic_and_self_diffs_clean() {
     let dir = std::env::temp_dir().join("fblas_observatory_smoke");
@@ -90,12 +91,22 @@ fn observatory_quick_run_is_deterministic_and_self_diffs_clean() {
     let observatory = env!("CARGO_BIN_EXE_observatory");
 
     for _ in 0..2 {
-        let status = Command::new(observatory)
+        let output = Command::new(observatory)
             .args(["run", "--quick", "--dir"])
             .arg(&dir)
-            .status()
+            .output()
             .expect("failed to launch observatory");
-        assert!(status.success(), "observatory run exited with {status}");
+        assert!(
+            output.status.success(),
+            "observatory run exited with {}",
+            output.status
+        );
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(
+            stdout.lines().last(),
+            Some("paper parity: 8 of 8 figures within tolerance, 9 of 17 not measured"),
+            "stdout was {stdout:?}"
+        );
     }
     let first = std::fs::read(dir.join("BENCH_0001.json")).expect("BENCH_0001 missing");
     let second = std::fs::read(dir.join("BENCH_0002.json")).expect("BENCH_0002 missing");
@@ -212,7 +223,7 @@ fn observatory_rejects_unknown_backends() {
 fn usage_errors_exit_2() {
     let observatory = env!("CARGO_BIN_EXE_observatory");
     let table1 = env!("CARGO_BIN_EXE_table1");
-    let verify_all = env!("CARGO_BIN_EXE_verify_all");
+    let table2 = env!("CARGO_BIN_EXE_table2");
     for (bin, args) in [
         (observatory, &["run", "extra"][..]),
         (observatory, &["diff"]),
@@ -220,7 +231,7 @@ fn usage_errors_exit_2() {
         (observatory, &["diff", "--dir", "/tmp", "x.json"]),
         (observatory, &["faults", "extra"]),
         (table1, &["--json"]),
-        (verify_all, &["--trace"]),
+        (table2, &["--trace"]),
     ] {
         let output = Command::new(bin)
             .args(args)

@@ -1,7 +1,8 @@
 //! `drc` — run every static analysis the workspace ships:
 //!
 //! * the design-rule checker over every shipped configuration;
-//! * the paper-parity coverage rule over the shared tolerance table;
+//! * the paper-parity coverage rule (every row of the shared tolerance
+//!   table carried by exactly one committed BENCH record);
 //! * the source rules of `fblas_check::RULES` (bench thread containment,
 //!   fault-hook purity, workspace determinism, fast-path parity
 //!   coverage, the telemetry metric registry), in one pass that reads
@@ -10,8 +11,10 @@
 //!   bounds, composed-bandwidth budgets) over every shipped topology;
 //! * the fabric-link-budget rule (steady-state demand vs. link rate)
 //!   over every multi-FPGA plan the scaling campaign ships;
-//! * the BENCH cross-validation (measured rate vs. static bound) over
-//!   the committed `BENCH_0001.json`.
+//! * the BENCH cross-validation (measured rate vs. static bound).
+//!
+//! The parity-coverage rule and the cross-validation both read the
+//! committed `BENCH_0001.json`, loaded once.
 //!
 //! Flags:
 //!
@@ -34,11 +37,11 @@
 
 use fblas_check::drc::{check, infeasible_k10_with_rt_core, shipped_design_points};
 use fblas_check::fabric::fabric_link_budget_report;
-use fblas_check::graph::{bench_cross_validation_report, topology_report};
+use fblas_check::graph::{cross_validate, topology_report};
 use fblas_check::parity::coverage_report;
 use fblas_check::source::repo_root;
 use fblas_check::{Report, Severity, Workspace, RULES};
-use fblas_metrics::Json;
+use fblas_metrics::{artifact, Json, RecordSet};
 
 fn usage_exit() -> ! {
     eprintln!("usage: drc [--verbose|-v] [--format text|json] [--infeasible-fixture]");
@@ -76,9 +79,16 @@ fn main() {
         shipped_design_points()
     };
 
-    let mut reports: Vec<Report> = points.iter().map(check).collect();
-    reports.push(coverage_report());
     let root = repo_root();
+    let bench = match artifact::load(&root.join("BENCH_0001.json"), RecordSet::from_json_str) {
+        Ok(bench) => bench,
+        Err(e) => {
+            eprintln!("drc: cannot load the committed BENCH records: {e}");
+            std::process::exit(2);
+        }
+    };
+    let mut reports: Vec<Report> = points.iter().map(check).collect();
+    reports.push(coverage_report(&bench));
     let scanned = Workspace::load(&root).and_then(|workspace| {
         RULES
             .iter()
@@ -95,13 +105,7 @@ fn main() {
     }
     reports.extend(topology_report());
     reports.push(fabric_link_budget_report());
-    match bench_cross_validation_report(&root.join("BENCH_0001.json")) {
-        Ok(report) => reports.push(report),
-        Err(e) => {
-            eprintln!("drc: cannot cross-validate BENCH records: {e}");
-            std::process::exit(2);
-        }
-    }
+    reports.push(cross_validate(&bench));
 
     let errors: usize = reports.iter().map(|r| r.count(Severity::Error)).sum();
     let warnings: usize = reports.iter().map(|r| r.count(Severity::Warning)).sum();

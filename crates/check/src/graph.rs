@@ -21,7 +21,7 @@
 //!    rate is cut twice: the compute cut (total FP issue capacity) and
 //!    the I/O cut (input-channel words/cycle × FLOPs unlocked per word).
 //!    `min(cuts) × clock` is a *sound upper bound*: no measured BENCH
-//!    record may exceed it. [`bench_cross_validation_report`] checks every
+//!    record may exceed it. [`cross_validate`] checks every
 //!    simulated record in the committed BENCH set against the bound built
 //!    from the very same design parameters; a violation means the static
 //!    model is wrong (unsound), a wide gap (`model-divergence`) means the
@@ -32,8 +32,6 @@
 //!    is below its incoming delivery rate under-provisions the link and
 //!    silently degrades the composed pipeline below both kernels' own
 //!    bounds.
-
-use std::path::Path;
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
@@ -609,17 +607,19 @@ pub fn cross_validate(set: &RecordSet) -> Report {
     }
 }
 
-/// [`cross_validate`] over a BENCH JSON file on disk.
-pub fn bench_cross_validation_report(path: &Path) -> Result<Report, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Ok(cross_validate(&RecordSet::from_json_str(&text)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::repo_root;
+    use fblas_metrics::artifact;
+
+    fn committed_bench() -> RecordSet {
+        artifact::load(
+            &repo_root().join("BENCH_0001.json"),
+            RecordSet::from_json_str,
+        )
+        .expect("load")
+    }
 
     fn looped(depth: usize, stages: usize) -> Topology {
         let mut t = Topology::new("loop");
@@ -739,8 +739,7 @@ mod tests {
     /// simulated record, with no divergence warnings.
     #[test]
     fn committed_bench_records_are_sound() {
-        let report =
-            bench_cross_validation_report(&repo_root().join("BENCH_0001.json")).expect("load");
+        let report = cross_validate(&committed_bench());
         assert!(
             report.is_feasible(),
             "soundness errors:\n{}",
@@ -760,8 +759,7 @@ mod tests {
 
     #[test]
     fn inflated_measurement_is_caught_as_unsound() {
-        let text = std::fs::read_to_string(repo_root().join("BENCH_0001.json")).expect("read");
-        let mut set = RecordSet::from_json_str(&text).expect("parse");
+        let mut set = committed_bench();
         let rec = set
             .records
             .iter_mut()

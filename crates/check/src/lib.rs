@@ -7,8 +7,8 @@
 //!   legality) for a design point *before* any cycle is simulated, and
 //!   computes cycle-count lower bounds the simulation must not beat.
 //! * [`parity`] — **paper-parity coverage**: every row of the shared
-//!   [`fblas_metrics::PAPER_TOLERANCES`] table is claimed by a bench
-//!   generator and no generator claims a stale id.
+//!   [`fblas_metrics::PAPER_TOLERANCES`] table is carried by exactly one
+//!   record of the committed BENCH set, and no record carries a stale id.
 //! * [`graph`] — the **channel-graph analyzer** over the
 //!   [`fblas_sim::Topology`] each design exports: deadlock-freedom
 //!   proofs, throughput bounds cross-validated against the committed
@@ -54,10 +54,10 @@ pub use drc::{
 };
 pub use fabric::{check_scale_set, fabric_link_budget_report, fabric_link_budget_report_with_spec};
 pub use graph::{
-    analyze_topology, bench_cross_validation_report, shipped_topologies, topology_report,
-    CycleProof, ThroughputBound,
+    analyze_topology, cross_validate, shipped_topologies, topology_report, CycleProof,
+    ThroughputBound,
 };
-pub use parity::{check_claims, coverage_report, CLAIMS};
+pub use parity::coverage_report;
 pub use scan::{Rule, Workspace, RULES};
 pub use serve::check_serve_set;
 pub use source::SourceFile;

@@ -4,12 +4,12 @@
 //! workspace determinism lint is clean.
 
 use fblas_check::graph::{
-    analyze_topology, bench_cross_validation_report, enumerate_cycles, shipped_topologies,
-    throughput_bound,
+    analyze_topology, cross_validate, enumerate_cycles, shipped_topologies, throughput_bound,
 };
 use fblas_check::scan::{Workspace, DETERMINISM};
 use fblas_check::source::repo_root;
 use fblas_check::Severity;
+use fblas_metrics::{artifact, RecordSet};
 
 /// Every shipped topology passes all three graph analyses, and every
 /// feedback design actually carries a proven cycle (the proof is not
@@ -61,8 +61,12 @@ fn reduction_loop_proof_matches_the_paper_bound() {
 /// tentpole's cross-validation acceptance bar.
 #[test]
 fn committed_bench_set_cross_validates_clean() {
-    let report =
-        bench_cross_validation_report(&repo_root().join("BENCH_0001.json")).expect("load BENCH");
+    let set = artifact::load(
+        &repo_root().join("BENCH_0001.json"),
+        RecordSet::from_json_str,
+    )
+    .expect("load BENCH");
+    let report = cross_validate(&set);
     assert!(report.is_feasible(), "{}", report.render(true));
     assert_eq!(
         report.count(Severity::Warning),

@@ -5,9 +5,9 @@
 //! design that silently declined under telemetry would regress it).
 //!
 //! The final test pins the other side of the contract: a design whose
-//! schedule cannot be positioned in closed form documents that by
-//! declining fast-forward whenever telemetry is enabled and falling
-//! back to the cycle stepper, which keeps the series exact.
+//! schedule cannot be positioned in closed form declines fast-forward,
+//! and the native harness falls back to the cycle stepper, which keeps
+//! the series exact.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
@@ -172,10 +172,9 @@ fn linear_array_mm_telemetry_parity() {
 }
 
 /// A feed whose duty cycle is decided per cycle — representative of
-/// schedules without a closed positional form. Its `fast_forward`
-/// documents the telemetry contract's escape hatch: totals-only batch
-/// reconstruction is sound when telemetry is off, so it declines to the
-/// cycle stepper whenever telemetry is on.
+/// schedules without a closed positional form. It keeps the default
+/// `fast_forward`, which declines, so the native backend must fall back
+/// to the cycle stepper.
 struct JitterFeed {
     fed: u64,
     total: u64,
@@ -218,54 +217,19 @@ impl Design for JitterFeed {
     fn cycle_limit(&self) -> u64 {
         4 * self.total + 64
     }
-
-    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
-        if probe.telemetry_enabled() {
-            // Documented decline: this schedule has no closed positional
-            // form, so windowed series must come from the cycle stepper.
-            return 0;
-        }
-        let id = self.id.expect("setup registered components");
-        let mut t: u64 = 0;
-        let mut stalls = 0;
-        let mut last_stall = 0;
-        while self.fed < self.total {
-            t += 1;
-            if t.is_multiple_of(3) {
-                stalls += 1;
-                last_stall = t;
-            } else {
-                self.fed += 1;
-            }
-        }
-        probe.record_busy_cycles(self.total);
-        probe.record_busy_marks(id, self.total);
-        probe.record_stalls(id, StallCause::InputStarved, stalls, last_stall);
-        t
-    }
 }
 
 #[test]
 fn unpositionable_design_declines_fast_forward_under_telemetry() {
-    // Telemetry off: the totals-only reconstruction engages and matches
-    // the stepped run's report.
-    let mut cy = Harness::new();
-    let cy_report = cy.run(&mut JitterFeed::new(100));
-    let mut nat = Harness::with_backend(ExecBackend::Native);
-    let nat_report = nat.run(&mut JitterFeed::new(100));
-    assert!(nat.ff_cycles() > 0, "totals-only path must fast-forward");
-    assert_eq!(nat_report.cycles, cy_report.cycles);
-    assert_eq!(nat_report, cy_report);
-
-    // Telemetry on: the design declines, the harness cycle-steps, and
-    // the series is the stepped ground truth.
+    // The design declines, the harness cycle-steps, and the series is
+    // the stepped ground truth.
     let mut cy_t = Harness::new();
     cy_t.enable_telemetry(WINDOW);
     cy_t.run(&mut JitterFeed::new(100));
     let mut nat_t = Harness::with_backend(ExecBackend::Native);
     nat_t.enable_telemetry(WINDOW);
     let report = nat_t.run(&mut JitterFeed::new(100));
-    assert_eq!(nat_t.ff_cycles(), 0, "telemetry must force the decline");
+    assert_eq!(nat_t.ff_cycles(), 0, "the design must decline");
     assert_eq!(report.cycles, 149);
     assert_eq!(nat_t.take_telemetry(), cy_t.take_telemetry());
 }

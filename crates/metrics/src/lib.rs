@@ -18,7 +18,7 @@
 //! * [`RecordSet`] / [`store`] — the `BENCH_<n>.json` record set and its
 //!   wall-clock sidecar.
 //! * [`tolerance`] — the one shared table of paper-reported values and
-//!   tolerances; [`ParityGate`] is the PASS/FAIL gate every tool uses.
+//!   tolerances that every parity check reads.
 //! * [`diff`] — strict baseline comparison (cycle drift, MFLOPS drift,
 //!   stall-attribution drift, parity-band exits) with a CI exit code.
 //! * [`report`] — markdown scoreboards and ASCII-sparkline trajectories
@@ -64,4 +64,4 @@ pub use scale::{
 };
 pub use serve::{LatencyDigest, ServeRecord, ServeSet, TenantRecord, SERVE_SCHEMA_VERSION};
 pub use store::{RecordSet, WallClock, WallClockEntry};
-pub use tolerance::{lookup, PaperTolerance, ParityGate, PAPER_TOLERANCES};
+pub use tolerance::{lookup, PaperTolerance, PAPER_TOLERANCES};

@@ -3,9 +3,10 @@
 //! One row per headline number the SC'05 paper reports (Tables 1–4,
 //! Figures 9–12, §6.4 projections): a stable id, the paper's value, the
 //! unit and the relative tolerance within which our reproduction must
-//! land. Every consumer gates against *this* table — `verify_all`, the
-//! `observatory diff` scoreboard and the design-rule checker's
-//! parity-coverage rule — so a tolerance can never drift between tools.
+//! land. Every consumer gates against *this* table — the `observatory
+//! run`/`diff` parity verdict and scoreboard, and the design-rule
+//! checker's parity-coverage rule over the committed `BENCH_0001.json` —
+//! so a tolerance can never drift between tools.
 //!
 //! Tolerances are asymmetry-free relative bounds chosen in PR 0–2 when
 //! the models were calibrated; EXPERIMENTS.md documents the cause of each
@@ -166,85 +167,6 @@ pub fn lookup(id: &str) -> Option<&'static PaperTolerance> {
     PAPER_TOLERANCES.iter().find(|t| t.id == id)
 }
 
-/// Accumulates PASS/FAIL parity checks against the shared table — the
-/// one tolerance gate used by `verify_all` and `observatory diff`.
-///
-/// Prints one line per claim and tracks the failure count; callers turn
-/// `failures() > 0` into a non-zero exit status so CI can gate on it.
-#[derive(Debug, Default)]
-pub struct ParityGate {
-    failures: u32,
-    checks: u32,
-    lines: Vec<String>,
-}
-
-impl ParityGate {
-    /// A fresh gate with no recorded checks.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Check `measured` against the table entry `id`.
-    ///
-    /// # Panics
-    /// If `id` is not in [`PAPER_TOLERANCES`] — an unknown id is a
-    /// programming error, not a measurement failure.
-    pub fn check(&mut self, id: &str, measured: f64) -> bool {
-        let t = lookup(id).unwrap_or_else(|| panic!("unknown paper-tolerance id '{id}'"));
-        let ok = t.accepts(measured);
-        self.checks += 1;
-        if !ok {
-            self.failures += 1;
-        }
-        self.lines.push(format!(
-            "[{}] {}: measured {measured:.4}, paper {:.4} {} ({:+.1}%, tol ±{:.0}%)",
-            if ok { "PASS" } else { "FAIL" },
-            t.description,
-            t.paper,
-            t.unit,
-            t.delta_frac(measured) * 100.0,
-            t.tol_frac * 100.0
-        ));
-        ok
-    }
-
-    /// Record a boolean structural claim (no tolerance involved).
-    pub fn check_true(&mut self, name: &str, cond: bool) -> bool {
-        self.checks += 1;
-        if !cond {
-            self.failures += 1;
-        }
-        self.lines
-            .push(format!("[{}] {name}", if cond { "PASS" } else { "FAIL" }));
-        cond
-    }
-
-    /// The rendered line of the most recent check.
-    pub fn last_line(&self) -> &str {
-        self.lines.last().map_or("", String::as_str)
-    }
-
-    /// Number of failed checks so far.
-    pub fn failures(&self) -> u32 {
-        self.failures
-    }
-
-    /// Number of checks recorded so far.
-    pub fn checks(&self) -> u32 {
-        self.checks
-    }
-
-    /// All rendered check lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Exit status for a gating binary: 0 iff nothing failed.
-    pub fn exit_code(&self) -> i32 {
-        i32::from(self.failures > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,25 +194,5 @@ mod tests {
         assert!(t.accepts(557.0 * 1.149));
         assert!(!t.accepts(557.0 * 1.151));
         assert!((t.delta_frac(557.0 * 1.10) - 0.10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gate_counts_failures_and_sets_exit_code() {
-        let mut g = ParityGate::new();
-        assert!(g.check("fig9.clock.k1", 155.0));
-        assert!(g.last_line().starts_with("[PASS]"));
-        assert!(!g.check("fig9.clock.k1", 300.0));
-        assert!(g.last_line().starts_with("[FAIL]"));
-        assert!(g.check_true("structural claim", true));
-        assert_eq!(g.checks(), 3);
-        assert_eq!(g.failures(), 1);
-        assert_eq!(g.exit_code(), 1);
-        assert_eq!(ParityGate::new().exit_code(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown paper-tolerance id")]
-    fn unknown_id_panics() {
-        ParityGate::new().check("no.such.figure", 1.0);
     }
 }

@@ -15,7 +15,6 @@
 //!   fractional).
 //! * [`ClockDomain`] — converts cycle counts into wall-clock time and
 //!   sustained FLOPS given a clock frequency in MHz.
-//! * [`Stats`] — occupancy/utilization counters shared by the models.
 //! * [`Topology`] — the static channel-graph descriptor (`graph` module)
 //!   designs export for `fblas-check`'s deadlock-freedom and
 //!   throughput-bound analyses.
@@ -72,6 +71,6 @@ pub use graph::{Edge, EdgeKind, Node, NodeId, NodeRole, Topology};
 pub use harness::{Design, Harness, LIVELOCK_WINDOW};
 pub use probe::{ComponentStats, DepthRuns, Probe, ProbeId, RunMark, StallCause};
 pub use report::SimReport;
-pub use stats::{Histogram, LogHistogram, Stats};
+pub use stats::{Histogram, LogHistogram};
 pub use telem::{BusyRuns, CompSeries, MarkRuns, StallRuns, TelemSeries, DEFAULT_TELEM_WINDOW};
 pub use throttle::Throttle;

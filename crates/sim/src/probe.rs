@@ -436,81 +436,16 @@ impl Probe {
     // probes are excluded (the harness never fast-forwards them):
     // waveforms and trace events are order-sensitive and genuinely need
     // the per-cycle path.
-
-    /// Batched [`Probe::end_cycle`] outcome: add `n` busy cycles.
-    pub fn record_busy_cycles(&mut self, n: u64) {
-        assert!(!self.deep, "bulk recording on a deep probe");
-        assert!(
-            self.telem.is_none(),
-            "unpositioned batch recording with telemetry enabled; \
-             use record_busy_cycles_at"
-        );
-        self.busy_cycles += n;
-    }
-
-    /// Batched [`Probe::busy`]: add `n` FP-issue marks to `id` without
-    /// touching the per-cycle busy flag (pair with
-    /// [`Probe::record_busy_cycles`]).
-    pub fn record_busy_marks(&mut self, id: ProbeId, n: u64) {
-        assert!(!self.deep, "bulk recording on a deep probe");
-        assert!(
-            self.telem.is_none(),
-            "unpositioned batch recording with telemetry enabled; \
-             use record_busy_marks_at"
-        );
-        self.comps[id.0].busy_marks += n;
-    }
-
-    /// Batched [`Probe::stall`]: attribute `n` stalled cycles of `id` to
-    /// `cause`, the latest at run-relative cycle `last_cycle` (feeds the
-    /// stall diagnosis exactly like the per-cycle path). No-op when
-    /// `n == 0`.
-    pub fn record_stalls(&mut self, id: ProbeId, cause: StallCause, n: u64, last_cycle: u64) {
-        assert!(!self.deep, "bulk recording on a deep probe");
-        assert!(
-            self.telem.is_none(),
-            "unpositioned batch recording with telemetry enabled; \
-             use record_stalls_at"
-        );
-        if n == 0 {
-            return;
-        }
-        let c = &mut self.comps[id.0];
-        c.stalls[cause.index()] += n;
-        c.last_stall = Some((cause, self.time_base + last_cycle));
-    }
-
-    /// Batched [`Probe::sample_depth`]: record `n` occupancy samples of
-    /// the same `depth` for `id`. No-op when `n == 0`.
-    pub fn record_depths(&mut self, id: ProbeId, depth: usize, n: u64) {
-        assert!(!self.deep, "bulk recording on a deep probe");
-        assert!(
-            self.telem.is_none(),
-            "unpositioned batch recording with telemetry enabled; \
-             use record_depths_at"
-        );
-        if n == 0 {
-            return;
-        }
-        let c = &mut self.comps[id.0];
-        c.hist.record_n(depth, n);
-        c.depth_sum += depth as u64 * n;
-        c.high_water = c.high_water.max(depth);
-    }
-
-    // ---- positioned batched recording (telemetry-aware fast-forward) ----
     //
     // When windowed telemetry is enabled an aggregate count is not
     // enough: the recorder must know *which* run-relative cycles a batch
-    // covers so it can split the count across windows. The `_at` variants
-    // take a 1-based span start `start` (covering `start..start + n`),
-    // update exactly the same always-on counters as their unpositioned
-    // twins, and additionally feed the telemetry windows. The fused
-    // fast-forwards use only these, so one code path serves telemetry-on
-    // and telemetry-off runs; the unpositioned variants debug-assert
-    // telemetry is off so an accidental mix is caught in tests.
+    // covers so it can split the count across windows. Every method takes
+    // a 1-based span start `start` (covering `start..start + n`), updates
+    // the always-on counters, and additionally feeds the telemetry
+    // windows, so one code path serves telemetry-on and telemetry-off
+    // runs.
 
-    /// Positioned [`Probe::record_busy_cycles`]: `n` busy cycles covering
+    /// Batched [`Probe::end_cycle`] outcome: `n` busy cycles covering
     /// run-relative cycles `start..start + n`. No-op when `n == 0`.
     pub fn record_busy_cycles_at(&mut self, start: u64, n: u64) {
         assert!(!self.deep, "bulk recording on a deep probe");
@@ -523,8 +458,9 @@ impl Probe {
         }
     }
 
-    /// Positioned [`Probe::record_busy_marks`]: one FP-issue mark of `id`
-    /// per cycle of `start..start + n`. No-op when `n == 0`.
+    /// Batched [`Probe::busy`]: one FP-issue mark of `id` per cycle of
+    /// `start..start + n`, without touching the per-cycle busy flag (pair
+    /// with [`Probe::record_busy_cycles_at`]). No-op when `n == 0`.
     pub fn record_busy_marks_at(&mut self, id: ProbeId, start: u64, n: u64) {
         assert!(!self.deep, "bulk recording on a deep probe");
         if n == 0 {
@@ -536,7 +472,7 @@ impl Probe {
         }
     }
 
-    /// Positioned [`Probe::record_stalls`]: one stalled cycle of `id`
+    /// Batched [`Probe::stall`]: one stalled cycle of `id`
     /// attributed to `cause` per cycle of `start..start + n`; the stall
     /// diagnosis sees the span's last cycle. No-op when `n == 0`.
     pub fn record_stalls_at(&mut self, id: ProbeId, cause: StallCause, start: u64, n: u64) {
@@ -552,7 +488,7 @@ impl Probe {
         }
     }
 
-    /// Positioned [`Probe::record_depths`]: one occupancy sample of
+    /// Batched [`Probe::sample_depth`]: one occupancy sample of
     /// `depth` for `id` per cycle of `start..start + n`. No-op when
     /// `n == 0`.
     pub fn record_depths_at(&mut self, id: ProbeId, depth: usize, start: u64, n: u64) {
@@ -570,7 +506,7 @@ impl Probe {
     }
 
     /// Batched [`Probe::sample_rate`] epilogue: after recording a run's
-    /// per-cycle word deltas via [`Probe::record_depths`], advance the
+    /// per-cycle word deltas via [`Probe::record_depths_at`], advance the
     /// monotone base so a later per-cycle `sample_rate` continues from
     /// the right total.
     pub fn record_rate_base(&mut self, id: ProbeId, total: u64) {

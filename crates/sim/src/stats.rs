@@ -1,61 +1,4 @@
-//! Utilization and event counters shared by the architecture models.
-
-/// Simple event/utilization statistics for a simulated design.
-///
-/// Architectures record the cycles in which each functional unit did useful
-/// work; the report generators turn these into the utilization percentages
-/// the paper discusses (e.g. the reduction circuit keeps its single adder
-/// nearly fully utilized, the stalling baseline does not).
-#[derive(Debug, Clone, Default)]
-pub struct Stats {
-    cycles: u64,
-    busy_cycles: u64,
-    events: u64,
-}
-
-impl Stats {
-    /// Create an empty statistics record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one cycle; `busy` marks whether useful work was done.
-    pub fn record_cycle(&mut self, busy: bool) {
-        self.cycles += 1;
-        if busy {
-            self.busy_cycles += 1;
-        }
-    }
-
-    /// Record `n` occurrences of a counted event (e.g. flops, words moved).
-    pub fn record_events(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Total cycles observed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Cycles in which the unit was busy.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Total counted events.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Busy fraction in [0, 1]; zero if no cycles observed.
-    pub fn utilization(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / self.cycles as f64
-        }
-    }
-}
+//! Occupancy and latency histograms shared by the architecture models.
 
 /// A fixed-bucket histogram of small non-negative samples (buffer
 /// occupancies, queue depths).
@@ -410,31 +353,6 @@ mod tests {
         let h = Histogram::new(4);
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn utilization_is_busy_fraction() {
-        let mut s = Stats::new();
-        for i in 0..10 {
-            s.record_cycle(i % 2 == 0);
-        }
-        assert_eq!(s.cycles(), 10);
-        assert_eq!(s.busy_cycles(), 5);
-        assert!((s.utilization() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_zero_utilization() {
-        let s = Stats::new();
-        assert_eq!(s.utilization(), 0.0);
-    }
-
-    #[test]
-    fn events_accumulate() {
-        let mut s = Stats::new();
-        s.record_events(3);
-        s.record_events(4);
-        assert_eq!(s.events(), 7);
     }
 
     // ---- Histogram edge-case regressions ----

@@ -323,9 +323,9 @@ impl BusyRuns {
 }
 
 /// Contiguous-span accumulator for one component's *FP-issue marks*
-/// inside a fused fast-forward loop (positioned analogue of counting
-/// marks and calling
-/// [`Probe::record_busy_marks`](crate::Probe::record_busy_marks) once).
+/// inside a fused fast-forward loop: maximal contiguous spans land
+/// through
+/// [`Probe::record_busy_marks_at`](crate::Probe::record_busy_marks_at).
 #[derive(Debug)]
 pub struct MarkRuns {
     id: crate::ProbeId,
