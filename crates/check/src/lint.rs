@@ -3,7 +3,10 @@
 //! The repository's central correctness claim is that every floating-point
 //! value flowing through a simulated architecture is produced by the
 //! bit-accurate [`fblas_fpu::softfloat`] routines — `sf_add`, `sf_mul` and
-//! friends — never by the host's native `+ - * /`. Reference oracles
+//! friends — never by native `+ - * /` written in the datapath. (`sf_add`
+//! and `sf_mul` use the host FPU themselves, behind a tested bit-identity
+//! with the integer softfloat and NaN canonicalization; the lint keeps
+//! every datapath value on that one path.) Reference oracles
 //! (`ref_*`, `*_naive`) and performance *accounting* (bytes/s, words per
 //! cycle, GFLOPS, fractions of peak) legitimately use native arithmetic;
 //! everything else in the datapath crates must not.

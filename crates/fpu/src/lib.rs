@@ -12,12 +12,15 @@
 //!
 //! This crate reproduces both aspects of those cores:
 //!
-//! * **Numerics** ([`softfloat`]): a from-scratch implementation of IEEE-754
-//!   binary64 addition, subtraction and multiplication with
-//!   round-to-nearest-even, gradual underflow (subnormals) and full
-//!   NaN/infinity semantics. It is verified bit-exact against the host FPU
-//!   (both implement the same standard), which is precisely the guarantee
-//!   the paper's VHDL cores give.
+//! * **Numerics** ([`softfloat`]): IEEE-754 binary64 addition, subtraction
+//!   and multiplication with round-to-nearest-even, gradual underflow
+//!   (subnormals) and full NaN/infinity semantics. A from-scratch
+//!   integer implementation (`sf_add_int`/`sf_mul_int`) is the reference,
+//!   verified bit-exact against the host FPU (both implement the same
+//!   standard) — precisely the guarantee the paper's VHDL cores give. The
+//!   datapath calls [`sf_add`]/[`sf_mul`], which use the host FPU where
+//!   that is exact and are tested bit-identical to the reference, NaN bits
+//!   included.
 //! * **Timing** ([`pipelined`]): wrapper units that issue at most one
 //!   operation per cycle and deliver the result exactly α cycles later,
 //!   reproducing the read-after-write hazard window that motivates the

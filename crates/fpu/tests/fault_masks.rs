@@ -7,11 +7,13 @@
 //! negates; a flipped *exponent* bit can catapult a value across the
 //! subnormal boundary (gradual underflow), to infinity, or into NaN
 //! space. The softfloat core must handle every such corrupted operand
-//! exactly as a hardware IEEE-754 unit would — these are property tests
+//! exactly as a hardware IEEE-754 unit would. These are property tests
 //! over deterministically seeded operand streams (xorshift, fixed seeds:
-//! same failures on every run, no persistence files needed).
+//! same failures on every run, no persistence files needed). They check
+//! the integer oracle (`sf_add_int`/`sf_mul_int`) against the host FPU;
+//! `softfloat_oracle.rs` holds the host fast path to the oracle.
 
-use fblas_fpu::softfloat::{self, sf_add, sf_mul, EXP_MAX, FRAC_BITS, SIGN_MASK};
+use fblas_fpu::softfloat::{self, sf_add_int, sf_mul_int, EXP_MAX, FRAC_BITS, SIGN_MASK};
 
 /// The deterministic generator used across the workspace (same xorshift
 /// idiom as `fblas-bench::synth`).
@@ -41,14 +43,14 @@ fn same(ours: u64, native: f64) -> bool {
 }
 
 fn assert_ops_match_native(a: u64, b: u64, context: &str) {
-    let add = sf_add(a, b);
+    let add = sf_add_int(a, b);
     let native_add = f64::from_bits(a) + f64::from_bits(b);
     assert!(
         same(add, native_add),
         "{context}: add({a:#018x}, {b:#018x}) = {add:#018x}, native {:#018x}",
         native_add.to_bits()
     );
-    let mul = sf_mul(a, b);
+    let mul = sf_mul_int(a, b);
     let native_mul = f64::from_bits(a) * f64::from_bits(b);
     assert!(
         same(mul, native_mul),

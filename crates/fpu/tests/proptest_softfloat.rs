@@ -1,11 +1,14 @@
-//! Property-based verification of the softfloat core against the host FPU.
+//! Property-based verification of the integer softfloat against the host
+//! FPU.
 //!
-//! Both the softfloat routines and the host implement IEEE-754 binary64
-//! with round-to-nearest-even, so every finite-input operation must agree
-//! bit for bit; NaNs are compared as a class because payload propagation is
-//! implementation-defined.
+//! Both the integer routines (`sf_add_int`, `sf_mul_int`, `sf_div`,
+//! `sf_sqrt`) and the host implement IEEE-754 binary64 with
+//! round-to-nearest-even, so every finite-input operation must agree bit for
+//! bit; NaNs are compared as a class because payload propagation is
+//! implementation-defined. The host fast path `sf_add`/`sf_mul` is held to
+//! the integer routines bit for bit by `softfloat_oracle.rs`.
 
-use fblas_fpu::softfloat::{self, sf_add, sf_mul, sf_sub};
+use fblas_fpu::softfloat::{self, sf_add_int, sf_mul_int, SIGN_MASK};
 use fblas_fpu::softfloat_ext::{sf_div, sf_sqrt};
 use proptest::prelude::*;
 
@@ -16,6 +19,11 @@ fn same(ours: u64, native: f64) -> bool {
     } else {
         ours == native.to_bits()
     }
+}
+
+/// `a - b` in integer arithmetic only (what `sf_sub` computes).
+fn sf_sub_int(a: u64, b: u64) -> u64 {
+    sf_add_int(a, b ^ SIGN_MASK)
 }
 
 /// Arbitrary *bit patterns*, not arbitrary values: this covers NaN payloads,
@@ -40,7 +48,7 @@ proptest! {
 
     #[test]
     fn add_matches_native(a in any_bits(), b in any_bits()) {
-        let ours = sf_add(a, b);
+        let ours = sf_add_int(a, b);
         let native = f64::from_bits(a) + f64::from_bits(b);
         prop_assert!(
             same(ours, native),
@@ -51,7 +59,7 @@ proptest! {
 
     #[test]
     fn sub_matches_native(a in any_bits(), b in any_bits()) {
-        let ours = sf_sub(a, b);
+        let ours = sf_sub_int(a, b);
         let native = f64::from_bits(a) - f64::from_bits(b);
         prop_assert!(
             same(ours, native),
@@ -62,7 +70,7 @@ proptest! {
 
     #[test]
     fn mul_matches_native(a in any_bits(), b in any_bits()) {
-        let ours = sf_mul(a, b);
+        let ours = sf_mul_int(a, b);
         let native = f64::from_bits(a) * f64::from_bits(b);
         prop_assert!(
             same(ours, native),
@@ -73,28 +81,28 @@ proptest! {
 
     #[test]
     fn add_is_commutative(a in any_bits(), b in any_bits()) {
-        let ab = sf_add(a, b);
-        let ba = sf_add(b, a);
+        let ab = sf_add_int(a, b);
+        let ba = sf_add_int(b, a);
         prop_assert!(ab == ba || (softfloat::is_nan(ab) && softfloat::is_nan(ba)));
     }
 
     #[test]
     fn mul_is_commutative(a in any_bits(), b in any_bits()) {
-        let ab = sf_mul(a, b);
-        let ba = sf_mul(b, a);
+        let ab = sf_mul_int(a, b);
+        let ba = sf_mul_int(b, a);
         prop_assert!(ab == ba || (softfloat::is_nan(ab) && softfloat::is_nan(ba)));
     }
 
     #[test]
     fn add_identity_zero(a in any_bits()) {
         prop_assume!(!softfloat::is_nan(a) && !softfloat::is_zero(a));
-        prop_assert_eq!(sf_add(a, 0.0f64.to_bits()), a);
+        prop_assert_eq!(sf_add_int(a, 0.0f64.to_bits()), a);
     }
 
     #[test]
     fn mul_identity_one(a in any_bits()) {
         prop_assume!(!softfloat::is_nan(a));
-        prop_assert_eq!(sf_mul(a, 1.0f64.to_bits()), a);
+        prop_assert_eq!(sf_mul_int(a, 1.0f64.to_bits()), a);
     }
 
     #[test]
@@ -129,7 +137,7 @@ proptest! {
     #[test]
     fn sqrt_then_square_round_trips_within_two_ulp(v in 1e-300f64..1e300) {
         let r = f64::from_bits(sf_sqrt(v.to_bits()));
-        let back = f64::from_bits(sf_mul(r.to_bits(), r.to_bits()));
+        let back = f64::from_bits(sf_mul_int(r.to_bits(), r.to_bits()));
         let ulp = (v.to_bits() as i64 - back.to_bits() as i64).abs();
         prop_assert!(ulp <= 2, "√ then square drifted {ulp} ulp for {v:e}");
     }
@@ -140,7 +148,7 @@ proptest! {
         // softfloat result must equal the mathematically exact difference.
         let a = f64::from_bits((e << 52) | m);
         let b = f64::from_bits(((e) << 52) | (m / 2));
-        let ours = f64::from_bits(sf_sub(a.to_bits(), b.to_bits()));
+        let ours = f64::from_bits(sf_sub_int(a.to_bits(), b.to_bits()));
         prop_assert_eq!(ours, a - b);
     }
 }

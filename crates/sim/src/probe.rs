@@ -27,7 +27,7 @@
 //! *observes* more, it never feeds back into the design.
 
 use crate::stats::Histogram;
-use crate::telem::{TelemRecorder, TelemSeries};
+use crate::telem::{TelemRecorder, TelemSeries, WindowCounts};
 
 /// Why a component failed to do useful work in a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,6 +141,10 @@ struct Comp {
     wave_last: Option<usize>,
     waveform: Vec<(u64, usize)>,
     stall_events: Vec<(u64, StallCause)>,
+    /// Telemetry counts of the current window, counted whether or not
+    /// telemetry is enabled so the hooks need no branch; read only by the
+    /// recorder.
+    win: WindowCounts,
 }
 
 impl Comp {
@@ -157,6 +161,7 @@ impl Comp {
             wave_last: None,
             waveform: Vec::new(),
             stall_events: Vec::new(),
+            win: WindowCounts::default(),
         }
     }
 }
@@ -201,9 +206,11 @@ pub struct Probe {
     words_out: u64,
     busy_wave_last: Option<bool>,
     busy_waveform: Vec<(u64, bool)>,
+    /// Busy cycles of the current telemetry window (see `Comp::win`).
+    win_busy: u64,
     comps: Vec<Comp>,
-    /// Windowed time-series recorder; `None` (the default) keeps every
-    /// telemetry hook to a single branch.
+    /// Windowed time-series recorder; `None` (the default) costs
+    /// `begin_cycle` one branch and the other hooks nothing.
     telem: Option<TelemRecorder>,
 }
 
@@ -227,6 +234,7 @@ impl Probe {
             words_out: 0,
             busy_wave_last: None,
             busy_waveform: Vec::new(),
+            win_busy: 0,
             comps: Vec::new(),
             telem: None,
         }
@@ -252,7 +260,13 @@ impl Probe {
     pub fn enable_telemetry(&mut self, window: u64) {
         match &self.telem {
             Some(t) if t.window() == window => {}
-            _ => self.telem = Some(TelemRecorder::new(window)),
+            _ => {
+                self.telem = Some(TelemRecorder::new(window));
+                self.win_busy = 0;
+                for c in &mut self.comps {
+                    c.win = WindowCounts::default();
+                }
+            }
         }
     }
 
@@ -310,7 +324,8 @@ impl Probe {
         self.now = self.time_base + cycle;
         self.busy_this_cycle = false;
         if let Some(t) = self.telem.as_mut() {
-            t.begin_cycle(cycle);
+            let comps = self.comps.iter_mut().map(|c| &mut c.win);
+            t.begin_cycle(cycle, &mut self.win_busy, comps);
         }
     }
 
@@ -318,9 +333,7 @@ impl Probe {
     pub fn end_cycle(&mut self) {
         if self.busy_this_cycle {
             self.busy_cycles += 1;
-            if let Some(t) = self.telem.as_mut() {
-                t.busy_cycle();
-            }
+            self.win_busy += 1;
         }
         if self.deep && self.busy_wave_last != Some(self.busy_this_cycle) {
             self.busy_wave_last = Some(self.busy_this_cycle);
@@ -335,7 +348,8 @@ impl Probe {
     pub fn finish_run(&mut self, cycles: u64) {
         if let Some(t) = self.telem.as_mut() {
             let names: Vec<String> = self.comps.iter().map(|c| c.name.clone()).collect();
-            t.seal(cycles, &names);
+            let comps = self.comps.iter_mut().map(|c| &mut c.win);
+            t.seal(cycles, &names, &mut self.win_busy, comps);
         }
         self.time_base += cycles + 1;
     }
@@ -345,10 +359,9 @@ impl Probe {
     /// attribution.
     pub fn busy(&mut self, id: ProbeId) {
         self.busy_this_cycle = true;
-        self.comps[id.0].busy_marks += 1;
-        if let Some(t) = self.telem.as_mut() {
-            t.busy_mark(id.0);
-        }
+        let c = &mut self.comps[id.0];
+        c.busy_marks += 1;
+        c.win.busy += 1;
     }
 
     /// Account `n` floating-point operations.
@@ -370,12 +383,10 @@ impl Probe {
     pub fn stall(&mut self, id: ProbeId, cause: StallCause) {
         let c = &mut self.comps[id.0];
         c.stalls[cause.index()] += 1;
+        c.win.stalls[cause.index()] += 1;
         c.last_stall = Some((cause, self.now));
         if self.deep {
             c.stall_events.push((self.now, cause));
-        }
-        if let Some(t) = self.telem.as_mut() {
-            t.stall(id.0, cause.index());
         }
     }
 
@@ -386,13 +397,12 @@ impl Probe {
         let c = &mut self.comps[id.0];
         c.hist.record(depth);
         c.depth_sum += depth as u64;
+        c.win.depth_sum += depth as u64;
+        c.win.depth_samples += 1;
         c.high_water = c.high_water.max(depth);
         if self.deep && c.wave_last != Some(depth) {
             c.wave_last = Some(depth);
             c.waveform.push((self.now, depth));
-        }
-        if let Some(t) = self.telem.as_mut() {
-            t.depth_sample(id.0, depth as u64);
         }
     }
 

@@ -105,12 +105,22 @@ impl TelemSeries {
 }
 
 /// Accumulates windowed counters during a run; owned by the probe.
+///
+/// The per-cycle hooks never reach the recorder: the probe counts the
+/// current window in plain [`WindowCounts`] next to its always-on
+/// counters, and the recorder adds them into the window vectors only when
+/// a cycle leaves the current window and when the run is sealed. So a
+/// hook is a plain add, and `begin_cycle` divides only on a window
+/// crossing.
+/// The positioned path adds into the vectors directly; every counter is a
+/// sum, so the two paths mix freely within a run.
 #[derive(Debug, Clone)]
 pub(crate) struct TelemRecorder {
     window: u64,
-    /// Window index of the current run-relative cycle, computed once per
-    /// cycle in `begin_cycle` so the per-sample hooks stay division-free.
+    /// Index of the current window.
     cur_w: usize,
+    /// First run-relative cycle of the current window.
+    w_start: u64,
     busy: Vec<u64>,
     comps: Vec<CompTelem>,
     sealed: Vec<TelemSeries>,
@@ -123,6 +133,20 @@ struct CompTelem {
     depth_sum: Vec<u64>,
     depth_samples: Vec<u64>,
     latency: LogHistogram,
+}
+
+/// One component's per-cycle telemetry counts within the current window,
+/// kept by the probe and flushed by the recorder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WindowCounts {
+    /// FP-issue marks.
+    pub(crate) busy: u64,
+    /// Stalled cycles per cause.
+    pub(crate) stalls: [u64; 4],
+    /// Sum of occupancy/bandwidth samples.
+    pub(crate) depth_sum: u64,
+    /// Number of occupancy/bandwidth samples.
+    pub(crate) depth_samples: u64,
 }
 
 /// Grow-and-add on a lazily sized window vector.
@@ -139,6 +163,7 @@ impl TelemRecorder {
         Self {
             window,
             cur_w: 0,
+            w_start: 1,
             busy: Vec::new(),
             comps: Vec::new(),
             sealed: Vec::new(),
@@ -158,29 +183,41 @@ impl TelemRecorder {
 
     // ---- per-cycle path ----
 
-    pub(crate) fn begin_cycle(&mut self, cycle: u64) {
-        self.cur_w = ((cycle.max(1) - 1) / self.window) as usize;
+    /// Start run-relative `cycle`. When it lies outside the current
+    /// window, first flush the current window's counts into it: `busy`
+    /// cycles and each component's [`WindowCounts`], which this clears.
+    #[inline]
+    pub(crate) fn begin_cycle<'a>(
+        &mut self,
+        cycle: u64,
+        busy: &mut u64,
+        comps: impl Iterator<Item = &'a mut WindowCounts>,
+    ) {
+        // One compare per cycle: a cycle below `w_start` wraps and so
+        // crosses too.
+        if cycle.wrapping_sub(self.w_start) >= self.window {
+            self.flush(busy, comps);
+            self.cur_w = ((cycle.max(1) - 1) / self.window) as usize;
+            self.w_start = self.cur_w as u64 * self.window + 1;
+        }
     }
 
-    pub(crate) fn busy_cycle(&mut self) {
-        bump(&mut self.busy, self.cur_w, 1);
-    }
-
-    pub(crate) fn busy_mark(&mut self, idx: usize) {
+    /// Add the current window's counts into window `cur_w` and clear them.
+    fn flush<'a>(&mut self, busy: &mut u64, comps: impl Iterator<Item = &'a mut WindowCounts>) {
         let w = self.cur_w;
-        bump(&mut self.comp(idx).busy, w, 1);
-    }
-
-    pub(crate) fn stall(&mut self, idx: usize, cause: usize) {
-        let w = self.cur_w;
-        bump(&mut self.comp(idx).stalls[cause], w, 1);
-    }
-
-    pub(crate) fn depth_sample(&mut self, idx: usize, depth: u64) {
-        let w = self.cur_w;
-        let c = self.comp(idx);
-        bump(&mut c.depth_sum, w, depth);
-        bump(&mut c.depth_samples, w, 1);
+        bump(&mut self.busy, w, std::mem::take(busy));
+        for (idx, counts) in comps.enumerate() {
+            let n = std::mem::take(counts);
+            if n != WindowCounts::default() {
+                let c = self.comp(idx);
+                bump(&mut c.busy, w, n.busy);
+                for (v, k) in c.stalls.iter_mut().zip(n.stalls) {
+                    bump(v, w, k);
+                }
+                bump(&mut c.depth_sum, w, n.depth_sum);
+                bump(&mut c.depth_samples, w, n.depth_samples);
+            }
+        }
     }
 
     pub(crate) fn latency(&mut self, idx: usize, value: u64, n: u64) {
@@ -243,10 +280,19 @@ impl TelemRecorder {
 
     // ---- run lifecycle ----
 
-    /// Seal the current run into a [`TelemSeries`], naming components
-    /// from the probe's registry. Components with no activity this run
-    /// are dropped (they belong to other runs sharing the probe).
-    pub(crate) fn seal(&mut self, cycles: u64, names: &[String]) {
+    /// Seal the current run into a [`TelemSeries`], first flushing the
+    /// current window's counts (as in [`TelemRecorder::begin_cycle`]) and
+    /// naming components from the probe's registry. Components with no
+    /// activity this run are dropped (they belong to other runs sharing
+    /// the probe).
+    pub(crate) fn seal<'a>(
+        &mut self,
+        cycles: u64,
+        names: &[String],
+        busy: &mut u64,
+        comps: impl Iterator<Item = &'a mut WindowCounts>,
+    ) {
+        self.flush(busy, comps);
         let n_windows = if cycles == 0 {
             0
         } else {
@@ -276,6 +322,7 @@ impl TelemRecorder {
             comps,
         });
         self.cur_w = 0;
+        self.w_start = 1;
     }
 
     /// Drain every sealed series (oldest first).
@@ -404,6 +451,7 @@ impl StallRuns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Probe, StallCause};
 
     #[test]
     fn window_spans_split_correctly() {
@@ -422,12 +470,15 @@ mod tests {
 
     #[test]
     fn seal_pads_and_drops_inactive_components() {
-        let mut r = TelemRecorder::new(4);
-        r.begin_cycle(1);
-        r.busy_cycle();
-        r.busy_mark(1);
-        r.seal(10, &["silent".into(), "active".into()]);
-        let series = r.take();
+        let mut p = Probe::new();
+        p.enable_telemetry(4);
+        p.component("silent");
+        let active = p.component("active");
+        p.begin_cycle(1);
+        p.busy(active);
+        p.end_cycle();
+        p.finish_run(10);
+        let series = p.take_telemetry();
         assert_eq!(series.len(), 1);
         let s = &series[0];
         assert_eq!(s.cycles, 10);
@@ -438,7 +489,7 @@ mod tests {
         assert_eq!(s.comps[0].busy, vec![1, 0, 0]);
         assert_eq!(s.window_width(0), 4);
         assert_eq!(s.window_width(2), 2);
-        assert!(r.take().is_empty(), "take drains");
+        assert!(p.take_telemetry().is_empty(), "take drains");
     }
 
     /// Regression (observatory `--telemetry-window` edge cases): a
@@ -451,25 +502,29 @@ mod tests {
     #[test]
     fn window_wider_than_the_run_is_one_giant_window() {
         let giant = 1u64 << 40;
-        let mut stepped = TelemRecorder::new(giant);
+        let mut stepped = Probe::new();
+        stepped.enable_telemetry(giant);
+        let c = stepped.component("c");
         for t in 1..=100u64 {
             stepped.begin_cycle(t);
             if t % 2 == 0 {
-                stepped.busy_cycle();
-                stepped.busy_mark(0);
+                stepped.busy(c);
             }
+            stepped.end_cycle();
         }
-        stepped.seal(100, &["c".into()]);
-        let mut batched = TelemRecorder::new(giant);
+        stepped.finish_run(100);
+        let mut batched = Probe::new();
+        batched.enable_telemetry(giant);
+        let c = batched.component("c");
         for t in 1..=100u64 {
             if t % 2 == 0 {
-                batched.busy_cycles_at(t, 1);
-                batched.busy_marks_at(0, t, 1);
+                batched.record_busy_cycles_at(t, 1);
+                batched.record_busy_marks_at(c, t, 1);
             }
         }
-        batched.seal(100, &["c".into()]);
-        let a = stepped.take();
-        let b = batched.take();
+        batched.finish_run(100);
+        let a = stepped.take_telemetry();
+        let b = batched.take_telemetry();
         assert_eq!(a, b, "stepped and positioned series must be identical");
         let s = &a[0];
         assert_eq!(s.windows(), 1, "one giant window");
@@ -484,25 +539,60 @@ mod tests {
         let _ = TelemRecorder::new(0);
     }
 
+    /// Current-window counts land in the right window when stepping
+    /// skips windows, interleaves with positioned spans, or restarts at
+    /// cycle 1 in the next run.
+    #[test]
+    fn per_cycle_counts_flush_on_crossings_and_seal() {
+        let mut p = Probe::new();
+        p.enable_telemetry(4);
+        let c = p.component("c");
+        for t in [1, 2, 9, 10] {
+            p.begin_cycle(t);
+            p.busy(c);
+            p.sample_depth(c, t as usize);
+            p.end_cycle();
+        }
+        p.record_busy_cycles_at(5, 2);
+        p.finish_run(10);
+        p.begin_cycle(1);
+        p.stall(c, StallCause::Drain);
+        p.end_cycle();
+        p.finish_run(3);
+        let series = p.take_telemetry();
+        assert_eq!(series[0].busy, vec![2, 2, 2]);
+        assert_eq!(series[0].comps[0].depth_sum, vec![3, 0, 19]);
+        assert_eq!(series[0].comps[0].depth_samples, vec![2, 0, 2]);
+        assert_eq!(series[1].busy, vec![0]);
+        assert_eq!(
+            series[1].comps[0].stalls[StallCause::Drain.index()],
+            vec![1]
+        );
+    }
+
     #[test]
     fn positioned_and_per_cycle_paths_agree() {
-        let mut stepped = TelemRecorder::new(4);
+        let mut stepped = Probe::new();
+        stepped.enable_telemetry(4);
+        let c = stepped.component("c");
         for t in 1..=10u64 {
             stepped.begin_cycle(t);
             if (3..=9).contains(&t) {
-                stepped.busy_cycle();
-                stepped.busy_mark(0);
-                stepped.stall(0, 3);
-                stepped.depth_sample(0, 2);
+                stepped.busy(c);
+                stepped.stall(c, StallCause::Drain);
+                stepped.sample_depth(c, 2);
             }
+            stepped.end_cycle();
         }
-        stepped.seal(10, &["c".into()]);
-        let mut batched = TelemRecorder::new(4);
-        batched.busy_cycles_at(3, 7);
-        batched.busy_marks_at(0, 3, 7);
-        batched.stalls_at(0, 3, 3, 7);
-        batched.depths_at(0, 2, 3, 7);
-        batched.seal(10, &["c".into()]);
-        assert_eq!(stepped.take(), batched.take());
+        stepped.finish_run(10);
+        let mut batched = Probe::new();
+        batched.enable_telemetry(4);
+        let c = batched.component("c");
+        batched.record_busy_cycles_at(3, 7);
+        batched.record_busy_marks_at(c, 3, 7);
+        batched.record_stalls_at(c, StallCause::Drain, 3, 7);
+        batched.record_depths_at(c, 2, 3, 7);
+        batched.finish_run(10);
+        assert_eq!(stepped.take_telemetry(), batched.take_telemetry());
     }
 }
