@@ -19,8 +19,8 @@ use fblas_fpu::softfloat::{balanced_sum, mul_f64};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::ReadChannel;
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Fifo, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind, FaultSpec, Fifo,
+    Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
 };
 use fblas_system::{io_bound_peak_dot, ClockModel, Xd1Node};
 
@@ -474,8 +474,8 @@ impl<R: Reducer> Design for DotRun<'_, R> {
         let latency = self.tree.latency() as u64;
         let groups = self.groups as u64;
         let mut products: Vec<f64> = Vec::with_capacity(self.k);
-        let mut busy_runs = BusyRuns::new();
-        let mut drain_runs = StallRuns::new(ids.reducer, StallCause::Drain);
+        let mut busy_runs = SpanRuns::busy();
+        let mut drain_runs = SpanRuns::stalls(ids.reducer, StallCause::Drain);
         let mut buffer_runs = DepthRuns::new(ids.reduction_buffer);
         let mut t: u64 = 0;
         while self.result.is_none() {

@@ -27,8 +27,8 @@ use fblas_fpu::softfloat::{add_f64, balanced_sum, mul_f64, SIGN_MASK};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::{ReadChannel, WriteChannel};
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind, FaultSpec,
+    Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
 };
 use fblas_system::io_bound_peak_dot;
 
@@ -889,8 +889,8 @@ impl Design for AsumRun {
         let groups = self.groups as u64;
         let latency = self.tree.latency() as u64;
         let mut mags: Vec<f64> = Vec::with_capacity(self.k);
-        let mut busy_runs = BusyRuns::new();
-        let mut drain_runs = StallRuns::new(ids.reducer, StallCause::Drain);
+        let mut busy_runs = SpanRuns::busy();
+        let mut drain_runs = SpanRuns::stalls(ids.reducer, StallCause::Drain);
         let mut buffer_runs = DepthRuns::new(ids.reduction_buffer);
         let mut t: u64 = 0;
         while self.result.is_none() {

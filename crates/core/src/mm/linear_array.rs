@@ -588,9 +588,8 @@ impl LinearArrayMm {
         // block multiplies hide under compute, so after the first block
         // each one costs its effective latency m³/k; the last block's C
         // elements still have to ride the array out through PE 0.
-        let effective = p.effective_block_cycles();
-        let drain = ((m * m / k) * (k - 1) + m * m / k) as u64;
-        let cycles = first_block_cycles + (blocks_done - 1) * effective + drain;
+        let cycles =
+            first_block_cycles + (blocks_done - 1) * p.effective_block_cycles() + p.drain_cycles();
 
         let report = SimReport {
             cycles,
@@ -690,14 +689,6 @@ mod tests {
         assert_eq!(c, ref_matmul(&a, &b).as_slice());
     }
 
-    /// BlockStats.cycles in closed form: fill, m³/k MAC slots per PE,
-    /// the k − 1 skew, and one transit of the multiplier and adder.
-    fn closed_form_block_cycles(p: &MmParams) -> u64 {
-        p.fill_cycles()
-            + p.effective_block_cycles()
-            + (p.k - 1 + p.mult_stages + p.adder_stages) as u64
-    }
-
     /// Full-mantissa reals spread over 2⁻²⁰..2²¹: products of these round
     /// and their sums depend on association, unlike [`int_pair`].
     fn real_pair(n: usize, seed: u64) -> (DenseMatrix, DenseMatrix) {
@@ -722,43 +713,46 @@ mod tests {
     #[test]
     fn closed_form_block_cycles_match_the_stepped_engine() {
         let mut shapes = 0;
-        for k in [1, 2, 4, 8] {
-            for m in [8, 16, 24, 32] {
-                for mult_stages in [1, fblas_fpu::MULTIPLIER_STAGES, 40] {
-                    let p = MmParams {
-                        mult_stages,
-                        ..MmParams::test(k, m)
-                    };
-                    if m % k != 0 || !p.hazard_free() {
-                        continue;
-                    }
-                    let ctx = format!("k={k} m={m} mult={mult_stages}");
-                    let (a, b) = real_pair(m, (k * 100 + m) as u64);
-                    let engine = BlockEngine::new(p);
-                    let mut stepped_h = Harness::new();
-                    let mut stepped_c = vec![0.5; m * m];
-                    let stepped =
-                        engine.multiply_accumulate_in(&mut stepped_h, &a, &b, &mut stepped_c);
-                    assert_eq!(stepped.cycles, closed_form_block_cycles(&p), "{ctx}");
-
-                    let mut nat_h = Harness::with_backend(ExecBackend::Native);
-                    let mut nat_c = vec![0.5; m * m];
-                    let nat = engine.multiply_accumulate_in(&mut nat_h, &a, &b, &mut nat_c);
-                    assert!(nat_h.ff_cycles() > 0, "{ctx}: fast-forward declined");
-                    assert_eq!(nat, stepped, "{ctx}");
-                    assert_eq!(bits(&nat_c), bits(&stepped_c), "{ctx}");
-                    assert_eq!(
-                        nat_h.probe().component_stats(),
-                        stepped_h.probe().component_stats(),
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        nat_h.probe().busy_cycles(),
-                        stepped_h.probe().busy_cycles(),
-                        "{ctx}"
-                    );
-                    shapes += 1;
+        // The k × m grid, plus the full scale ladder's k = 8, m = 64
+        // blocking (the fabric schedules its first block in closed form).
+        let grid = [1, 2, 4, 8]
+            .into_iter()
+            .flat_map(|k| [8, 16, 24, 32].map(|m| (k, m)))
+            .chain([(8, 64)]);
+        for (k, m) in grid {
+            for mult_stages in [1, fblas_fpu::MULTIPLIER_STAGES, 40] {
+                let p = MmParams {
+                    mult_stages,
+                    ..MmParams::test(k, m)
+                };
+                if m % k != 0 || !p.hazard_free() {
+                    continue;
                 }
+                let ctx = format!("k={k} m={m} mult={mult_stages}");
+                let (a, b) = real_pair(m, (k * 100 + m) as u64);
+                let engine = BlockEngine::new(p);
+                let mut stepped_h = Harness::new();
+                let mut stepped_c = vec![0.5; m * m];
+                let stepped = engine.multiply_accumulate_in(&mut stepped_h, &a, &b, &mut stepped_c);
+                assert_eq!(stepped.cycles, p.block_cycles(), "{ctx}");
+
+                let mut nat_h = Harness::with_backend(ExecBackend::Native);
+                let mut nat_c = vec![0.5; m * m];
+                let nat = engine.multiply_accumulate_in(&mut nat_h, &a, &b, &mut nat_c);
+                assert!(nat_h.ff_cycles() > 0, "{ctx}: fast-forward declined");
+                assert_eq!(nat, stepped, "{ctx}");
+                assert_eq!(bits(&nat_c), bits(&stepped_c), "{ctx}");
+                assert_eq!(
+                    nat_h.probe().component_stats(),
+                    stepped_h.probe().component_stats(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    nat_h.probe().busy_cycles(),
+                    stepped_h.probe().busy_cycles(),
+                    "{ctx}"
+                );
+                shapes += 1;
             }
         }
         assert!(shapes >= 30, "grid collapsed to {shapes} shapes");

@@ -125,6 +125,23 @@ impl MmParams {
         (self.m * self.m * self.m / self.k) as u64
     }
 
+    /// One block multiply in isolation, as [`BlockEngine`] measures it
+    /// on a hazard-free blocking: fill, m³/k MAC slots per PE, the
+    /// k − 1 skew, and one transit of the multiplier and adder.
+    pub fn block_cycles(&self) -> u64 {
+        self.fill_cycles()
+            + self.effective_block_cycles()
+            + (self.k - 1 + self.mult_stages + self.adder_stages) as u64
+    }
+
+    /// Cycles after the last block's compute (§5.1 stage 3): its C
+    /// elements ride the array right-to-left, m²/k per PE over k − 1
+    /// hops, then leave through PE 0.
+    pub fn drain_cycles(&self) -> u64 {
+        let per_pe = self.m * self.m / self.k;
+        (per_pe * (self.k - 1) + per_pe) as u64
+    }
+
     /// Required external bandwidth in words per cycle (§5.1): 3k/m.
     pub fn words_per_cycle(&self) -> f64 {
         3.0 * self.k as f64 / self.m as f64

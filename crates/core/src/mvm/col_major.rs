@@ -14,8 +14,8 @@ use super::{DenseMatrix, MvmOutcome, MvmParams};
 use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind,
-    FaultKind, FaultSpec, Harness, Probe, ProbeId, StallCause, StallRuns, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
+    FaultSpec, Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
 
@@ -388,9 +388,9 @@ impl Design for ColMvmRun<'_> {
 
         // Integer-only replay of the stepped loop's per-cycle stall,
         // busy and adder-occupancy conditions.
-        let mut busy_runs = BusyRuns::new();
-        let mut hazard_runs = StallRuns::new(ids.lanes, StallCause::HazardWindow);
-        let mut lane_drain_runs = StallRuns::new(ids.lanes, StallCause::Drain);
+        let mut busy_runs = SpanRuns::busy();
+        let mut hazard_runs = SpanRuns::stalls(ids.lanes, StallCause::HazardWindow);
+        let mut lane_drain_runs = SpanRuns::stalls(ids.lanes, StallCause::Drain);
         let mut occ_runs = DepthRuns::new(ids.hazard_window);
         let mut stream_runs = DepthRuns::new(ids.a_stream);
         for t in 1..=total {

@@ -14,8 +14,8 @@ use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use fblas_fpu::softfloat::{balanced_sum, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
-    flip_f64_bit, BusyRuns, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Fifo, Harness, MarkRuns, Probe, ProbeId, StallCause, StallRuns, Topology,
+    flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind, FaultSpec, Fifo,
+    Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
 
@@ -403,9 +403,9 @@ impl<R: Reducer> Design for RowMvmRun<'_, R> {
             .collect();
         let a = self.a_ch.data();
         let mut prods: Vec<f64> = Vec::with_capacity(self.k);
-        let mut busy_runs = BusyRuns::new();
-        let mut feed_runs = MarkRuns::new(ids.front_end);
-        let mut drain_runs = StallRuns::new(ids.reducer, StallCause::Drain);
+        let mut busy_runs = SpanRuns::busy();
+        let mut feed_runs = SpanRuns::marks(ids.front_end);
+        let mut drain_runs = SpanRuns::stalls(ids.reducer, StallCause::Drain);
         let mut buffer_runs = DepthRuns::new(ids.reduction_buffer);
         let mut stream_runs = DepthRuns::new(ids.a_stream);
         let mut t: u64 = 0;

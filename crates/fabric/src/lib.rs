@@ -6,10 +6,11 @@
 //! (`fblas_system::projection`). This crate simulates the
 //! installation instead: links are first-class rate/latency channels
 //! with shared-hop contention ([`FabricLink`], [`RingNet`]), and the
-//! linear-array kernels are sharded across them as composed
-//! [`fblas_sim::Design`]s ([`FabricMm`], [`FabricMvm`]) whose
-//! schedules stall honestly (`InputStarved` when operands have not
-//! crossed the fabric, `OutputBackpressured` when a return hop
+//! linear-array kernels are sharded across them ([`FabricMm`],
+//! [`FabricMvm`]). Each takes its values from the unsharded designs
+//! and describes its shards to one cycle-stepped [`fblas_sim::Design`]
+//! schedule, which stalls honestly (`InputStarved` when operands have
+//! not crossed the fabric, `OutputBackpressured` when a return hop
 //! saturates).
 //!
 //! Contracts the rest of the workspace holds this crate to:
@@ -32,6 +33,7 @@ pub mod mm;
 pub mod mvm;
 pub mod net;
 pub mod plan;
+mod schedule;
 
 pub use link::{FabricLink, LinkClass, LinkReport, RingSpec};
 pub use mm::{FabricMm, FabricMmOutcome};
@@ -77,7 +79,6 @@ mod tests {
         // And the schedule reproduces the unsharded report exactly.
         assert_eq!(fabric.report, single.report);
         assert_eq!(fabric.clock, single.clock);
-        assert_eq!(fabric.hazard_violations, single.hazard_violations);
         assert_eq!(fabric.starved_cycles, 0);
         assert_eq!(fabric.backpressured_cycles, 0);
         assert!(fabric.links.is_empty());
@@ -251,6 +252,35 @@ mod tests {
             assert_eq!(fabric.starved_cycles, 0);
             assert_eq!(fabric.backpressured_cycles, 0);
         }
+    }
+
+    #[test]
+    fn congested_mvm_stall_attribution_is_pinned() {
+        // Two row-major shards over half-rate links whose 8-word egress
+        // window cannot take the remote shard's 32-row y slice at once:
+        // the slice waits for the x broadcast, then trickles its rows
+        // out. The cycle that finishes the slice's compute is work,
+        // not backpressure, even though its same-cycle hand-off fails.
+        let (a, x) = mvm_case(64);
+        let plan = MvmShardPlan {
+            orientation: Orientation::Row,
+            n: 64,
+            k: 4,
+            shards: 2,
+            clock_mhz: ClockModel::default().xd1_l2().mhz(),
+        };
+        let spec = RingSpec {
+            intra_words_per_cycle: 0.5,
+            inter_words_per_cycle: 0.5,
+            intra_latency_cycles: 4,
+            inter_latency_cycles: 4,
+            egress_capacity_words: 8,
+        };
+        let out = FabricMvm::with_ring(plan, spec).run(&a, &x);
+        assert_eq!(out.y, FabricMvm::on_xd1(plan).run(&a, &x).y);
+        assert_eq!(out.report.cycles, 815);
+        assert_eq!(out.starved_cycles, 131);
+        assert_eq!(out.backpressured_cycles, 44);
     }
 
     #[test]

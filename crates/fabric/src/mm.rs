@@ -10,31 +10,29 @@
 //! [`SimReport`] — which is the degeneracy contract the fabric tests
 //! pin.
 //!
-//! The run has two stages sharing one code path:
+//! The run has two stages:
 //!
-//! 1. **Values.** Every block multiply runs on the real
-//!    [`BlockEngine`] (softfloat datapath) in the same global order as
-//!    the unsharded design, so results do not depend on the shard
-//!    count. The engine is not stepped here: its fused replay applies
-//!    each C′ cell's multiply-adds in the datapath's ascending-q order
-//!    and returns the closed-form block cycle count (DESIGN.md §13), so
-//!    values and per-block cycles are those of the stepped engine.
-//! 2. **Schedule.** A cycle-stepped [`Design`] advances all shards and
-//!    links together: a shard only starts a block once its operands
-//!    crossed the fabric (else the cycle is attributed
-//!    `InputStarved`), and holds finished blocks when its return hop
-//!    is saturated (`OutputBackpressured`).
+//! 1. **Values.** The unsharded [`LinearArrayMm`] computes `C` on a
+//!    private native harness, so results do not depend on the shard
+//!    count or on the caller's backend. Its block engine is not stepped
+//!    there: the fused replay applies each C′ cell's multiply-adds in
+//!    the datapath's ascending-q order (DESIGN.md §13).
+//! 2. **Schedule.** The shared fabric schedule steps every shard's
+//!    blocks against the links: 2m² operand words and m³/k cycles per
+//!    block (the first block and the drain in closed form from
+//!    [`MmParams`]), and an m²-word `C` block back per pair. A shard
+//!    only starts a block once its operands crossed the fabric (else
+//!    the cycle is attributed `InputStarved`), and holds finished
+//!    blocks when its return hop is saturated (`OutputBackpressured`).
 
-use fblas_core::mm::{BlockEngine, LinearArrayMm, MmParams};
+use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::DenseMatrix;
-use fblas_sim::{
-    ClockDomain, Design, EdgeKind, ExecBackend, Harness, Probe, ProbeId, SimReport, StallCause,
-    Topology,
-};
+use fblas_sim::{ClockDomain, EdgeKind, ExecBackend, Harness, SimReport, Topology};
 
 use crate::link::{LinkReport, RingSpec};
-use crate::net::{Layout, NetDeliveries, RingNet};
+use crate::net::{Layout, RingNet};
 use crate::plan::MmShardPlan;
+use crate::schedule::{Kernel, Schedule};
 
 /// Result of a sharded matrix-multiply run.
 #[derive(Debug, Clone)]
@@ -47,10 +45,6 @@ pub struct FabricMmOutcome {
     pub report: SimReport,
     /// The common compute clock.
     pub clock: ClockDomain,
-    /// Hazard near-misses summed over every block multiply.
-    pub hazard_violations: u64,
-    /// Multiply-accumulates executed per shard, in shard order.
-    pub per_shard_macs: Vec<u64>,
     /// Shard-cycles spent waiting for operands to cross the fabric.
     pub starved_cycles: u64,
     /// Shard-cycles spent holding results against a full return hop.
@@ -204,72 +198,41 @@ impl FabricMm {
     ) -> FabricMmOutcome {
         let plan = &self.plan;
         let p = &self.params;
-        let (m, k) = (p.m, p.k);
-        let n = a.rows();
-        assert_eq!(n, plan.n, "matrix order must match the plan");
-        assert_eq!(a.cols(), n, "square matrices");
-        assert_eq!(b.rows(), n, "shape mismatch");
-        assert_eq!(b.cols(), n, "square matrices");
-        let nb = plan.nb();
+        assert_eq!(a.rows(), plan.n, "matrix order must match the plan");
 
-        // Stage 1: values and per-block stats, in the unsharded
-        // design's global block order (pair-major, z inner) so the
-        // softfloat stream — and therefore every C bit — is invariant
-        // in the shard count.
-        let engine = BlockEngine::new(*p);
-        let mut value_harness = Harness::with_backend(ExecBackend::Native);
-        let mut c_data = vec![0.0f64; n * n];
-        let mut cblk = vec![0.0f64; m * m];
-        let mut per_shard_macs = vec![0u64; plan.shards];
-        let mut hazards = 0u64;
-        let mut first_block_cycles = 0u64;
-        let mut blocks_done = 0u64;
-        for pair in 0..plan.pairs() {
-            let owner = pair % plan.shards;
-            let (g, h) = (pair / nb, pair % nb);
-            cblk.iter_mut().for_each(|v| *v = 0.0);
-            for z in 0..nb {
-                let ablk = DenseMatrix::from_fn(m, m, |i, q| a.at(g * m + i, z * m + q));
-                let bblk = DenseMatrix::from_fn(m, m, |q, j| b.at(z * m + q, h * m + j));
-                let stats =
-                    engine.multiply_accumulate_in(&mut value_harness, &ablk, &bblk, &mut cblk);
-                if blocks_done == 0 {
-                    first_block_cycles = stats.cycles;
-                }
-                per_shard_macs[owner] += stats.macs;
-                hazards += stats.hazard_violations;
-                blocks_done += 1;
-            }
-            for i in 0..m {
-                for j in 0..m {
-                    c_data[(g * m + i) * n + (h * m + j)] = cblk[i * m + j];
-                }
-            }
-        }
+        // Stage 1: values from the unsharded design, whose global
+        // block order does not depend on the shard count.
+        let values = self
+            .unsharded()
+            .run_in(&mut Harness::with_backend(ExecBackend::Native), a, b);
 
-        // Stage 2: the fabric schedule.
-        let mut sched = MmSchedule::new(plan, p, &self.spec, first_block_cycles);
-        let sched_report = harness.run(&mut sched);
-
-        let macs_total: u64 = per_shard_macs.iter().sum();
-        let busy = per_shard_macs
-            .iter()
-            .map(|&mj| mj / k as u64)
-            .max()
-            .unwrap_or(0);
-        let report = SimReport {
-            cycles: sched_report.cycles,
-            flops: 2 * macs_total,
-            words_in: blocks_done * (2 * m * m) as u64,
-            words_out: (n * n) as u64,
-            busy_cycles: busy,
+        // Stage 2: the fabric schedule. Every block is a hazard-free
+        // m × m multiply, so its cycles are the closed form.
+        let nb = plan.nb() as u64;
+        let kernel = Kernel {
+            name: "fabric-mm",
+            block_words: (2 * p.m * p.m) as u64,
+            block_cycles: p.effective_block_cycles(),
+            blocks_per_egress: nb,
+            egress_words: (p.m * p.m) as u64,
+            drain_cycles: p.drain_cycles(),
         };
+        let net = RingNet::new(Layout::new(plan.shards, plan.chassis), &self.spec);
+        let blocks_of = |j| plan.pairs_of(j) as u64 * nb;
+        let shares = (0..plan.shards).map(|j| (blocks_of(j), p.block_cycles()));
+        let mut sched = Schedule::new(net, kernel, shares);
+        let cycles = harness.run(&mut sched).cycles;
+
+        // The busiest shard retires k MACs per cycle over its blocks.
+        let busiest = (0..plan.shards).map(blocks_of).max().unwrap_or(0);
         FabricMmOutcome {
-            c: DenseMatrix::from_rows(n, n, c_data),
-            report,
+            c: values.c,
+            report: SimReport {
+                cycles,
+                busy_cycles: busiest * p.effective_block_cycles(),
+                ..values.report
+            },
             clock: self.clock,
-            hazard_violations: hazards,
-            per_shard_macs,
             starved_cycles: sched.starved,
             backpressured_cycles: sched.backpressured,
             links: sched.net.link_reports(),
@@ -280,245 +243,5 @@ impl FabricMm {
     /// shard (same parameters, same XD1 clock).
     pub fn unsharded(&self) -> LinearArrayMm {
         LinearArrayMm::on_xd1(self.params)
-    }
-}
-
-/// Per-shard scheduling state.
-#[derive(Debug)]
-struct ShardState {
-    local: bool,
-    blocks: u64,
-    blocks_done: u64,
-    block_remaining: u64,
-    ingress_words: u64,
-    pending_egress: u64,
-    drain_remaining: u64,
-    draining: bool,
-    finished: bool,
-}
-
-/// The cycle-stepped fabric schedule behind [`FabricMm::run_in`].
-#[derive(Debug)]
-struct MmSchedule {
-    net: RingNet,
-    deliveries: NetDeliveries,
-    shards: Vec<ShardState>,
-    source_remaining: Vec<u64>,
-    offered_words: Vec<u64>,
-    consumed_words: Vec<u64>,
-    window_words: u64,
-    first_cycles: u64,
-    eff_cycles: u64,
-    drain_cycles: u64,
-    block_words: u64,
-    egress_words: u64,
-    blocks_per_pair: u64,
-    expected_return_words: u64,
-    returned_words: u64,
-    ticks_worked: u64,
-    starved: u64,
-    backpressured: u64,
-    ids: Option<(ProbeId, ProbeId)>,
-    limit: u64,
-}
-
-impl MmSchedule {
-    fn new(plan: &MmShardPlan, p: &MmParams, spec: &RingSpec, first_cycles: u64) -> Self {
-        let (m, k) = (p.m, p.k);
-        let nb = plan.nb() as u64;
-        let block_words = (2 * m * m) as u64;
-        let eff_cycles = p.effective_block_cycles();
-        let drain_cycles = ((m * m / k) * (k - 1) + m * m / k) as u64;
-        let net = RingNet::new(Layout::new(plan.shards, plan.chassis), spec);
-        let mut shards = Vec::with_capacity(plan.shards);
-        let mut source_remaining = Vec::with_capacity(plan.shards);
-        for j in 0..plan.shards {
-            let blocks = plan.pairs_of(j) as u64 * nb;
-            let local = net.is_local(j);
-            shards.push(ShardState {
-                local,
-                blocks,
-                blocks_done: 0,
-                block_remaining: 0,
-                ingress_words: 0,
-                pending_egress: 0,
-                drain_remaining: 0,
-                draining: false,
-                finished: blocks == 0,
-            });
-            source_remaining.push(if local { 0 } else { blocks * block_words });
-        }
-        let blocks_total: u64 = shards.iter().map(|s| s.blocks).sum();
-        let single_total = first_cycles + (blocks_total - 1) * eff_cycles + drain_cycles;
-        Self {
-            net,
-            deliveries: NetDeliveries::default(),
-            shards,
-            source_remaining,
-            offered_words: vec![0; plan.shards],
-            consumed_words: vec![0; plan.shards],
-            window_words: 4 * block_words,
-            first_cycles,
-            eff_cycles,
-            drain_cycles,
-            block_words,
-            egress_words: (m * m) as u64,
-            blocks_per_pair: nb,
-            expected_return_words: (plan.n * plan.n) as u64,
-            returned_words: 0,
-            ticks_worked: 0,
-            starved: 0,
-            backpressured: 0,
-            ids: None,
-            limit: single_total * 64 + 10_000_000,
-        }
-    }
-
-    /// Flush a shard's held results if the return path accepts them.
-    fn try_flush(
-        net: &mut RingNet,
-        returned: &mut u64,
-        shard: usize,
-        state: &mut ShardState,
-    ) -> bool {
-        if state.pending_egress == 0 {
-            return true;
-        }
-        if state.local {
-            *returned += state.pending_egress;
-            state.pending_egress = 0;
-            return true;
-        }
-        // Partial drain: push whatever fits in the return hop's
-        // window — an egress window smaller than a whole C block must
-        // trickle, not deadlock.
-        let take = net.return_headroom(shard).min(state.pending_egress);
-        if take > 0 {
-            net.offer_return(shard, take);
-            state.pending_egress -= take;
-        }
-        state.pending_egress == 0
-    }
-}
-
-impl Design for MmSchedule {
-    fn name(&self) -> &str {
-        "fabric-mm"
-    }
-
-    fn setup(&mut self, probe: &mut Probe) {
-        self.ids = Some((
-            probe.component("fabric/pe-fleet"),
-            probe.component("fabric/ring"),
-        ));
-    }
-
-    fn cycle(&mut self, probe: &mut Probe) {
-        let (pe_id, ring_id) = self.ids.expect("setup registers components");
-
-        // Source pacing: keep each remote shard's in-flight operand
-        // window topped up, never dumping the whole stream at once.
-        for j in 0..self.shards.len() {
-            if self.source_remaining[j] == 0 {
-                continue;
-            }
-            let outstanding = self.offered_words[j] - self.consumed_words[j];
-            if outstanding < self.window_words {
-                let chunk = (self.window_words - outstanding).min(self.source_remaining[j]);
-                self.net.offer_forward(j, chunk);
-                self.offered_words[j] += chunk;
-                self.source_remaining[j] -= chunk;
-            }
-        }
-
-        // Move the fabric one cycle.
-        let moved_before = self.net.progress_words();
-        self.net.tick(&mut self.deliveries);
-        for &(j, w) in &self.deliveries.ingress {
-            self.shards[j].ingress_words += w;
-        }
-        for &(_, w) in &self.deliveries.returned {
-            self.returned_words += w;
-        }
-        if self.net.progress_words() > moved_before {
-            probe.busy(ring_id);
-        }
-
-        // Advance every shard.
-        let mut fleet_worked = false;
-        for j in 0..self.shards.len() {
-            let state = &mut self.shards[j];
-            if state.finished {
-                continue;
-            }
-            // Results held from an earlier cycle block everything
-            // downstream of the array until the return hop drains.
-            if !Self::try_flush(&mut self.net, &mut self.returned_words, j, state) {
-                probe.stall(pe_id, StallCause::OutputBackpressured);
-                self.backpressured += 1;
-                continue;
-            }
-            if state.draining {
-                state.drain_remaining -= 1;
-                self.ticks_worked += 1;
-                fleet_worked = true;
-                if state.drain_remaining == 0 {
-                    state.finished = true;
-                }
-                continue;
-            }
-            if state.block_remaining == 0 {
-                // Start the next block: local operands are always at
-                // hand; remote ones must have crossed the fabric.
-                if !state.local {
-                    if state.ingress_words < self.block_words {
-                        probe.stall(pe_id, StallCause::InputStarved);
-                        self.starved += 1;
-                        continue;
-                    }
-                    state.ingress_words -= self.block_words;
-                    self.consumed_words[j] += self.block_words;
-                }
-                state.block_remaining = if state.blocks_done == 0 {
-                    self.first_cycles
-                } else {
-                    self.eff_cycles
-                };
-            }
-            state.block_remaining -= 1;
-            self.ticks_worked += 1;
-            fleet_worked = true;
-            if state.block_remaining == 0 {
-                state.blocks_done += 1;
-                if state.blocks_done.is_multiple_of(self.blocks_per_pair) {
-                    state.pending_egress += self.egress_words;
-                    // Same-cycle flush: a clear return path costs the
-                    // schedule nothing (the s = 1 identity depends on
-                    // this).
-                    Self::try_flush(&mut self.net, &mut self.returned_words, j, state);
-                }
-                if state.blocks_done == state.blocks {
-                    state.draining = true;
-                    state.drain_remaining = self.drain_cycles;
-                }
-            }
-        }
-        if fleet_worked {
-            probe.busy(pe_id);
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.shards.iter().all(|s| s.finished)
-            && self.returned_words == self.expected_return_words
-            && self.net.is_idle()
-    }
-
-    fn cycle_limit(&self) -> u64 {
-        self.limit
-    }
-
-    fn progress(&self) -> Option<u64> {
-        Some(self.ticks_worked + self.net.progress_words() + self.returned_words)
     }
 }

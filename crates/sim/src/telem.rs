@@ -336,66 +336,59 @@ impl TelemRecorder {
     }
 }
 
-/// Contiguous-span accumulator for *busy cycles* inside a fused
-/// fast-forward loop: `mark` each busy cycle in ascending order, and
-/// maximal contiguous spans land through
-/// [`Probe::record_busy_cycles_at`](crate::Probe::record_busy_cycles_at).
-#[derive(Debug, Default)]
-pub struct BusyRuns {
-    start: u64,
-    len: u64,
-}
-
-impl BusyRuns {
-    /// Start an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record that run-relative cycle `t` was busy.
-    pub fn mark(&mut self, probe: &mut crate::Probe, t: u64) {
-        if t == self.start + self.len {
-            self.len += 1;
-        } else {
-            probe.record_busy_cycles_at(self.start, self.len);
-            self.start = t;
-            self.len = 1;
-        }
-    }
-
-    /// Flush the trailing span.
-    pub fn finish(self, probe: &mut crate::Probe) {
-        probe.record_busy_cycles_at(self.start, self.len);
-    }
-}
-
-/// Contiguous-span accumulator for one component's *FP-issue marks*
-/// inside a fused fast-forward loop: maximal contiguous spans land
-/// through
-/// [`Probe::record_busy_marks_at`](crate::Probe::record_busy_marks_at).
+/// Contiguous-span accumulator inside a fused fast-forward loop: `mark`
+/// cycles in ascending order, and maximal contiguous spans land through
+/// the positioned probe call the accumulator was built for.
 #[derive(Debug)]
-pub struct MarkRuns {
-    id: crate::ProbeId,
+pub struct SpanRuns {
+    kind: SpanKind,
     start: u64,
     len: u64,
 }
 
-impl MarkRuns {
-    /// Start an empty accumulator for component `id`.
-    pub fn new(id: crate::ProbeId) -> Self {
+/// The probe record a [`SpanRuns`] flushes its spans to.
+#[derive(Debug, Clone, Copy)]
+enum SpanKind {
+    Busy,
+    Marks(crate::ProbeId),
+    Stalls(crate::ProbeId, crate::StallCause),
+}
+
+impl SpanRuns {
+    fn new(kind: SpanKind) -> Self {
         Self {
-            id,
+            kind,
             start: 0,
             len: 0,
         }
     }
 
-    /// Record an FP-issue mark of the component at run-relative cycle `t`.
+    /// Busy cycles, through
+    /// [`Probe::record_busy_cycles_at`](crate::Probe::record_busy_cycles_at).
+    pub fn busy() -> Self {
+        Self::new(SpanKind::Busy)
+    }
+
+    /// Component `id`'s FP-issue marks, through
+    /// [`Probe::record_busy_marks_at`](crate::Probe::record_busy_marks_at).
+    pub fn marks(id: crate::ProbeId) -> Self {
+        Self::new(SpanKind::Marks(id))
+    }
+
+    /// Component `id`'s stalls of one cause, through
+    /// [`Probe::record_stalls_at`](crate::Probe::record_stalls_at), which
+    /// also maintains the last-stall diagnosis exactly like the
+    /// per-cycle path.
+    pub fn stalls(id: crate::ProbeId, cause: crate::StallCause) -> Self {
+        Self::new(SpanKind::Stalls(id, cause))
+    }
+
+    /// Record run-relative cycle `t`.
     pub fn mark(&mut self, probe: &mut crate::Probe, t: u64) {
         if t == self.start + self.len {
             self.len += 1;
         } else {
-            probe.record_busy_marks_at(self.id, self.start, self.len);
+            self.flush(probe);
             self.start = t;
             self.len = 1;
         }
@@ -403,48 +396,15 @@ impl MarkRuns {
 
     /// Flush the trailing span.
     pub fn finish(self, probe: &mut crate::Probe) {
-        probe.record_busy_marks_at(self.id, self.start, self.len);
+        self.flush(probe);
     }
-}
 
-/// Contiguous-span accumulator for one component's stalls of one cause
-/// inside a fused fast-forward loop. Spans land through
-/// [`Probe::record_stalls_at`](crate::Probe::record_stalls_at), which
-/// also maintains the last-stall diagnosis exactly like the per-cycle
-/// path.
-#[derive(Debug)]
-pub struct StallRuns {
-    id: crate::ProbeId,
-    cause: crate::StallCause,
-    start: u64,
-    len: u64,
-}
-
-impl StallRuns {
-    /// Start an empty accumulator for component `id`, cause `cause`.
-    pub fn new(id: crate::ProbeId, cause: crate::StallCause) -> Self {
-        Self {
-            id,
-            cause,
-            start: 0,
-            len: 0,
+    fn flush(&self, probe: &mut crate::Probe) {
+        match self.kind {
+            SpanKind::Busy => probe.record_busy_cycles_at(self.start, self.len),
+            SpanKind::Marks(id) => probe.record_busy_marks_at(id, self.start, self.len),
+            SpanKind::Stalls(id, cause) => probe.record_stalls_at(id, cause, self.start, self.len),
         }
-    }
-
-    /// Record a stalled cycle at run-relative cycle `t`.
-    pub fn mark(&mut self, probe: &mut crate::Probe, t: u64) {
-        if t == self.start + self.len {
-            self.len += 1;
-        } else {
-            probe.record_stalls_at(self.id, self.cause, self.start, self.len);
-            self.start = t;
-            self.len = 1;
-        }
-    }
-
-    /// Flush the trailing span.
-    pub fn finish(self, probe: &mut crate::Probe) {
-        probe.record_stalls_at(self.id, self.cause, self.start, self.len);
     }
 }
 
