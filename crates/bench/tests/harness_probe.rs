@@ -10,8 +10,9 @@
 //!    reduction circuit accepts a value, matching every other design.
 //! 2. **Probe neutrality** — a deep probe (waveforms + stall events)
 //!    yields a bit-identical `SimReport` to the default summary probe.
-//! 3. **Golden trace** — the Chrome `trace_event` export of a fixed
-//!    dot + `MvM` run is stable down to the byte.
+//! 3. **Golden traces** — the Chrome `trace_event` exports of a fixed
+//!    dot + `MvM` run and of fixed axpy + scal + asum runs are stable
+//!    down to the byte.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
@@ -264,5 +265,58 @@ fn regen_golden_trace() {
         "/tests/golden/dot_mvm_trace.json"
     );
     std::fs::write(path, golden_trace()).unwrap();
+    println!("rewrote {path}");
+}
+
+/// Small axpy, scal and asum runs traced deep on one harness. Deep
+/// probes always cycle-step, so this pins the order of the stepped
+/// Level-1 waveforms and stall events; scal runs at a fractional stream
+/// rate so input-starved stalls appear too.
+fn level1_golden_trace() -> String {
+    let mut h = Harness::deep();
+    let p = Level1Params::with_k(4);
+    AxpyDesign::new(p).run_in(&mut h, 1.5, &v(10, 1), &v(10, 2));
+    let starved = Level1Params {
+        words_per_cycle_per_stream: 2.5,
+        ..p
+    };
+    ScalDesign::new(starved).run_in(&mut h, -2.0, &v(10, 3));
+    AsumDesign::new(p).run_in(&mut h, &v(10, 4));
+    h.probe().chrome_trace()
+}
+
+#[test]
+fn level1_golden_trace_is_byte_stable() {
+    let t = level1_golden_trace();
+    assert_eq!(
+        t,
+        level1_golden_trace(),
+        "trace export must be deterministic"
+    );
+    for needle in [
+        "axpy/pipeline",
+        "scal/x-stream",
+        "asum/reducer",
+        "input-starved",
+    ] {
+        assert!(t.contains(needle), "trace lacks {needle:?}:\n{t}");
+    }
+    assert_eq!(
+        t,
+        include_str!("golden/level1_trace.json"),
+        "Chrome trace drifted from the golden file. If the change is \
+         intentional, regenerate with:\n  cargo test -p fblas-bench \
+         --test harness_probe -- --ignored regen_level1_golden_trace"
+    );
+}
+
+#[test]
+#[ignore = "writes tests/golden/level1_trace.json; run after intentional format changes"]
+fn regen_level1_golden_trace() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/level1_trace.json"
+    );
+    std::fs::write(path, level1_golden_trace()).unwrap();
     println!("rewrote {path}");
 }
