@@ -7,7 +7,7 @@
 
 use fblas_bench::print_table;
 use fblas_bench::record_sink::RecordSink;
-use fblas_bench::trace::{trace_reference_kernels, TraceOption};
+use fblas_bench::trace::{reference_kernels, TraceOption};
 use fblas_metrics::RunRecord;
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
@@ -75,6 +75,6 @@ fn main() {
     assert_eq!(max_k, 10, "paper: at most 10 PEs on XC2VP50");
 
     // This binary is analytic; trace the representative kernels instead.
-    trace_reference_kernels(&trace);
+    reference_kernels(&trace, None);
     sink.write();
 }

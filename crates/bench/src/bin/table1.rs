@@ -2,8 +2,8 @@
 //! in reconfigurable systems (SRC `MAPstation` and Cray XD1).
 
 use fblas_bench::print_table;
-use fblas_bench::record_sink::{record_reference_kernels, RecordSink};
-use fblas_bench::trace::{trace_reference_kernels, TraceOption};
+use fblas_bench::record_sink::RecordSink;
+use fblas_bench::trace::{reference_kernels, TraceOption};
 use fblas_mem::{Level, MemoryHierarchy};
 
 fn fmt_size(bytes: u64) -> String {
@@ -61,7 +61,6 @@ fn main() {
 
     // This binary is analytic; trace/record the representative kernels
     // instead.
-    trace_reference_kernels(&trace);
-    record_reference_kernels(&mut sink);
+    reference_kernels(&trace, Some(&mut sink));
     sink.write();
 }

@@ -52,7 +52,7 @@ pub mod workloads;
 use fblas_metrics::RunRecord;
 use fblas_system::{ChassisProjection, FpgaDevice, ProjectionPoint};
 use record_sink::RecordSink;
-use trace::{trace_reference_kernels, TraceOption};
+use trace::{reference_kernels, TraceOption};
 
 /// Render a fixed-width text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -149,7 +149,7 @@ pub fn chassis_sweep(figure: u32, device: FpgaDevice, part: i64) -> ProjectionPo
         RunRecord::modeled("model/projection", &[("xc2vp", part)], 200.0, 1600)
             .with_paper(&format!("{generator}.best.gflops"), best.chassis_gflops),
     );
-    trace_reference_kernels(&trace);
+    reference_kernels(&trace, None);
     sink.write();
     best
 }

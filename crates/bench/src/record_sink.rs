@@ -82,63 +82,6 @@ pub fn measure<T>(
     (out, StallBreakdown::from_delta(before, after))
 }
 
-/// Record one representative run of each simulated kernel family — the
-/// same kernels [`crate::trace::trace_reference_kernels`] puts on a
-/// timeline — so `--json` is meaningful on binaries whose own tables
-/// are purely analytic (cost models, projections).
-pub fn record_reference_kernels(sink: &mut RecordSink) {
-    use fblas_core::dot::{DotParams, DotProductDesign};
-    use fblas_core::mm::{LinearArrayMm, MmParams};
-    use fblas_core::mvm::{DenseMatrix, MvmParams, RowMajorMvm};
-
-    if !sink.enabled() {
-        return;
-    }
-    let mut h = Harness::new();
-
-    let n = 256usize;
-    let u = crate::synth_int(1, n, 8);
-    let v = crate::synth_int(2, n, 8);
-    let design = DotProductDesign::standalone(DotParams::table3(), 170.0);
-    let (out, stalls) = measure(&mut h, |h| design.run_in(h, &u, &v));
-    sink.push(RunRecord::from_sim(
-        "dot",
-        &[("k", 2), ("n", n as i64)],
-        out.report,
-        stalls,
-        out.clock.mhz(),
-        0,
-    ));
-
-    let a = DenseMatrix::from_rows(64, 64, crate::synth_int(3, 64 * 64, 8));
-    let x = crate::synth_int(4, 64, 8);
-    let mvm = RowMajorMvm::standalone(MvmParams::with_k(4), 170.0);
-    let (out, stalls) = measure(&mut h, |h| mvm.run_in(h, &a, &x));
-    sink.push(RunRecord::from_sim(
-        "mvm/row",
-        &[("k", 4), ("n", 64)],
-        out.report,
-        stalls,
-        out.clock.mhz(),
-        0,
-    ));
-
-    let m = 16usize;
-    let nn = 32usize;
-    let ma = DenseMatrix::from_rows(nn, nn, crate::synth_int(5, nn * nn, 4));
-    let mb = DenseMatrix::from_rows(nn, nn, crate::synth_int(6, nn * nn, 4));
-    let mm = LinearArrayMm::new(MmParams::test(4, m));
-    let (out, stalls) = measure(&mut h, |h| mm.run_in(h, &ma, &mb));
-    sink.push(RunRecord::from_sim(
-        "mm/linear",
-        &[("k", 4), ("m", m as i64), ("n", nn as i64)],
-        out.report,
-        stalls,
-        out.clock.mhz(),
-        0,
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,12 +33,6 @@ pub fn dense_uniform(seed: u64, n: usize) -> DenseMatrix {
     DenseMatrix::from_fn(n, n, |_, _| xs.next_f64() * 2.0 - 1.0)
 }
 
-/// Dense n×n matrix with small-integer entries (exact summation).
-pub fn dense_integer(seed: u64, n: usize, modulus: u64) -> DenseMatrix {
-    let mut xs = Xs::new(seed);
-    DenseMatrix::from_fn(n, n, |_, _| xs.next_below(modulus) as f64)
-}
-
 /// Banded matrix: ones on the diagonal, integer fill within `half_band`.
 pub fn banded(seed: u64, n: usize, half_band: usize) -> CsrMatrix {
     let mut xs = Xs::new(seed);

@@ -299,11 +299,6 @@ impl Platform {
     pub fn sram_words_per_cycle(&self) -> f64 {
         self.sram_read_bytes_per_s / 8.0 / (self.clock_mhz * 1e6)
     }
-
-    /// Words per cycle the DRAM path sustains at the design clock.
-    pub fn dram_words_per_cycle(&self) -> f64 {
-        self.dram_bytes_per_s / 8.0 / (self.clock_mhz * 1e6)
-    }
 }
 
 /// A named (kernel, platform) pair — the unit the checker operates on.

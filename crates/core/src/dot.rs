@@ -454,9 +454,10 @@ impl<R: Reducer> Design for DotRun<'_, R> {
     /// ablation reducer — declines to the cycle-stepped reference path.
     ///
     /// Probe counters are reconstructed analytically: the replay loop
-    /// accumulates plain integers (busy cycles, drain stalls, run-length
-    /// encoded buffer depths) and lands them through the probe's batched
-    /// recording API afterwards, landing on the exact state the
+    /// ([`TreeReplay`], shared with asum) accumulates plain integers
+    /// (busy cycles, drain stalls, run-length encoded buffer depths) and
+    /// lands them through the probe's batched recording API afterwards,
+    /// landing on the exact state the
     /// per-cycle calls would have produced — the parity suites assert
     /// bit-equality. The savings come from bypassing the channels,
     /// throttles, delay line, FIFO, per-cycle buffer churn *and* the
@@ -470,82 +471,36 @@ impl<R: Reducer> Design for DotRun<'_, R> {
             "fast_forward requires fresh run state"
         );
         let ids = self.ids.expect("setup registered components");
-        let n = self.u_ch.len();
-        let latency = self.tree.latency() as u64;
-        let groups = self.groups as u64;
-        let mut products: Vec<f64> = Vec::with_capacity(self.k);
-        let mut busy_runs = SpanRuns::busy();
-        let mut drain_runs = SpanRuns::stalls(ids.reducer, StallCause::Drain);
-        let mut buffer_runs = DepthRuns::new(ids.reduction_buffer);
-        let mut t: u64 = 0;
-        while self.result.is_none() {
-            t += 1;
-            assert!(
-                t < self.limit,
-                "dot: simulation exceeded cycle limit {}",
-                self.limit
-            );
-
-            // Front end: group t's words arrive and it fires, in one
-            // cycle — the feed schedule is the closed form "group t at
-            // cycle t", so only the reduction circuit needs stepping.
-            let feeding = t <= groups;
-
-            // Tree delivery: group t − latency reaches the reduction
-            // circuit this cycle (the backlog stays empty throughout).
-            let red_in = if t > latency && t <= groups + latency {
-                let g = t - latency;
-                let lo = (g as usize - 1) * self.k;
-                let hi = (lo + self.k).min(n);
-                products.clear();
-                for i in lo..hi {
-                    products.push(mul_f64(self.u_ch.data()[i], self.v_ch.data()[i]));
-                }
-                Some(ReduceInput {
-                    set_id: 0,
-                    value: balanced_sum(&products),
-                    last: g == groups,
-                })
-            } else {
-                None
-            };
-            if feeding || red_in.is_some() {
-                busy_runs.mark(probe, t);
+        let (k, n) = (self.k, self.u_ch.len());
+        let (u, v) = (self.u_ch.data(), self.v_ch.data());
+        let mut products: Vec<f64> = Vec::with_capacity(k);
+        let replay = TreeReplay {
+            name: "dot",
+            groups: self.groups as u64,
+            latency: self.tree.latency() as u64,
+            limit: self.limit,
+            front_end: ids.front_end,
+            reducer: ids.reducer,
+            reduction_buffer: ids.reduction_buffer,
+        };
+        let (result, t) = replay.run(probe, &mut *self.reducer, |g| {
+            products.clear();
+            for i in g * k..(g * k + k).min(n) {
+                products.push(mul_f64(u[i], v[i]));
             }
-            if red_in.is_none() && t >= groups {
-                drain_runs.mark(probe, t);
-            }
-            if let Some(ev) = self.reducer.tick(red_in) {
-                self.result = Some(ev.value);
-            }
-            buffer_runs.push(probe, self.reducer.buffered());
-        }
+            balanced_sum(&products)
+        });
+        self.result = Some(result);
         self.groups_in = self.groups;
-        busy_runs.finish(probe);
-        drain_runs.finish(probe);
-        buffer_runs.finish(probe);
 
-        // Counter reconstruction: positioned spans matching the stepped
-        // run's per-cycle probe calls over its t cycles (exact windowed
-        // telemetry when enabled; the same totals either way).
+        // Dot's own counters: both streams, and a backlog that stays
+        // empty at every sample point.
         probe.io_in(2 * n as u64);
         probe.flops(2 * n as u64);
-        probe.io_out(1);
-        probe.record_busy_marks_at(ids.front_end, 1, groups);
-        probe.record_busy_marks_at(ids.reducer, latency + 1, groups);
         probe.record_depths_at(ids.backlog, 0, 1, t);
-        // Stream-rate histograms: delta k on every full-group cycle, the
-        // ragged tail group once, 0 through the drain.
-        let tail = n - (groups as usize - 1) * self.k;
         for id in [ids.u_stream, ids.v_stream] {
-            let full = if tail == self.k { groups } else { groups - 1 };
-            probe.record_depths_at(id, self.k, 1, full);
-            probe.record_depths_at(id, tail, full + 1, groups - full);
-            probe.record_depths_at(id, 0, groups + 1, t - groups);
-            probe.record_rate_base(id, n as u64);
+            record_stream_rate(probe, id, n as u64, k as u64, 0, t - replay.groups);
         }
-        // The single result emerges on the final cycle.
-        probe.record_latencies(ids.reducer, t, 1);
         t
     }
 
@@ -561,6 +516,109 @@ impl<R: Reducer> Design for DotRun<'_, R> {
             FaultKind::StuckAtZero { slot, bit } => self.reducer.fault_stuck_at(slot, bit),
         }
     }
+}
+
+/// The full-rate single-reducer schedule dot and asum share (DESIGN.md
+/// §13): group g fires at cycle g, and its tree value reaches the
+/// reduction circuit `latency` cycles later with no backlog in between.
+pub(crate) struct TreeReplay {
+    /// Design name, for the cycle-limit panic.
+    pub(crate) name: &'static str,
+    /// Groups of k words the stream splits into.
+    pub(crate) groups: u64,
+    /// Front-end (multiplier/magnitude + adder tree) latency.
+    pub(crate) latency: u64,
+    /// The design's cycle limit.
+    pub(crate) limit: u64,
+    /// Lockstep front-end component.
+    pub(crate) front_end: ProbeId,
+    /// Reduction-circuit component.
+    pub(crate) reducer: ProbeId,
+    /// Reduction-buffer occupancy component.
+    pub(crate) reduction_buffer: ProbeId,
+}
+
+impl TreeReplay {
+    /// Step only the reduction circuit, feeding it `value(g)` (group g,
+    /// 0-based) on the cycle that group leaves the tree, until it emits
+    /// the result. Records the busy and drain spans, the reduction-buffer
+    /// depths, the front-end and reducer busy marks and the result word
+    /// with its latency; returns the result and the run's cycle count.
+    /// The front-end stalls, stream rates and input counters are the
+    /// caller's.
+    pub(crate) fn run<R: Reducer + ?Sized>(
+        &self,
+        probe: &mut Probe,
+        reducer: &mut R,
+        mut value: impl FnMut(usize) -> f64,
+    ) -> (f64, u64) {
+        let (groups, latency) = (self.groups, self.latency);
+        let mut busy_runs = SpanRuns::busy();
+        let mut drain_runs = SpanRuns::stalls(self.reducer, StallCause::Drain);
+        let mut buffer_runs = DepthRuns::new(self.reduction_buffer);
+        let mut result = None;
+        let mut t: u64 = 0;
+        while result.is_none() {
+            t += 1;
+            assert!(
+                t < self.limit,
+                "{}: simulation exceeded cycle limit {}",
+                self.name,
+                self.limit
+            );
+            // Front end: group t's words arrive and it fires, in one
+            // cycle; group t − latency reaches the reduction circuit.
+            let feeding = t <= groups;
+            let red_in = (t > latency && t <= groups + latency).then(|| {
+                let g = t - latency;
+                ReduceInput {
+                    set_id: 0,
+                    value: value(g as usize - 1),
+                    last: g == groups,
+                }
+            });
+            if feeding || red_in.is_some() {
+                busy_runs.mark(probe, t);
+            }
+            if red_in.is_none() && t >= groups {
+                drain_runs.mark(probe, t);
+            }
+            if let Some(ev) = reducer.tick(red_in) {
+                result = Some(ev.value);
+            }
+            buffer_runs.push(probe, reducer.buffered());
+        }
+        busy_runs.finish(probe);
+        drain_runs.finish(probe);
+        buffer_runs.finish(probe);
+        probe.io_out(1);
+        probe.record_busy_marks_at(self.front_end, 1, groups);
+        probe.record_busy_marks_at(self.reducer, latency + 1, groups);
+        // The single result emerges on the final cycle.
+        probe.record_latencies(self.reducer, t, 1);
+        (result.expect("the loop exits on a result"), t)
+    }
+}
+
+/// Stream-rate reconstruction of a full-rate stream of `n > 0` words
+/// moving `k` per cycle: 0 for `lead` cycles from cycle 1, then k per
+/// full group, the ragged tail group once, and 0 for `trail` cycles.
+pub(crate) fn record_stream_rate(
+    probe: &mut Probe,
+    id: ProbeId,
+    n: u64,
+    k: u64,
+    lead: u64,
+    trail: u64,
+) {
+    let groups = n.div_ceil(k);
+    let tail = n - (groups - 1) * k;
+    let full = if tail == k { groups } else { groups - 1 };
+    probe.record_depths_at(id, 0, 1, lead);
+    probe.record_depths_at(id, k as usize, lead + 1, full);
+    probe.record_depths_at(id, tail as usize, lead + full + 1, groups - full);
+    probe.record_depths_at(id, 0, lead + groups + 1, trail);
+    probe.record_rate_base(id, n);
 }
 
 #[cfg(test)]

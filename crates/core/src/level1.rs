@@ -10,9 +10,14 @@
 //!   and k words out per cycle (the most bandwidth-hungry Level-1 op:
 //!   3 words of traffic per 2 flops).
 //! * [`ScalDesign`] — x ← a·x: k multiplier lanes, k words each way.
+//!
+//!   Both are one elementwise lane design: each public type fills in its
+//!   input streams (x and y, or x), the per-lane op, the pipeline depth
+//!   and the flops per element, and its probe component ids.
 //! * [`AsumDesign`] — Σ|xᵢ|: magnitude extraction is free in hardware
 //!   (drop the sign bit), then the §4.1 adder tree + §4.3 reduction
-//!   circuit accumulate, exactly like dot product with one input stream.
+//!   circuit accumulate, exactly like dot product with one input stream;
+//!   its fused replay is dot's ([`crate::dot`]'s single-reducer loop).
 //! * [`nrm2`] — ‖x‖₂ via the dot-product design plus a host-side square
 //!   root (XD1's intended FPGA/processor split; a hardware sqrt unit
 //!   would pipeline the same way as the adder).
@@ -20,7 +25,7 @@
 //! These are extensions beyond the paper's evaluation; DESIGN.md lists
 //! them as such.
 
-use crate::dot::{DotOutcome, DotParams, DotProductDesign};
+use crate::dot::{record_stream_rate, DotOutcome, DotParams, DotProductDesign, TreeReplay};
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use crate::report::SimReport;
 use fblas_fpu::softfloat::{add_f64, balanced_sum, mul_f64, SIGN_MASK};
@@ -28,7 +33,7 @@ use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::{ReadChannel, WriteChannel};
 use fblas_sim::{
     flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind, FaultSpec,
-    Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
+    Harness, Probe, ProbeId, StallCause, Topology,
 };
 use fblas_system::io_bound_peak_dot;
 
@@ -168,232 +173,23 @@ impl AxpyDesign {
     /// caller's probe.
     pub fn run_in(&self, harness: &mut Harness, a: f64, x: &[f64], y: &[f64]) -> StreamOutcome {
         assert_eq!(x.len(), y.len(), "axpy needs equal-length vectors");
-        let k = self.params.k;
-        let n = x.len();
-        let rate = self.params.words_per_cycle_per_stream;
-        let mut run = AxpyRun {
-            a,
-            k,
-            n,
-            x_ch: ReadChannel::new(x.to_vec(), rate),
-            y_ch: ReadChannel::new(y.to_vec(), rate),
-            out_ch: WriteChannel::with_capacity(rate, n),
+        let lanes = Lanes {
+            name: "axpy",
+            op: |a, [x, y]: [f64; 2]| add_f64(mul_f64(a, x), y),
+            flops_per_elem: 2,
             // Lockstep lanes: multiply then add, one batch per cycle.
-            pipe: DelayLine::new(self.params.mult_stages + self.params.adder_stages),
-            xb: Vec::with_capacity(k),
-            yb: Vec::with_capacity(k),
-            fed: 0,
-            limit: (n as u64 + 64) * 16 + 100_000,
-            // Rate precondition for fast-forwarding (k as f64 is exact).
-            // Rate accounting, not datapath. lint: allow(native-f64)
-            full_rate: rate >= k as f64,
-            ids: None,
+            stages: self.params.mult_stages + self.params.adder_stages,
+            register: |probe| LaneIds {
+                lanes: probe.component("axpy/lanes"),
+                streams: [
+                    probe.component("axpy/x-stream"),
+                    probe.component("axpy/y-stream"),
+                ],
+                out_stream: probe.component("axpy/out-stream"),
+                pipeline: probe.component("axpy/pipeline"),
+            },
         };
-        let report = harness.run(&mut run);
-        StreamOutcome {
-            result: run.out_ch.into_data(),
-            report,
-            clock: self.clock,
-        }
-    }
-}
-
-/// Probe components of one axpy run.
-#[derive(Debug, Clone, Copy)]
-struct AxpyIds {
-    lanes: ProbeId,
-    x_stream: ProbeId,
-    y_stream: ProbeId,
-    out_stream: ProbeId,
-    pipeline: ProbeId,
-}
-
-/// One in-flight axpy computation as a harness [`Design`].
-struct AxpyRun {
-    a: f64,
-    k: usize,
-    n: usize,
-    x_ch: ReadChannel,
-    y_ch: ReadChannel,
-    out_ch: WriteChannel,
-    pipe: DelayLine<Vec<f64>>,
-    xb: Vec<f64>,
-    yb: Vec<f64>,
-    fed: usize,
-    limit: u64,
-    // All three streams sustain k words/cycle — the precondition of the
-    // fused fast-forward replay (batch t fires at cycle t, emerges at
-    // t + pipeline latency, and the output port never back-pressures).
-    full_rate: bool,
-    ids: Option<AxpyIds>,
-}
-
-impl Design for AxpyRun {
-    fn name(&self) -> &str {
-        "axpy"
-    }
-
-    fn setup(&mut self, probe: &mut Probe) {
-        self.ids = Some(AxpyIds {
-            lanes: probe.component("axpy/lanes"),
-            x_stream: probe.component("axpy/x-stream"),
-            y_stream: probe.component("axpy/y-stream"),
-            out_stream: probe.component("axpy/out-stream"),
-            pipeline: probe.component("axpy/pipeline"),
-        });
-    }
-
-    fn cycle(&mut self, probe: &mut Probe) {
-        let ids = self.ids.expect("setup registered components");
-        self.x_ch.tick();
-        self.y_ch.tick();
-        self.out_ch.tick();
-
-        let mut batch_in = None;
-        if self.fed < self.n {
-            let want = self.k.min(self.n - self.fed);
-            let got_x = self.x_ch.read_up_to(want - self.xb.len(), &mut self.xb);
-            let got_y = self.y_ch.read_up_to(want - self.yb.len(), &mut self.yb);
-            probe.io_in((got_x + got_y) as u64);
-            if self.xb.len() == want && self.yb.len() == want {
-                let batch: Vec<f64> = self
-                    .xb
-                    .drain(..)
-                    .zip(self.yb.drain(..))
-                    .map(|(xi, yi)| add_f64(mul_f64(self.a, xi), yi))
-                    .collect();
-                self.fed += want;
-                probe.busy(ids.lanes);
-                probe.flops(2 * want as u64);
-                batch_in = Some(batch);
-            } else {
-                probe.stall(ids.lanes, StallCause::InputStarved);
-            }
-        } else {
-            probe.stall(ids.lanes, StallCause::Drain);
-        }
-        if let Some(batch) = self.pipe.step(batch_in) {
-            for v in batch {
-                assert!(self.out_ch.write(v), "output bandwidth must match input");
-                probe.io_out(1);
-            }
-        }
-
-        self.pipe.probe_occupancy(probe, ids.pipeline);
-        self.x_ch.probe_utilization(probe, ids.x_stream);
-        self.y_ch.probe_utilization(probe, ids.y_stream);
-        self.out_ch.probe_utilization(probe, ids.out_stream);
-    }
-
-    fn done(&self) -> bool {
-        self.out_ch.words_written() >= self.n
-    }
-
-    fn cycle_limit(&self) -> u64 {
-        self.limit
-    }
-
-    fn progress(&self) -> Option<u64> {
-        Some(self.fed as u64 + self.out_ch.words_written() as u64)
-    }
-
-    /// Fused replay (DESIGN.md §13): at full rate the schedule is the
-    /// closed form "batch t fires at cycle t, emerges at t + P", so the
-    /// whole run collapses to `groups + P` cycles. Probe counters are
-    /// reconstructed analytically through the batched recording API —
-    /// bit-identical to the stepped run's, as the parity suites assert —
-    /// and the elementwise values are computed in one flat pass.
-    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
-        if !self.full_rate {
-            return 0;
-        }
-        let ids = self.ids.expect("setup registered components");
-        let n = self.n as u64;
-        let k = self.k as u64;
-        let groups = n.div_ceil(k.max(1));
-        let pipe_lat = self.pipe.latency() as u64;
-        let total = groups + pipe_lat;
-        assert!(
-            total < self.limit,
-            "axpy: simulation exceeded cycle limit {}",
-            self.limit
-        );
-
-        // Values, in stream order.
-        for i in 0..self.n {
-            let v = add_f64(mul_f64(self.a, self.x_ch.data()[i]), self.y_ch.data()[i]);
-            self.out_ch.push_unthrottled(v);
-        }
-        self.fed = self.n;
-
-        // Counter reconstruction, positioned so windowed telemetry (if
-        // enabled) lands on the same per-window vectors the stepped run
-        // produces: groups fire at cycles 1..=groups, the pipeline
-        // drains through groups+1..=total.
-        probe.io_in(2 * n);
-        probe.flops(2 * n);
-        probe.io_out(n);
-        probe.record_busy_marks_at(ids.lanes, 1, groups);
-        probe.record_busy_cycles_at(1, groups);
-        probe.record_stalls_at(ids.lanes, StallCause::Drain, groups + 1, pipe_lat);
-        let mut pipe_runs = DepthRuns::new(ids.pipeline);
-        for t in 1..=total {
-            let in_flight = t.min(groups) - t.saturating_sub(pipe_lat).min(groups);
-            pipe_runs.push(probe, in_flight as usize);
-        }
-        pipe_runs.finish(probe);
-        // Stream-rate histograms: delta k per full group, the ragged
-        // tail once, 0 elsewhere — the inputs drain at the end while
-        // the output fills at the head (trailing by the pipe latency).
-        let tail = n - (groups - 1) * k;
-        let full = if tail == k { groups } else { groups - 1 };
-        for id in [ids.x_stream, ids.y_stream] {
-            probe.record_depths_at(id, k as usize, 1, full);
-            probe.record_depths_at(id, tail as usize, full + 1, groups - full);
-            probe.record_depths_at(id, 0, groups + 1, pipe_lat);
-            probe.record_rate_base(id, n);
-        }
-        probe.record_depths_at(ids.out_stream, 0, 1, pipe_lat);
-        probe.record_depths_at(ids.out_stream, k as usize, pipe_lat + 1, full);
-        probe.record_depths_at(
-            ids.out_stream,
-            tail as usize,
-            pipe_lat + full + 1,
-            groups - full,
-        );
-        probe.record_rate_base(ids.out_stream, n);
-        total
-    }
-
-    fn drain(&mut self, probe: &mut Probe) {
-        // Completion latency: every batch spends exactly the pipeline
-        // latency between firing and emerging — recorded here so the
-        // stepped and fast-forwarded paths share one source.
-        let ids = self.ids.expect("setup registered components");
-        let groups = (self.n as u64).div_ceil(self.k.max(1) as u64);
-        probe.record_latencies(ids.lanes, self.pipe.latency() as u64, groups);
-    }
-
-    fn inject(&mut self, fault: &FaultSpec) -> bool {
-        match fault.kind {
-            // Lane 0 of the in-flight batch at `stage`: all lanes are
-            // identical registers, so one lane stands for the bank.
-            FaultKind::PipelineBitFlip { stage, bit } => self
-                .pipe
-                .fault_mutate(stage, |batch| batch[0] = flip_f64_bit(batch[0], bit)),
-            FaultKind::BufferBitFlip { slot, bit } => {
-                if self.xb.is_empty() {
-                    return false;
-                }
-                let idx = slot % self.xb.len();
-                self.xb[idx] = flip_f64_bit(self.xb[idx], bit);
-                true
-            }
-            FaultKind::ChannelStall { beats } => self.x_ch.fault_drop_beats(beats),
-            // No reduction circuit in this design: stuck-at faults on
-            // reduction state have nothing to land on.
-            FaultKind::StuckAtZero { .. } => false,
-        }
+        lanes.run(harness, &self.params, self.clock, a, [x, y])
     }
 }
 
@@ -459,17 +255,56 @@ impl ScalDesign {
 
     /// [`ScalDesign::run`] through a caller-supplied harness.
     pub fn run_in(&self, harness: &mut Harness, a: f64, x: &[f64]) -> StreamOutcome {
-        let k = self.params.k;
-        let n = x.len();
-        let rate = self.params.words_per_cycle_per_stream;
-        let mut run = ScalRun {
+        let lanes = Lanes {
+            name: "scal",
+            op: |a, [x]: [f64; 1]| mul_f64(a, x),
+            flops_per_elem: 1,
+            stages: self.params.mult_stages,
+            register: |probe| LaneIds {
+                lanes: probe.component("scal/lanes"),
+                streams: [probe.component("scal/x-stream")],
+                out_stream: probe.component("scal/out-stream"),
+                pipeline: probe.component("scal/pipeline"),
+            },
+        };
+        lanes.run(harness, &self.params, self.clock, a, [x])
+    }
+}
+
+/// What a public elementwise design fills in: `S` input streams (x, or
+/// x and y) through k lockstep lanes that each apply `op` and feed a
+/// `stages`-deep pipeline to one output stream.
+struct Lanes<const S: usize, F> {
+    name: &'static str,
+    /// The per-lane op on `a` and one element of each input stream.
+    op: F,
+    flops_per_elem: u64,
+    stages: usize,
+    /// Registers the probe components, in the design's order.
+    register: fn(&mut Probe) -> LaneIds<S>,
+}
+
+impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Lanes<S, F> {
+    fn run(
+        self,
+        harness: &mut Harness,
+        params: &Level1Params,
+        clock: ClockDomain,
+        a: f64,
+        streams: [&[f64]; S],
+    ) -> StreamOutcome {
+        let k = params.k;
+        let n = streams[0].len();
+        let rate = params.words_per_cycle_per_stream;
+        let mut run = LaneRun {
+            pipe: DelayLine::new(self.stages),
+            lanes: self,
             a,
             k,
             n,
-            x_ch: ReadChannel::new(x.to_vec(), rate),
+            inputs: streams.map(|s| ReadChannel::new(s.to_vec(), rate)),
             out_ch: WriteChannel::with_capacity(rate, n),
-            pipe: DelayLine::new(self.params.mult_stages),
-            xb: Vec::with_capacity(k),
+            bufs: std::array::from_fn(|_| Vec::with_capacity(k)),
             fed: 0,
             limit: (n as u64 + 64) * 16 + 100_000,
             // Rate precondition for fast-forwarding (k as f64 is exact).
@@ -481,65 +316,73 @@ impl ScalDesign {
         StreamOutcome {
             result: run.out_ch.into_data(),
             report,
-            clock: self.clock,
+            clock,
         }
     }
 }
 
-/// Probe components of one scal run.
+/// Probe components of one elementwise lane run.
 #[derive(Debug, Clone, Copy)]
-struct ScalIds {
+struct LaneIds<const S: usize> {
     lanes: ProbeId,
-    x_stream: ProbeId,
+    streams: [ProbeId; S],
     out_stream: ProbeId,
     pipeline: ProbeId,
 }
 
-/// One in-flight scal computation as a harness [`Design`].
-struct ScalRun {
+/// One in-flight axpy or scal computation as a harness [`Design`].
+struct LaneRun<const S: usize, F> {
+    lanes: Lanes<S, F>,
     a: f64,
     k: usize,
     n: usize,
-    x_ch: ReadChannel,
+    inputs: [ReadChannel; S],
     out_ch: WriteChannel,
     pipe: DelayLine<Vec<f64>>,
-    xb: Vec<f64>,
+    bufs: [Vec<f64>; S],
     fed: usize,
     limit: u64,
-    // Both streams sustain k words/cycle (fast-forward precondition).
+    // Every stream sustains k words/cycle — the precondition of the
+    // fused fast-forward replay (batch t fires at cycle t, emerges at
+    // t + pipeline latency, and the output port never back-pressures).
     full_rate: bool,
-    ids: Option<ScalIds>,
+    ids: Option<LaneIds<S>>,
 }
 
-impl Design for ScalRun {
+impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Design for LaneRun<S, F> {
     fn name(&self) -> &str {
-        "scal"
+        self.lanes.name
     }
 
     fn setup(&mut self, probe: &mut Probe) {
-        self.ids = Some(ScalIds {
-            lanes: probe.component("scal/lanes"),
-            x_stream: probe.component("scal/x-stream"),
-            out_stream: probe.component("scal/out-stream"),
-            pipeline: probe.component("scal/pipeline"),
-        });
+        self.ids = Some((self.lanes.register)(probe));
     }
 
     fn cycle(&mut self, probe: &mut Probe) {
         let ids = self.ids.expect("setup registered components");
-        self.x_ch.tick();
+        for ch in &mut self.inputs {
+            ch.tick();
+        }
         self.out_ch.tick();
 
         let mut batch_in = None;
         if self.fed < self.n {
             let want = self.k.min(self.n - self.fed);
-            let got = self.x_ch.read_up_to(want - self.xb.len(), &mut self.xb);
+            let mut got = 0;
+            for (ch, buf) in self.inputs.iter_mut().zip(&mut self.bufs) {
+                got += ch.read_up_to(want - buf.len(), buf);
+            }
             probe.io_in(got as u64);
-            if self.xb.len() == want {
-                let batch: Vec<f64> = self.xb.drain(..).map(|xi| mul_f64(self.a, xi)).collect();
+            if self.bufs.iter().all(|buf| buf.len() == want) {
+                let batch: Vec<f64> = (0..want)
+                    .map(|i| (self.lanes.op)(self.a, std::array::from_fn(|s| self.bufs[s][i])))
+                    .collect();
+                for buf in &mut self.bufs {
+                    buf.clear();
+                }
                 self.fed += want;
                 probe.busy(ids.lanes);
-                probe.flops(want as u64);
+                probe.flops(self.lanes.flops_per_elem * want as u64);
                 batch_in = Some(batch);
             } else {
                 probe.stall(ids.lanes, StallCause::InputStarved);
@@ -555,7 +398,9 @@ impl Design for ScalRun {
         }
 
         self.pipe.probe_occupancy(probe, ids.pipeline);
-        self.x_ch.probe_utilization(probe, ids.x_stream);
+        for (ch, id) in self.inputs.iter().zip(ids.streams) {
+            ch.probe_utilization(probe, id);
+        }
         self.out_ch.probe_utilization(probe, ids.out_stream);
     }
 
@@ -571,10 +416,15 @@ impl Design for ScalRun {
         Some(self.fed as u64 + self.out_ch.words_written() as u64)
     }
 
-    /// Fused replay (DESIGN.md §13), same closed-form schedule as axpy
-    /// with the multiplier-only pipeline and a single input stream.
+    /// Fused replay (DESIGN.md §13): at full rate the schedule is the
+    /// closed form "batch t fires at cycle t, emerges at t + P", so the
+    /// whole run collapses to `groups + P` cycles. Probe counters are
+    /// reconstructed analytically through the batched recording API —
+    /// bit-identical to the stepped run's, as the parity suites assert —
+    /// and the elementwise values are computed in one flat pass. An
+    /// empty run declines: the stepper finishes it in zero cycles.
     fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
-        if !self.full_rate {
+        if !self.full_rate || self.n == 0 {
             return 0;
         }
         let ids = self.ids.expect("setup registered components");
@@ -585,18 +435,24 @@ impl Design for ScalRun {
         let total = groups + pipe_lat;
         assert!(
             total < self.limit,
-            "scal: simulation exceeded cycle limit {}",
+            "{}: simulation exceeded cycle limit {}",
+            self.lanes.name,
             self.limit
         );
 
+        // Values, in stream order.
         for i in 0..self.n {
-            self.out_ch
-                .push_unthrottled(mul_f64(self.a, self.x_ch.data()[i]));
+            let v = (self.lanes.op)(self.a, std::array::from_fn(|s| self.inputs[s].data()[i]));
+            self.out_ch.push_unthrottled(v);
         }
         self.fed = self.n;
 
-        probe.io_in(n);
-        probe.flops(n);
+        // Counter reconstruction, positioned so windowed telemetry (if
+        // enabled) lands on the same per-window vectors the stepped run
+        // produces: groups fire at cycles 1..=groups, the pipeline
+        // drains through groups+1..=total.
+        probe.io_in(S as u64 * n);
+        probe.flops(self.lanes.flops_per_elem * n);
         probe.io_out(n);
         probe.record_busy_marks_at(ids.lanes, 1, groups);
         probe.record_busy_cycles_at(1, groups);
@@ -607,27 +463,19 @@ impl Design for ScalRun {
             pipe_runs.push(probe, in_flight as usize);
         }
         pipe_runs.finish(probe);
-        let tail = n - (groups - 1) * k;
-        let full = if tail == k { groups } else { groups - 1 };
-        probe.record_depths_at(ids.x_stream, k as usize, 1, full);
-        probe.record_depths_at(ids.x_stream, tail as usize, full + 1, groups - full);
-        probe.record_depths_at(ids.x_stream, 0, groups + 1, pipe_lat);
-        probe.record_rate_base(ids.x_stream, n);
-        probe.record_depths_at(ids.out_stream, 0, 1, pipe_lat);
-        probe.record_depths_at(ids.out_stream, k as usize, pipe_lat + 1, full);
-        probe.record_depths_at(
-            ids.out_stream,
-            tail as usize,
-            pipe_lat + full + 1,
-            groups - full,
-        );
-        probe.record_rate_base(ids.out_stream, n);
+        // The inputs drain at the end while the output fills at the head
+        // (trailing by the pipe latency).
+        for id in ids.streams {
+            record_stream_rate(probe, id, n, k, 0, pipe_lat);
+        }
+        record_stream_rate(probe, ids.out_stream, n, k, pipe_lat, 0);
         total
     }
 
     fn drain(&mut self, probe: &mut Probe) {
-        // Completion latency: constant pipeline transit per batch,
-        // shared by the stepped and fast-forwarded paths.
+        // Completion latency: every batch spends exactly the pipeline
+        // latency between firing and emerging — recorded here so the
+        // stepped and fast-forwarded paths share one source.
         let ids = self.ids.expect("setup registered components");
         let groups = (self.n as u64).div_ceil(self.k.max(1) as u64);
         probe.record_latencies(ids.lanes, self.pipe.latency() as u64, groups);
@@ -635,18 +483,23 @@ impl Design for ScalRun {
 
     fn inject(&mut self, fault: &FaultSpec) -> bool {
         match fault.kind {
+            // Lane 0 of the in-flight batch at `stage`: all lanes are
+            // identical registers, so one lane stands for the bank.
             FaultKind::PipelineBitFlip { stage, bit } => self
                 .pipe
                 .fault_mutate(stage, |batch| batch[0] = flip_f64_bit(batch[0], bit)),
             FaultKind::BufferBitFlip { slot, bit } => {
-                if self.xb.is_empty() {
+                let xb = &mut self.bufs[0];
+                if xb.is_empty() {
                     return false;
                 }
-                let idx = slot % self.xb.len();
-                self.xb[idx] = flip_f64_bit(self.xb[idx], bit);
+                let idx = slot % xb.len();
+                xb[idx] = flip_f64_bit(xb[idx], bit);
                 true
             }
-            FaultKind::ChannelStall { beats } => self.x_ch.fault_drop_beats(beats),
+            FaultKind::ChannelStall { beats } => self.inputs[0].fault_drop_beats(beats),
+            // No reduction circuit in this design: stuck-at faults on
+            // reduction state have nothing to land on.
             FaultKind::StuckAtZero { .. } => false,
         }
     }
@@ -876,83 +729,44 @@ impl Design for AsumRun {
         Some(self.groups_in as u64 + self.reducer.adds_issued())
     }
 
-    /// Fused replay (DESIGN.md §13): the dot-product schedule with one
-    /// stream and no backlog gate — group t fires at cycle t and its
-    /// balanced magnitude sum reaches the reduction circuit
-    /// tree-latency cycles later.
+    /// Fused replay (DESIGN.md §13): the dot-product schedule
+    /// ([`TreeReplay`]) with one stream and no backlog gate — group t
+    /// fires at cycle t and its balanced magnitude sum reaches the
+    /// reduction circuit tree-latency cycles later.
     fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.full_rate {
             return 0;
         }
         let ids = self.ids.expect("setup registered components");
-        let n = self.n as u64;
-        let groups = self.groups as u64;
-        let latency = self.tree.latency() as u64;
-        let mut mags: Vec<f64> = Vec::with_capacity(self.k);
-        let mut busy_runs = SpanRuns::busy();
-        let mut drain_runs = SpanRuns::stalls(ids.reducer, StallCause::Drain);
-        let mut buffer_runs = DepthRuns::new(ids.reduction_buffer);
-        let mut t: u64 = 0;
-        while self.result.is_none() {
-            t += 1;
-            assert!(
-                t < self.limit,
-                "asum: simulation exceeded cycle limit {}",
-                self.limit
-            );
-            let feeding = t <= groups;
-            let red_in = if t > latency && t <= groups + latency {
-                let g = t - latency;
-                let lo = (g as usize - 1) * self.k;
-                let hi = (lo + self.k).min(self.n);
-                mags.clear();
-                for v in &self.x_ch.data()[lo..hi] {
-                    mags.push(f64::from_bits(v.to_bits() & !SIGN_MASK));
-                }
-                Some(ReduceInput {
-                    set_id: 0,
-                    value: balanced_sum(&mags),
-                    last: g == groups,
-                })
-            } else {
-                None
-            };
-            if feeding || red_in.is_some() {
-                busy_runs.mark(probe, t);
-            }
-            if red_in.is_none() && t >= groups {
-                drain_runs.mark(probe, t);
-            }
-            if let Some(ev) = self.reducer.tick(red_in) {
-                self.result = Some(ev.value);
-            }
-            buffer_runs.push(probe, self.reducer.buffered());
-        }
-        self.groups_in = self.groups;
-        busy_runs.finish(probe);
-        drain_runs.finish(probe);
-        buffer_runs.finish(probe);
-
-        probe.io_in(n);
-        probe.flops(n);
-        probe.io_out(1);
-        probe.record_busy_marks_at(ids.front_end, 1, groups);
-        probe.record_busy_marks_at(ids.reducer, latency + 1, groups);
-        // Every post-feed cycle stalls the front end; the reducer's own
-        // drain gaps were positioned in the loop.
-        probe.record_stalls_at(ids.front_end, StallCause::Drain, groups + 1, t - groups);
-        let tail = n - (groups - 1) * self.k as u64;
-        let full = if tail == self.k as u64 {
-            groups
-        } else {
-            groups - 1
+        let (k, n) = (self.k, self.n);
+        let x = self.x_ch.data();
+        let mut mags: Vec<f64> = Vec::with_capacity(k);
+        let replay = TreeReplay {
+            name: "asum",
+            groups: self.groups as u64,
+            latency: self.tree.latency() as u64,
+            limit: self.limit,
+            front_end: ids.front_end,
+            reducer: ids.reducer,
+            reduction_buffer: ids.reduction_buffer,
         };
-        probe.record_depths_at(ids.x_stream, self.k, 1, full);
-        probe.record_depths_at(ids.x_stream, tail as usize, full + 1, groups - full);
-        probe.record_depths_at(ids.x_stream, 0, groups + 1, t - groups);
-        probe.record_rate_base(ids.x_stream, n);
-        // The single result emerges on the final cycle.
-        probe.record_latencies(ids.reducer, t, 1);
+        let (result, t) = replay.run(probe, &mut self.reducer, |g| {
+            mags.clear();
+            for v in &x[g * k..(g * k + k).min(n)] {
+                mags.push(f64::from_bits(v.to_bits() & !SIGN_MASK));
+            }
+            balanced_sum(&mags)
+        });
+        self.result = Some(result);
+        self.groups_in = self.groups;
+
+        // Asum's own counters: one stream, and every post-feed cycle
+        // stalls the front end.
+        let groups = replay.groups;
+        probe.io_in(n as u64);
+        probe.flops(n as u64);
+        probe.record_stalls_at(ids.front_end, StallCause::Drain, groups + 1, t - groups);
+        record_stream_rate(probe, ids.x_stream, n as u64, k as u64, 0, t - groups);
         t
     }
 
@@ -1093,6 +907,21 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn axpy_mismatched_lengths_rejected() {
         AxpyDesign::new(Level1Params::with_k(2)).run(1.0, &[1.0], &[1.0, 2.0]);
+    }
+
+    /// Empty vectors finish in zero cycles on both backends: the fused
+    /// replay declines instead of charging a pipeline drain (and, in
+    /// debug builds, underflowing its ragged-tail arithmetic).
+    #[test]
+    fn empty_vectors_take_zero_cycles_on_both_backends() {
+        let p = Level1Params::with_k(4);
+        for backend in [ExecBackend::Cycle, ExecBackend::Native] {
+            let out = AxpyDesign::new(p).run_in(&mut Harness::with_backend(backend), 2.0, &[], &[]);
+            assert_eq!(out.report, SimReport::default(), "axpy {backend:?}");
+            assert!(out.result.is_empty());
+            let out = ScalDesign::new(p).run_in(&mut Harness::with_backend(backend), 2.0, &[]);
+            assert_eq!(out.report, SimReport::default(), "scal {backend:?}");
+        }
     }
 
     /// Backend parity: each streaming design replays bit-identically

@@ -33,14 +33,6 @@ pub struct HostAccumulatedOutcome {
     pub clock: ClockDomain,
 }
 
-impl HostAccumulatedOutcome {
-    /// FPGA sustained GFLOPS — the §6.3 claim is that this matches the
-    /// single-block figure regardless of n.
-    pub fn fpga_sustained_gflops(&self) -> f64 {
-        self.fpga_report.sustained_flops(&self.clock) / 1e9
-    }
-}
-
 /// Large-n matrix multiply: FPGA block engine + host accumulation.
 #[derive(Debug, Clone)]
 pub struct HostAccumulatedMm {

@@ -183,11 +183,6 @@ impl FabricLink {
         self.backlog
     }
 
-    /// Words granted but still on the wire.
-    pub fn in_flight_words(&self) -> u64 {
-        self.in_flight.iter().map(|&(_, _, w)| w).sum()
-    }
-
     /// Whether the link holds no queued or in-flight traffic.
     pub fn is_idle(&self) -> bool {
         self.backlog_words() == 0 && self.in_flight.is_empty()

@@ -68,12 +68,6 @@ impl MmShardPlan {
         base + extra
     }
 
-    /// Operand words one pair streams in: `nb` block steps of two
-    /// `m × m` blocks each.
-    pub fn words_per_pair(&self) -> u64 {
-        (self.nb() * 2 * self.m * self.m) as u64
-    }
-
     /// Validate the plan's divisibility and placement constraints.
     ///
     /// # Panics

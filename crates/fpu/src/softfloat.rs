@@ -359,12 +359,6 @@ pub fn balanced_sum(vals: &[f64]) -> f64 {
     }
 }
 
-/// Convenience wrapper: subtract two `f64`s through the softfloat core.
-#[inline]
-pub fn sub_f64(a: f64, b: f64) -> f64 {
-    f64::from_bits(sf_sub(a.to_bits(), b.to_bits()))
-}
-
 /// Convenience wrapper: multiply two `f64`s through the softfloat core.
 #[inline]
 pub fn mul_f64(a: f64, b: f64) -> f64 {

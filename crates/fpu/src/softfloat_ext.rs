@@ -119,12 +119,6 @@ pub fn sf_sqrt(a: u64) -> u64 {
     round_pack(0, er, (s << 1) | u64::from(sticky), 2)
 }
 
-/// Convenience wrapper: divide two `f64`s through the softfloat core.
-#[inline]
-pub fn div_f64(a: f64, b: f64) -> f64 {
-    f64::from_bits(sf_div(a.to_bits(), b.to_bits()))
-}
-
 /// Convenience wrapper: square root through the softfloat core.
 #[inline]
 pub fn sqrt_f64(a: f64) -> f64 {

@@ -75,11 +75,6 @@ impl ReadChannel {
         self.pos == self.data.len()
     }
 
-    /// Words delivered so far.
-    pub fn words_read(&self) -> usize {
-        self.pos
-    }
-
     /// Total words in the stream.
     pub fn len(&self) -> usize {
         self.data.len()

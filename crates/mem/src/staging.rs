@@ -82,13 +82,6 @@ impl DmaModel {
         bytes.div_ceil(burst_bytes)
     }
 
-    /// Seconds to move `bytes` when the engine issues whole bursts of
-    /// `burst_bytes`: the byte count is rounded up to the burst granule
-    /// before the bandwidth model applies.
-    pub fn transfer_seconds_bursts(&self, bytes: u64, burst_bytes: u64) -> f64 {
-        self.transfer_seconds(Self::bursts(bytes, burst_bytes).saturating_mul(burst_bytes))
-    }
-
     /// Cycles to move `bytes` in whole `burst_bytes` bursts at
     /// `clock_mhz` (tail burst rounded up, then the cycle count itself
     /// rounded up).

@@ -172,11 +172,6 @@ impl Harness {
         h
     }
 
-    /// Select the execution backend for subsequent runs.
-    pub fn set_backend(&mut self, backend: ExecBackend) {
-        self.backend = backend;
-    }
-
     /// The execution backend subsequent runs will use.
     pub fn backend(&self) -> ExecBackend {
         self.backend
@@ -225,16 +220,6 @@ impl Harness {
     /// The probe (for queries after a run).
     pub fn probe(&self) -> &Probe {
         &self.probe
-    }
-
-    /// Mutable access to the probe (to pre-register components).
-    pub fn probe_mut(&mut self) -> &mut Probe {
-        &mut self.probe
-    }
-
-    /// Consume the harness, yielding the probe and its recordings.
-    pub fn into_probe(self) -> Probe {
-        self.probe
     }
 
     /// Run `design` to completion.
