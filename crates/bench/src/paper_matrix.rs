@@ -46,13 +46,16 @@ use crate::record_sink::measure;
 use crate::synth_int;
 use crate::workloads::laplacian_2d;
 
-/// What one matrix job yields: the deterministic record plus, for
-/// simulated entries, the host seconds the kernel took (`None` for
-/// modeled records, which contribute no wall-clock entry) and, when
-/// windowed telemetry is on, the run's sealed series.
+/// What one matrix job yields: the deterministic record, the host
+/// seconds its kernel or model took and, when windowed telemetry is on,
+/// the run's sealed series.
 struct Entry {
     record: RunRecord,
-    seconds: Option<f64>,
+    seconds: f64,
+    /// Cycles a harness stepped or fast-forwarded for this job: the
+    /// record's cycles for simulated entries, 0 for modeled ones, whose
+    /// analytic cycles would swamp the sidecar's cycle-compression ratio.
+    harness_cycles: u64,
     /// Cycles the harness fast-forwarded through fused replays during
     /// this job (0 on the cycle backend, or when the design declined).
     ff_cycles: u64,
@@ -69,21 +72,32 @@ impl Entry {
         telem: Option<TelemSeries>,
     ) -> Self {
         Self {
+            harness_cycles: record.cycles,
             record,
-            seconds: Some(seconds),
+            seconds,
             ff_cycles,
             telem,
         }
     }
 
-    fn modeled(record: RunRecord) -> Self {
+    fn modeled(record: RunRecord, seconds: f64) -> Self {
         Self {
             record,
-            seconds: None,
+            seconds,
+            harness_cycles: 0,
             ff_cycles: 0,
             telem: None,
         }
     }
+}
+
+/// A job whose record is a model evaluation, timed as a whole.
+fn modeled(label: &str, model: fn() -> RunRecord) -> Job<Entry> {
+    Job::new(label, move |_h| {
+        let t0 = Instant::now();
+        let record = model();
+        Entry::modeled(record, t0.elapsed().as_secs_f64())
+    })
 }
 
 /// Run one simulated kernel on `h`, timing it, attributing its stalls,
@@ -301,10 +315,9 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
     // ---- Level 3: hierarchical design on one XD1 FPGA (Table 4) ----
     // `HierarchicalMm::run` aggregates its blocks analytically (no
     // harness), so stall attribution is empty; classification falls back
-    // to arithmetic intensity. Because the harness never steps a single
-    // one of its millions of modeled cycles, the entry also contributes
-    // nothing to the throughput sidecar — counting analytic cycles as
-    // "stepped" would swamp the backend cycle-compression ratio.
+    // to arithmetic intensity. The harness never steps a single one of
+    // its millions of modeled cycles, so the sidecar times the run but
+    // counts none of its cycles.
     if !quick {
         list.push(Job::new("mm/hierarchical", move |_h| {
             let area = AreaModel::default();
@@ -313,7 +326,9 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             let n3 = 512usize;
             let ha = DenseMatrix::from_rows(n3, n3, synth_int(7, n3 * n3, 4));
             let hb = DenseMatrix::from_rows(n3, n3, synth_int(8, n3 * n3, 4));
+            let t0 = Instant::now();
             let out = hier.run(&ha, &hb);
+            let secs = t0.elapsed().as_secs_f64();
             let r = RunRecord::from_sim(
                 "mm/hierarchical",
                 &[("b", 512), ("k", 8), ("m", 8), ("n", n3 as i64)],
@@ -327,7 +342,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
                 "table4.l3.latency-ms",
                 out.report.latency_seconds(&out.clock) * 1e3,
             );
-            Entry::modeled(r)
+            Entry::modeled(r, secs)
         }));
     }
 
@@ -380,72 +395,58 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
     }));
 
     // ---- Modeled records: Figure 9 and the §6 projections ----
-    list.push(Job::new("mm/model[k=1]", |_h| {
+    list.push(modeled("mm/model[k=1]", || {
         let area = AreaModel::default();
         let clocks = ClockModel::default();
-        Entry::modeled(
-            RunRecord::modeled(
-                "mm/model",
-                &[("k", 1)],
-                clocks.mm_mhz(1),
-                u64::from(area.mm_design(1)),
-            )
-            .with_paper("fig9.clock.k1", clocks.mm_mhz(1)),
+        RunRecord::modeled(
+            "mm/model",
+            &[("k", 1)],
+            clocks.mm_mhz(1),
+            u64::from(area.mm_design(1)),
         )
+        .with_paper("fig9.clock.k1", clocks.mm_mhz(1))
     }));
-    list.push(Job::new("mm/model[k=10]", |_h| {
+    list.push(modeled("mm/model[k=10]", || {
         let area = AreaModel::default();
         let clocks = ClockModel::default();
-        Entry::modeled(
-            RunRecord::modeled(
-                "mm/model",
-                &[("k", 10)],
-                clocks.mm_mhz(10),
-                u64::from(area.mm_design(10)),
-            )
-            .with_paper("fig9.clock.k10", clocks.mm_mhz(10))
-            .with_paper("fig9.max-pes.xc2vp50", f64::from(area.max_pes(&XC2VP50))),
+        RunRecord::modeled(
+            "mm/model",
+            &[("k", 10)],
+            clocks.mm_mhz(10),
+            u64::from(area.mm_design(10)),
         )
+        .with_paper("fig9.clock.k10", clocks.mm_mhz(10))
+        .with_paper("fig9.max-pes.xc2vp50", f64::from(area.max_pes(&XC2VP50)))
     }));
-    list.push(Job::new("model/device-peak", |_h| {
+    list.push(modeled("model/device-peak", || {
         let area = AreaModel::default();
-        Entry::modeled(
-            RunRecord::modeled("model/device-peak", &[], 170.0, 0).with_paper(
-                "sec6.device-peak.gflops",
-                device_peak_flops(&XC2VP50, &area, 170.0) / 1e9,
-            ),
+        RunRecord::modeled("model/device-peak", &[], 170.0, 0).with_paper(
+            "sec6.device-peak.gflops",
+            device_peak_flops(&XC2VP50, &area, 170.0) / 1e9,
         )
     }));
-    list.push(Job::new("model/chassis[nodes=6]", |_h| {
-        Entry::modeled(
-            RunRecord::modeled("model/chassis", &[("nodes", 6)], 130.0, 0)
-                .with_paper("sec6.chassis.gflops", scaled_sustained_gflops(2.06, 6)),
+    list.push(modeled("model/chassis[nodes=6]", || {
+        RunRecord::modeled("model/chassis", &[("nodes", 6)], 130.0, 0)
+            .with_paper("sec6.chassis.gflops", scaled_sustained_gflops(2.06, 6))
+    }));
+    list.push(modeled("model/chassis[nodes=72]", || {
+        RunRecord::modeled("model/chassis", &[("nodes", 72)], 130.0, 0)
+            .with_paper("sec6.chassis12.gflops", scaled_sustained_gflops(2.06, 72))
+    }));
+    list.push(modeled("model/projection[xc2vp=50]", || {
+        RunRecord::modeled("model/projection", &[("xc2vp", 50)], 200.0, 1600).with_paper(
+            "fig11.best.gflops",
+            ChassisProjection::xd1(XC2VP50)
+                .point(1600, 200.0)
+                .chassis_gflops,
         )
     }));
-    list.push(Job::new("model/chassis[nodes=72]", |_h| {
-        Entry::modeled(
-            RunRecord::modeled("model/chassis", &[("nodes", 72)], 130.0, 0)
-                .with_paper("sec6.chassis12.gflops", scaled_sustained_gflops(2.06, 72)),
-        )
-    }));
-    list.push(Job::new("model/projection[xc2vp=50]", |_h| {
-        Entry::modeled(
-            RunRecord::modeled("model/projection", &[("xc2vp", 50)], 200.0, 1600).with_paper(
-                "fig11.best.gflops",
-                ChassisProjection::xd1(XC2VP50)
-                    .point(1600, 200.0)
-                    .chassis_gflops,
-            ),
-        )
-    }));
-    list.push(Job::new("model/projection[xc2vp=100]", |_h| {
-        Entry::modeled(
-            RunRecord::modeled("model/projection", &[("xc2vp", 100)], 200.0, 1600).with_paper(
-                "fig12.best.gflops",
-                ChassisProjection::xd1(XC2VP100)
-                    .point(1600, 200.0)
-                    .chassis_gflops,
-            ),
+    list.push(modeled("model/projection[xc2vp=100]", || {
+        RunRecord::modeled("model/projection", &[("xc2vp", 100)], 200.0, 1600).with_paper(
+            "fig12.best.gflops",
+            ChassisProjection::xd1(XC2VP100)
+                .point(1600, 200.0)
+                .chassis_gflops,
         )
     }));
 
@@ -493,15 +494,12 @@ pub fn run_matrix(
     wall.elapsed_seconds = elapsed;
     wall.telemetry_window = telem_window;
     for entry in entries {
-        if let Some(seconds) = entry.seconds {
-            let cycles = entry.record.cycles;
-            wall.push(
-                &entry.record.key(),
-                cycles,
-                cycles - entry.ff_cycles,
-                seconds,
-            );
-        }
+        wall.push(
+            &entry.record.key(),
+            entry.harness_cycles,
+            entry.harness_cycles - entry.ff_cycles,
+            entry.seconds,
+        );
         if let Some(series) = entry.telem {
             telem_set.push(&entry.record.key(), series);
         }
@@ -565,11 +563,12 @@ mod tests {
 
     /// The tentpole invariant: the pooled matrix must serialize to the
     /// exact bytes of the serial matrix, for any worker count, and the
-    /// sidecar must cover every simulated record either way.
+    /// sidecar must time every record either way.
     #[test]
     fn parallel_matrix_bytes_match_serial() {
         let (serial, wall1, _) = run_matrix(true, 1, ExecBackend::Cycle, None);
         assert_eq!(wall1.jobs, 1);
+        assert_eq!(wall1.entries.len(), serial.records.len());
         for workers in [2, 3, 8] {
             let (pooled, wall, _) = run_matrix(true, workers, ExecBackend::Cycle, None);
             assert_eq!(

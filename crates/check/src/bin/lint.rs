@@ -8,26 +8,27 @@
 
 use std::path::PathBuf;
 
-use fblas_check::lint::{hits, LintHit};
+use fblas_check::lint::{scan, LintHit};
 use fblas_check::scan::SOFTFLOAT_PURITY;
 use fblas_check::source::{load, repo_root};
 use fblas_check::Workspace;
 
-fn scan(args: &[String]) -> std::io::Result<Vec<LintHit>> {
-    let all = |files: &[&fblas_check::SourceFile]| files.iter().flat_map(|f| hits(f)).collect();
+/// The hits over every scanned file; `-> f64` evidence is shared across
+/// the whole set, so a fixture split over several files is one scan.
+fn lint(args: &[String]) -> std::io::Result<Vec<LintHit>> {
     if args.is_empty() {
         let workspace = Workspace::load(&repo_root())?;
-        Ok(all(&workspace.files(&SOFTFLOAT_PURITY)?))
+        Ok(scan(&workspace.files(&SOFTFLOAT_PURITY)?))
     } else {
         let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
         let files = load(&paths, |p| p.display().to_string())?;
-        Ok(all(&files.iter().collect::<Vec<_>>()))
+        Ok(scan(&files.iter().collect::<Vec<_>>()))
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match scan(&args) {
+    match lint(&args) {
         Ok(hits) => {
             for hit in &hits {
                 println!("{hit}");

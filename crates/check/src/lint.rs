@@ -14,9 +14,15 @@
 //! This module is a dependency-free token-level scanner. It is not a type
 //! checker: it strips comments, strings and `#[cfg(test)]` items, then
 //! flags the binary operators `+ - * / += -= *= /=` whenever either
-//! operand shows local evidence of being an `f64` — a float literal, an
-//! identifier declared `: f64`, a call of a function declared `-> f64`,
-//! or an `as f64` cast. Escapes, in decreasing order of preference:
+//! operand shows evidence of being an `f64` — a float literal, an
+//! identifier declared `: f64` (or naming a `-> f64` function) in the
+//! same file, an `as f64` cast, or a call of a function declared
+//! `-> f64` in any scanned file. The
+//! function table (`FnReturns`) is built once over the whole file set,
+//! so a call in one file of a method declared in another is seen; a name
+//! declared both `-> f64` and otherwise is reported at its arithmetic
+//! call sites rather than guessed either way. Escapes, in decreasing
+//! order of preference:
 //!
 //! 1. route the value through `fblas_fpu` (the point of the lint);
 //! 2. name the function so it is recognisably an oracle (`ref_*`,
@@ -24,6 +30,8 @@
 //!    [`ACCOUNTING_NAME_PATTERNS`]);
 //! 3. an explicit `// lint: allow(native-f64)` on the offending line or
 //!    the line above it.
+
+use std::collections::{HashMap, HashSet};
 
 use crate::drc::{Diagnostic, Severity};
 use crate::source::{skip_balanced, skip_item, Kind, SourceFile, Tok};
@@ -141,11 +149,31 @@ fn skipped_mask(toks: &[Tok]) -> Vec<bool> {
     skip
 }
 
+fn is_float_type(t: &Tok) -> bool {
+    t.text == "f64" || t.text == "f32"
+}
+
+/// The name of the `fn` item whose `fn` keyword is `toks[w]`, and
+/// whether it is declared `-> f64` (or `-> f32`).
+fn fn_signature(toks: &[Tok], w: usize) -> Option<(&str, bool)> {
+    let name = toks.get(w + 1).filter(|t| t.kind == Kind::Ident)?;
+    if toks[w].text != "fn" {
+        return None;
+    }
+    let sig_end = skip_balanced(toks, w + 2, "(", ")");
+    let float = toks.get(sig_end).is_some_and(|t| t.text == "->")
+        && toks.get(sig_end + 1).is_some_and(is_float_type);
+    Some((&name.text, float))
+}
+
 /// Identifiers with local evidence of `f64` type: `name: f64` bindings,
-/// parameters and fields, plus names of functions declared `-> f64`.
-fn collect_floaty_idents(toks: &[Tok]) -> std::collections::HashSet<String> {
-    let mut floaty = std::collections::HashSet::new();
+/// parameters and fields, plus names of this file's `-> f64` functions.
+fn collect_floaty_idents(toks: &[Tok]) -> HashSet<String> {
+    let mut floaty = HashSet::new();
     for w in 0..toks.len() {
+        if let Some((name, true)) = fn_signature(toks, w) {
+            floaty.insert(name.to_string());
+        }
         // `ident : [& mut] f64`
         if toks[w].kind == Kind::Ident && toks.get(w + 1).is_some_and(|t| t.text == ":") {
             let mut j = w + 2;
@@ -155,33 +183,74 @@ fn collect_floaty_idents(toks: &[Tok]) -> std::collections::HashSet<String> {
             {
                 j += 1;
             }
-            if toks
-                .get(j)
-                .is_some_and(|t| t.text == "f64" || t.text == "f32")
-            {
+            if toks.get(j).is_some_and(is_float_type) {
                 floaty.insert(toks[w].text.clone());
-            }
-        }
-        // `fn name ( … ) -> f64`
-        if toks[w].text == "fn" && toks.get(w + 1).is_some_and(|t| t.kind == Kind::Ident) {
-            let sig_end = skip_balanced(toks, w + 2, "(", ")");
-            if toks.get(sig_end).is_some_and(|t| t.text == "->")
-                && toks
-                    .get(sig_end + 1)
-                    .is_some_and(|t| t.text == "f64" || t.text == "f32")
-            {
-                floaty.insert(toks[w + 1].text.clone());
             }
         }
     }
     floaty
 }
 
+/// What the scanned files declare a function name to return.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Returns {
+    /// Every declaration is `-> f64` (or `-> f32`).
+    Float,
+    /// No declaration is.
+    Other,
+    /// Some are and some are not: the scanner cannot tell which one a
+    /// call reaches.
+    Mixed,
+}
+
+/// The return-type table of every non-test `fn` in a file set, built
+/// once so a call in one file of a function declared in another is
+/// typed the same as a call next to its declaration.
+#[derive(Debug)]
+struct FnReturns(HashMap<String, Returns>);
+
+impl FnReturns {
+    /// Scan every `fn name ( … ) [-> Type]` of `files`.
+    fn new(files: &[&SourceFile]) -> Self {
+        let mut table = HashMap::new();
+        for file in files {
+            let toks = &file.toks;
+            for w in 0..toks.len() {
+                let Some((name, float)) = fn_signature(toks, w) else {
+                    continue;
+                };
+                if file.in_test(toks[w].line) {
+                    continue;
+                }
+                let returns = if float {
+                    Returns::Float
+                } else {
+                    Returns::Other
+                };
+                table
+                    .entry(name.to_string())
+                    .and_modify(|r| {
+                        if *r != returns {
+                            *r = Returns::Mixed;
+                        }
+                    })
+                    .or_insert(returns);
+            }
+        }
+        Self(table)
+    }
+
+    fn get(&self, name: &str) -> Returns {
+        self.0.get(name).copied().unwrap_or(Returns::Other)
+    }
+}
+
 /// Why an operand looks float-typed, or `None` if it does not.
 fn float_evidence(
     toks: &[Tok],
     idx: usize,
-    floaty: &std::collections::HashSet<String>,
+    floaty: &HashSet<String>,
+    fns: &FnReturns,
     backwards: bool,
 ) -> Option<String> {
     let t = toks.get(idx)?;
@@ -199,10 +268,17 @@ fn float_evidence(
                 return Some("`as f64` cast".to_string());
             }
             let callee = toks.get(open.checked_sub(1)?)?;
-            if callee.kind == Kind::Ident && floaty.contains(&callee.text) {
-                return Some(format!("call of `{}` returning f64", callee.text));
+            if callee.kind != Kind::Ident {
+                return None;
             }
-            None
+            match fns.get(&callee.text) {
+                Returns::Float => Some(format!("call of `{}` returning f64", callee.text)),
+                Returns::Mixed => Some(format!(
+                    "call of `{}`, declared both `-> f64` and not in the scanned files",
+                    callee.text
+                )),
+                Returns::Other => None,
+            }
         }
         _ => None,
     }
@@ -230,8 +306,15 @@ fn ends_expression(t: &Tok) -> bool {
     matches!(t.kind, Kind::Ident | Kind::Int | Kind::Float) || t.text == ")" || t.text == "]"
 }
 
-/// Native f64 arithmetic in one prepared file.
-pub fn hits(file: &SourceFile) -> Vec<LintHit> {
+/// Native f64 arithmetic in every file of a set, each call typed by the
+/// one `FnReturns` table of the whole set.
+pub fn scan(files: &[&SourceFile]) -> Vec<LintHit> {
+    let fns = FnReturns::new(files);
+    files.iter().flat_map(|f| hits(f, &fns)).collect()
+}
+
+/// Native f64 arithmetic in one prepared file, calls typed by `fns`.
+fn hits(file: &SourceFile, fns: &FnReturns) -> Vec<LintHit> {
     let raw_lines: Vec<&str> = file.raw.lines().collect();
     let allowed_line = |line: usize| -> bool {
         // 1-based; the marker counts on the line itself or the one above.
@@ -270,8 +353,8 @@ pub fn hits(file: &SourceFile) -> Vec<LintHit> {
         }
         let evidence = i
             .checked_sub(1)
-            .and_then(|p| float_evidence(toks, p, &floaty, true))
-            .or_else(|| float_evidence(toks, i + 1, &floaty, false));
+            .and_then(|p| float_evidence(toks, p, &floaty, fns, true))
+            .or_else(|| float_evidence(toks, i + 1, &floaty, fns, false));
         let Some(evidence) = evidence else { continue };
         if allowed_line(t.line) {
             continue;
@@ -290,9 +373,8 @@ pub fn hits(file: &SourceFile) -> Vec<LintHit> {
 
 /// The softfloat-purity row's matcher: every hit is an Error.
 pub fn check(files: &[&SourceFile]) -> Vec<Diagnostic> {
-    files
-        .iter()
-        .flat_map(|f| hits(f))
+    scan(files)
+        .into_iter()
         .map(|hit| Diagnostic {
             rule_id: "softfloat-purity",
             severity: Severity::Error,
@@ -307,7 +389,7 @@ mod tests {
     use super::*;
 
     fn scan_source(label: &str, source: &str) -> Vec<LintHit> {
-        hits(&SourceFile::new(label, source))
+        scan(&[&SourceFile::new(label, source)])
     }
 
     #[test]
@@ -361,6 +443,31 @@ mod tests {
         let hits = scan_source("x.rs", "fn f(n: usize, x: f64) { let _ = (n as f64) * x; }");
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert!(hits[0].reason.contains("cast") || hits[0].reason.contains("f64"));
+    }
+
+    #[test]
+    fn a_name_declared_f64_and_otherwise_is_reported_not_guessed() {
+        let call = SourceFile::new("use.rs", "fn f(ch: &C) -> u64 { ch.read(0) + 1 }\n");
+        let as_u64 = SourceFile::new("deploy.rs", "fn read(&self, i: usize) -> u64 { 0 }\n");
+        let as_f64 = SourceFile::new("store.rs", "fn read(&self, i: usize) -> f64 { 0.0 }\n");
+        assert!(scan(&[&call, &as_u64]).is_empty());
+        let hits = scan(&[&call, &as_u64, &as_f64]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(
+            hits[0].reason.contains("declared both"),
+            "{}",
+            hits[0].reason
+        );
+    }
+
+    #[test]
+    fn test_only_declarations_type_no_call() {
+        let call = SourceFile::new("use.rs", "fn f(m: &M) -> u64 { m.at(0) + 1 }\n");
+        let decl = SourceFile::new(
+            "t.rs",
+            "#[cfg(test)]\nmod tests {\n    fn at(i: usize) -> f64 { 0.0 }\n}\n",
+        );
+        assert!(scan(&[&call, &decl]).is_empty());
     }
 
     #[test]

@@ -59,6 +59,39 @@ fn lint_reports_native_arithmetic_in_a_given_file() {
     );
 }
 
+/// The f64 evidence of a call may sit in another scanned file: a copy
+/// of the MM accumulation line `hierarchical.rs` once shipped fires only
+/// next to the file declaring `at -> f64`.
+#[test]
+fn lint_types_calls_across_the_given_files() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint_cross_file");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (mm, matrix) = (dir.join("mm.rs"), dir.join("matrix.rs"));
+    std::fs::write(
+        &mm,
+        "fn run(a: &DenseMatrix, b: &DenseMatrix, c: &mut [f64]) {\n\
+         \x20   let mut acc = c[0];\n\
+         \x20   acc += a.at(i0 + i, q0 + q) * b.at(q0 + q, j0 + j);\n\
+         \x20   c[0] = acc;\n}\n",
+    )
+    .expect("write fixture");
+    std::fs::write(
+        &matrix,
+        "impl DenseMatrix {\n    pub fn at(&self, i: usize, j: usize) -> f64 { self.data[i] }\n}\n",
+    )
+    .expect("write fixture");
+    let (mm, matrix) = (mm.to_str().expect("utf-8"), matrix.to_str().expect("utf-8"));
+    assert_eq!(lint(&[mm]).0, 0);
+    let (code, out) = lint(&[mm, matrix]);
+    assert_eq!(code, 1, "{out}");
+    assert!(
+        out.contains(&format!(
+            "{mm}:3: native `*` on f64 (call of `at` returning f64)"
+        )),
+        "{out}"
+    );
+}
+
 #[test]
 fn lint_missing_path_exits_2() {
     assert_eq!(lint(&["/nonexistent"]).0, 2);

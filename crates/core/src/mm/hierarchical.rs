@@ -15,13 +15,15 @@
 //! The inner engine's timing is taken from the cycle-accurate
 //! [`BlockEngine`] (run on a probe block each
 //! invocation); the outer schedule is deterministic arithmetic on top,
-//! exactly as §5.2 derives it.
+//! exactly as §5.2 derives it. The blocking never reorders a C cell's
+//! updates, so the values come from the shared kernel [`matmul_acc`].
 
 use super::BlockEngine;
 use super::HazardPolicy;
 use super::MmParams;
 use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
+use fblas_fpu::softfloat::matmul_acc;
 use fblas_sim::{ClockDomain, EdgeKind, Topology};
 use fblas_system::projection::{
     hierarchical_dram_bytes_per_s, hierarchical_sram_bytes_per_s, multi_fpga_fill_cycles,
@@ -266,40 +268,11 @@ impl HierarchicalMm {
         let mut probe_c = vec![0.0; m * m];
         let probe = engine.multiply_accumulate(&probe_a, &probe_b, &mut probe_c);
 
-        // Functional result: the same blocked schedule (outer b-blocks,
-        // inner m-blocks distributed round-robin over FPGAs), computed
-        // with IEEE-754 binary64 arithmetic in the array's accumulation
-        // order (q innermost within a block, z-blocks then q-blocks
-        // outer).
+        // Functional result: the blocked schedule (outer b-blocks, inner
+        // m-blocks dealt round-robin over FPGAs) sums each C cell over q
+        // in ascending order, as the kernel does.
         let mut c = vec![0.0f64; n * n];
-        let nb_outer = n / bb;
-        let nb_inner = bb / m;
-        for bi in 0..nb_outer {
-            for bj in 0..nb_outer {
-                for bq in 0..nb_outer {
-                    // Inner: C^{bi,bj} += A^{bi,bq} × B^{bq,bj}.
-                    for gi in 0..nb_inner {
-                        for gj in 0..nb_inner {
-                            // FPGA (gj % l) owns this column-block.
-                            for gq in 0..nb_inner {
-                                let i0 = bi * bb + gi * m;
-                                let j0 = bj * bb + gj * m;
-                                let q0 = bq * bb + gq * m;
-                                for i in 0..m {
-                                    for j in 0..m {
-                                        let mut acc = c[(i0 + i) * n + (j0 + j)];
-                                        for q in 0..m {
-                                            acc += a.at(i0 + i, q0 + q) * b.at(q0 + q, j0 + j);
-                                        }
-                                        c[(i0 + i) * n + (j0 + j)] = acc;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        matmul_acc(n, a.as_slice(), b.as_slice(), &mut c);
 
         // Timing (§5.2): effective latency n³/(k·l); the first block pays
         // its measured fill, and each element additionally traverses the

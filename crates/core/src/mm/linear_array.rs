@@ -26,10 +26,10 @@ use super::ref_matmul;
 use super::{HazardPolicy, MmParams};
 use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
-use fblas_fpu::softfloat::{add_f64, mul_f64};
+use fblas_fpu::softfloat::{add_f64, matmul_acc, mul_f64};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, Design, EdgeKind, FaultKind, FaultSpec,
+    Harness, Probe, ProbeId, StallCause, Topology,
 };
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
@@ -272,9 +272,9 @@ impl Design for BlockRun<'_> {
     /// cycles, the adders for the same B cycles `mult_stages` later, and
     /// the run ends when the last add lands: B + `mult_stages` +
     /// `adder_stages` cycles. Each C′ cell receives its updates in
-    /// ascending q whatever the operands are, so the values fold into one
-    /// q-outer loop with the datapath's exact softfloat sequence. Declined
-    /// when m²/k < α: the stepped engine then records the hazard windows.
+    /// ascending q whatever the operands are, so the values are one
+    /// [`matmul_acc`] call. Declined when m²/k < α: the stepped engine
+    /// then records the hazard windows.
     fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
         if !self.params.hazard_free() {
             return 0;
@@ -291,14 +291,7 @@ impl Design for BlockRun<'_> {
             self.limit
         );
 
-        for (q, b_row) in self.b.as_slice().chunks_exact(m).enumerate() {
-            for (i, c_row) in self.c.chunks_exact_mut(m).enumerate() {
-                let aiq = self.a.at(i, q);
-                for (cell, &bqj) in c_row.iter_mut().zip(b_row) {
-                    *cell = add_f64(*cell, mul_f64(aiq, bqj));
-                }
-            }
-        }
+        matmul_acc(m, self.a.as_slice(), self.b.as_slice(), self.c);
         self.macs = self.total_writes;
         self.writes_done = self.total_writes;
         self.cycle = total as i64;
@@ -316,16 +309,20 @@ impl Design for BlockRun<'_> {
             probe.record_busy_cycles_at(mult_lat + 1, fire);
         }
         probe.record_stalls_at(ids.pe_array, StallCause::Drain, fire + 1, total - fire);
-        // Adder fill after cycle t: batches that entered on cycles
-        // (t − α, t], intersected with the issue window (M, M + B].
-        let mut add_runs = DepthRuns::new(ids.add_pipe);
-        for t in 1..=total {
-            let depth = t
-                .min(mult_lat + fire)
-                .saturating_sub(t.saturating_sub(add_lat).max(mult_lat));
-            add_runs.push(probe, depth as usize);
+        // Adder fill after cycle t counts the batches that entered on
+        // cycles (t − α, t] ∩ (M, M + B]: 0 for M cycles, a ramp up to
+        // min(α, B), a plateau through t = M + max(α, B), a ramp down.
+        let plateau = add_lat.min(fire);
+        let mut at = 1;
+        for (depth, n) in std::iter::once((0, mult_lat))
+            .chain((1..plateau).map(|d| (d, 1)))
+            .chain(std::iter::once((plateau, add_lat.max(fire) - plateau + 1)))
+            .chain((0..plateau).rev().map(|d| (d, 1)))
+        {
+            probe.record_depths_at(ids.add_pipe, depth as usize, at, n);
+            at += n;
         }
-        add_runs.finish(probe);
+        assert_eq!(at, total + 1, "mm-block: add-pipe runs cover the block");
         total
     }
 

@@ -15,8 +15,10 @@
 //! 1. **Values.** The unsharded [`LinearArrayMm`] computes `C` on a
 //!    private native harness, so results do not depend on the shard
 //!    count or on the caller's backend. Its block engine is not stepped
-//!    there: the fused replay applies each C′ cell's multiply-adds in
-//!    the datapath's ascending-q order (DESIGN.md §13).
+//!    there: the fused replay computes each block with
+//!    `fblas_fpu::softfloat::matmul_acc`, the one matrix-product kernel,
+//!    which sums every C′ cell in the datapath's ascending-q order at
+//!    host speed (DESIGN.md §6, §13).
 //! 2. **Schedule.** The shared fabric schedule steps every shard's
 //!    blocks against the links: 2m² operand words and m³/k cycles per
 //!    block (the first block and the drain in closed form from

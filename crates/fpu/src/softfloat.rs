@@ -365,6 +365,35 @@ pub fn mul_f64(a: f64, b: f64) -> f64 {
     f64::from_bits(sf_mul(a.to_bits(), b.to_bits()))
 }
 
+/// `c += a · b` for `n`×`n` row-major matrices, bit-identical to
+/// `c[i][j] = add_f64(c[i][j], mul_f64(a[i][q], b[q][j]))` for q
+/// ascending, the §5.1 order every matrix-product value path uses. Where
+/// [`HOST_FPU_EXACT`] holds it runs in host `f64` in i-q-j order (so it
+/// vectorizes across j only) and maps NaN to [`QNAN`] once per row at the
+/// store: IEEE `+`/`*` propagate NaN and Rust never contracts to FMA, so
+/// that equals canonicalizing per op (DESIGN.md §6).
+pub fn matmul_acc(n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    let len = n * n;
+    assert!(a.len() == len && b.len() == len && c.len() == len);
+    let row = n.max(1); // n = 0: empty slices, and no zero-width chunks
+    for (a_row, c_row) in a.chunks_exact(row).zip(c.chunks_exact_mut(row)) {
+        for (&aiq, b_row) in a_row.iter().zip(b.chunks_exact(row)) {
+            for (cij, &bqj) in c_row.iter_mut().zip(b_row) {
+                *cij = if HOST_FPU_EXACT {
+                    *cij + aiq * bqj
+                } else {
+                    add_f64(*cij, mul_f64(aiq, bqj))
+                };
+            }
+        }
+        if HOST_FPU_EXACT {
+            for cij in c_row.iter_mut() {
+                *cij = f64::from_bits(canonical_nan(cij.to_bits()));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

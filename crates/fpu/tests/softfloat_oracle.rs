@@ -13,9 +13,14 @@
 //!   patterns, subnormals, the Inf/NaN exponent range, short-mantissa
 //!   values, near-cancellation pairs and pairs built to round on a tie:
 //!   10⁷ pairs.
+//!
+//! The matrix kernel `matmul_acc` is checked the same way: on matrices
+//! drawn from those regimes it must give the bits of the per-op loop,
+//! through the fast path and through the oracle.
 
 use fblas_fpu::softfloat::{
-    sf_add, sf_add_int, sf_mul, sf_mul_int, sf_sub, FRAC_BITS, FRAC_MASK, QNAN, SIGN_MASK,
+    matmul_acc, sf_add, sf_add_int, sf_mul, sf_mul_int, sf_sub, FRAC_BITS, FRAC_MASK, QNAN,
+    SIGN_MASK,
 };
 
 /// Pairs the stream checks: every op of every pair is compared.
@@ -303,4 +308,114 @@ fn seeded_stream_first_half_matches_bit_for_bit() {
 #[test]
 fn seeded_stream_second_half_matches_bit_for_bit() {
     stream(0x5EED_0002, STREAM_PAIRS - STREAM_PAIRS / 2);
+}
+
+/// One matrix entry of `regime`; rarely (about four per `n`×`n` pair) a
+/// signed zero, infinity, payload or signalling NaN, or subnormal edge.
+fn entry(regime: u64, n: usize, rng: &mut XorShift) -> u64 {
+    const SPECIALS: [u64; 9] = [
+        POS_ZERO,
+        NEG_ZERO,
+        POS_INF,
+        NEG_INF,
+        QNAN_PAYLOAD,
+        NEG_QNAN,
+        NEG_SNAN,
+        MAX_SUBNORMAL,
+        1 | SIGN_MASK,
+    ];
+    let r = rng.next();
+    if r.is_multiple_of((n * n / 2).max(2) as u64) {
+        return SPECIALS[((r >> 20) % SPECIALS.len() as u64) as usize];
+    }
+    let x = rng.next();
+    match regime {
+        // Reals within 2^±20: every product rounds.
+        0 => x & (SIGN_MASK | FRAC_MASK) | (1003 + (x >> 53) % 41) << FRAC_BITS,
+        // Uniform bits, subnormals, the Inf/NaN range, short mantissas.
+        class => operand(class - 1, x, rng),
+    }
+}
+
+/// `c += a·b` one `sf_*` op at a time, q ascending per cell.
+fn per_op(
+    n: usize,
+    a: &[u64],
+    b: &[u64],
+    c: &mut [u64],
+    add: fn(u64, u64) -> u64,
+    mul: fn(u64, u64) -> u64,
+) {
+    for i in 0..n {
+        for j in 0..n {
+            for q in 0..n {
+                c[i * n + j] = add(c[i * n + j], mul(a[i * n + q], b[q * n + j]));
+            }
+        }
+    }
+}
+
+fn to_f64(v: &[u64]) -> Vec<f64> {
+    v.iter().map(|&x| f64::from_bits(x)).collect()
+}
+
+/// The kernel against the per-op loop (fast path and oracle) on one
+/// operand triple, exact bits.
+fn check_kernel(n: usize, a: &[u64], b: &[u64], c: &[u64], ctx: &str) {
+    let mut got = to_f64(c);
+    matmul_acc(n, &to_f64(a), &to_f64(b), &mut got);
+    let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+    for (path, add, mul) in [
+        (
+            "fast",
+            sf_add as fn(u64, u64) -> u64,
+            sf_mul as fn(u64, u64) -> u64,
+        ),
+        ("oracle", sf_add_int, sf_mul_int),
+    ] {
+        let mut want = c.to_vec();
+        per_op(n, a, b, &mut want, add, mul);
+        for (cell, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g,
+                w,
+                "{ctx}: cell ({}, {}) kernel {g:#018x}, {path} per-op {w:#018x}",
+                cell / n,
+                cell % n
+            );
+        }
+    }
+}
+
+#[test]
+fn matmul_kernel_matches_the_per_op_loop() {
+    let mut rng = XorShift::new(0x5EED_0003);
+    let mut nan_cells = 0;
+    for n in [1, 2, 3, 7, 8, 64] {
+        let cases = (512 / (n * n)).max(2);
+        for regime in 0..5 {
+            for case in 0..cases {
+                let mut draw =
+                    || -> Vec<u64> { (0..n * n).map(|_| entry(regime, n, &mut rng)).collect() };
+                let (a, mut b, c) = (draw(), draw(), draw());
+                // Odd rows of B nearly cancel the even rows above them,
+                // so consecutive products of a cell nearly cancel too.
+                if case % 2 == 1 {
+                    for q in (1..n).step_by(2) {
+                        for j in 0..n {
+                            let r = rng.next() & !(7 << 2);
+                            b[q * n + j] = partner(b[(q - 1) * n + j], r, &mut rng);
+                        }
+                    }
+                }
+                let ctx = format!("n={n} regime={regime} case={case}");
+                check_kernel(n, &a, &b, &c, &ctx);
+                check_kernel(n, &a, &b, &vec![POS_ZERO; n * n], &format!("{ctx} c=0"));
+                let mut out = to_f64(&c);
+                matmul_acc(n, &to_f64(&a), &to_f64(&b), &mut out);
+                nan_cells += out.iter().filter(|x| x.is_nan()).count();
+            }
+        }
+    }
+    assert!(nan_cells > 0, "no NaN reached a kernel output");
 }

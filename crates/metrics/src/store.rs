@@ -35,8 +35,9 @@ pub struct WallClockEntry {
 }
 
 /// Volatile per-run simulator-throughput measurements, kept out of the
-/// deterministic record set. One entry per simulated record: the key and
-/// the host wall-clock rate at which the harness retired simulated cycles.
+/// deterministic record set. One entry per record: the key, the host
+/// seconds its job took and the rate at which the harness retired
+/// simulated cycles (modeled records count no cycles).
 ///
 /// Since the matrix can run on a worker pool, the sidecar also carries the
 /// job count and the end-to-end elapsed time, from which it derives the
