@@ -11,14 +11,15 @@
 //! 2. **Probe neutrality** — a deep probe (waveforms + stall events)
 //!    yields a bit-identical `SimReport` to the default summary probe.
 //! 3. **Golden traces** — the Chrome `trace_event` exports of a fixed
-//!    dot + `MvM` run and of fixed axpy + scal + asum runs are stable
-//!    down to the byte.
+//!    dot + `MvM` run, of fixed axpy + scal + asum runs and of fixed
+//!    tree-reduce runs (`SpMV`, row-major `MvM` and dot with a stalling
+//!    reducer) are stable down to the byte.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
 use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
-use fblas_core::reduce::{run_sets_in, SingleAdderReducer};
+use fblas_core::reduce::{run_sets_in, SingleAdderReducer, StallingReducer};
 use fblas_sim::{Harness, SimReport};
 use fblas_sparse::{CsrMatrix, SpmvDesign, SpmvParams};
 
@@ -161,6 +162,42 @@ fn spmv_matches_pre_refactor_accounting() {
     let o = s.run_with_initial(&a, &x, &v(60, 8));
     assert_eq!(o.report, rep(172, 672, 672, 60, 154));
     assert_eq!(o.reduction_buffer_high_water, 11);
+}
+
+/// A 10-row CSR matrix with empty rows and rows longer than k = 4.
+fn ragged_sparse() -> CsrMatrix {
+    let lens = [0usize, 3, 9, 0, 1, 5, 0, 0, 2, 6];
+    let mut trip = Vec::new();
+    for (i, &len) in lens.iter().enumerate() {
+        for j in 0..len {
+            trip.push((i, (i * 3 + j * 7) % 10, ((i + 2 * j) % 7) as f64 - 3.0));
+        }
+    }
+    CsrMatrix::from_triplets(10, 10, &trip)
+}
+
+/// The `SpMV` paths no harness entry reaches: an explicit (stalling)
+/// reduction circuit and a carried-in y0 over a matrix with empty rows.
+#[test]
+fn spmv_reducer_and_initial_paths_match_pre_refactor_accounting() {
+    let s = SpmvDesign::new(SpmvParams::with_k(4));
+    let mut r = StallingReducer::new(14);
+    let o = s.run_with_reducer(&sparse60(), &v(60, 3), &mut r);
+    assert_eq!(o.report, rep(957, 672, 672, 60, 219));
+    assert_eq!(o.reduction_buffer_high_water, 1);
+
+    let a = ragged_sparse();
+    let y0 = v(10, 8);
+    let o = s.run_with_initial(&a, &v(10, 3), &y0);
+    assert_eq!(o.report, rep(71, 52, 52, 10, 20));
+    assert_eq!(o.reduction_buffer_high_water, 4);
+    let expect: Vec<f64> = a
+        .ref_spmv(&v(10, 3))
+        .iter()
+        .zip(&y0)
+        .map(|(r, y)| r + y)
+        .collect();
+    assert_eq!(o.y, expect);
 }
 
 #[test]
@@ -318,5 +355,79 @@ fn regen_level1_golden_trace() {
         "/tests/golden/level1_trace.json"
     );
     std::fs::write(path, level1_golden_trace()).unwrap();
+    println!("rewrote {path}");
+}
+
+/// The tree-reduce family's stepped waveforms on one deep harness:
+/// `SpMV` at full rate over empty rows and rows longer than k, `SpMV` at
+/// 2.5 entries/cycle so input-starved stalls appear, row-major `MvM`
+/// with a carried-in y0 and a stalling reducer (injection slots,
+/// back-pressure and backlog occupancy), and dot with a stalling
+/// reducer.
+fn tree_reduce_golden_trace() -> String {
+    let mut h = Harness::deep();
+    let a = ragged_sparse();
+    let x = v(10, 5);
+    SpmvDesign::new(SpmvParams::with_k(4)).run_in(&mut h, &a, &x);
+    let starved = SpmvParams {
+        entries_per_cycle: 2.5,
+        ..SpmvParams::with_k(4)
+    };
+    SpmvDesign::new(starved).run_in(&mut h, &a, &x);
+    // k = 1 keeps the front end shallower than the feed, so the gate
+    // closes and back-pressure shows within a short run.
+    let m = DenseMatrix::from_fn(3, 5, |i, j| ((i * 3 + j * 5) % 11) as f64 - 4.0);
+    let mut r = StallingReducer::new(14);
+    RowMajorMvm::standalone(MvmParams::with_k(1), 170.0).run_with_reducer_in(
+        &mut h,
+        &m,
+        &v(5, 4),
+        Some(&v(3, 6)),
+        &mut r,
+    );
+    let mut r = StallingReducer::new(14);
+    DotProductDesign::standalone(DotParams::with_k(1), 170.0).run_with_reducer_in(
+        &mut h,
+        &v(8, 1),
+        &v(8, 2),
+        &mut r,
+    );
+    h.probe().chrome_trace()
+}
+
+#[test]
+fn tree_reduce_golden_trace_is_byte_stable() {
+    let t = tree_reduce_golden_trace();
+    assert_eq!(
+        t,
+        tree_reduce_golden_trace(),
+        "trace export must be deterministic"
+    );
+    for needle in [
+        "spmv/backlog",
+        "row-mvm/backlog",
+        "dot/reducer",
+        "input-starved",
+        "output-backpressured",
+    ] {
+        assert!(t.contains(needle), "trace lacks {needle:?}:\n{t}");
+    }
+    assert_eq!(
+        t,
+        include_str!("golden/tree_reduce_trace.json"),
+        "Chrome trace drifted from the golden file. If the change is \
+         intentional, regenerate with:\n  cargo test -p fblas-bench \
+         --test harness_probe -- --ignored regen_tree_reduce_golden_trace"
+    );
+}
+
+#[test]
+#[ignore = "writes tests/golden/tree_reduce_trace.json; run after intentional format changes"]
+fn regen_tree_reduce_golden_trace() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/tree_reduce_trace.json"
+    );
+    std::fs::write(path, tree_reduce_golden_trace()).unwrap();
     println!("rewrote {path}");
 }
