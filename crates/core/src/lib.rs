@@ -21,6 +21,10 @@
 //!   m×m blocking, C′/C local stores, three-stage overlapped schedule,
 //!   effective latency n³/k) and the hierarchical multi-FPGA design of
 //!   §5.2 (l FPGAs, SRAM-level b×b blocking, I/O complexity Θ(n³/b)).
+//! * [`tree_reduce`] — the one stepped datapath dot, row-major `MvM` and
+//!   `SpMV` share (k-lane multiplier bank, adder tree, gated backlog,
+//!   reduction circuit), each family supplying a group source, plus the
+//!   fused replay of every gapless reduction stream.
 //! * [`report`] — the [`report::SimReport`] every design
 //!   produces: cycles, flops, words moved, utilizations — the raw material
 //!   of the paper's Tables 3 and 4.
@@ -41,6 +45,7 @@ pub mod mvm;
 pub mod reduce;
 pub mod report;
 pub mod topology;
+pub mod tree_reduce;
 
 pub use report::SimReport;
 

@@ -109,13 +109,18 @@ impl DepthRuns {
 
     /// Observe this cycle's depth.
     pub fn push(&mut self, probe: &mut Probe, depth: usize) {
+        self.push_n(probe, depth, 1);
+    }
+
+    /// Observe `n` consecutive cycles of `depth`.
+    pub fn push_n(&mut self, probe: &mut Probe, depth: usize, n: u64) {
         if depth == self.depth {
-            self.run += 1;
-        } else {
+            self.run += n;
+        } else if n > 0 {
             probe.record_depths_at(self.id, self.depth, self.at, self.run);
             self.at += self.run;
             self.depth = depth;
-            self.run = 1;
+            self.run = n;
         }
     }
 
