@@ -561,6 +561,19 @@ mod tests {
         assert!(wn.backend_speedup() > 1.0);
     }
 
+    /// Native replays every simulated kernel of the quick matrix except
+    /// the linear-array MM, whose hazard windows must step.
+    #[test]
+    fn native_steps_only_the_hazardous_mm() {
+        let (_, wn, _) = run_matrix(true, 1, ExecBackend::Native, None);
+        for e in &wn.entries {
+            if !e.key.starts_with("mm/linear[") {
+                assert_eq!(e.stepped_cycles, 0, "{} stepped under native", e.key);
+            }
+        }
+        assert!(wn.total_stepped_cycles() > 0, "the hazardous MM steps");
+    }
+
     /// The tentpole invariant: the pooled matrix must serialize to the
     /// exact bytes of the serial matrix, for any worker count, and the
     /// sidecar must time every record either way.

@@ -15,13 +15,17 @@
 //! (dot, asum, row-major MVM) and linear-array MM are swept with reals
 //! across binades, cycling per trial through three regimes: plain, with
 //! ±0 and subnormals, and with ±Inf and NaN as well; axpy, scal and
-//! col-major MVM with full-mantissa reals.
+//! col-major MVM with full-mantissa reals. `SpMV` and the bare reduction
+//! circuit (`run_sets_in`) share the tree-reduce replay and are swept
+//! the same way.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
 use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
+use fblas_core::reduce::{run_sets_in, SingleAdderReducer, StallingReducer};
 use fblas_sim::{ExecBackend, Harness, SimReport};
+use fblas_sparse::{CsrMatrix, SpmvDesign, SpmvParams};
 
 /// xorshift64* — the same tiny deterministic generator the unit suites
 /// use, seeded per trial so failures reproduce from the printed tuple.
@@ -269,4 +273,118 @@ fn table4_mm_declines_fast_forward() {
     let mut h = Harness::with_backend(ExecBackend::Native);
     assert!(mm.run_in(&mut h, &a, &b).hazard_violations > 0);
     assert_eq!(h.ff_cycles(), 0);
+}
+
+#[test]
+fn spmv_backends_agree_on_random_reals() {
+    let mut saved_total = 0;
+    for trial in 0..16 {
+        let mut rng = Rng::new(0x5B_77 + trial);
+        let k = [1, 2, 4, 8][trial as usize % 4];
+        let rows = rng.size(1, 40);
+        let cols = rng.size(1, 40);
+        let specials = (trial % 3) as u8;
+        // Empty rows, single entries, short rows and rows longer than k.
+        let mut trip = Vec::new();
+        for i in 0..rows {
+            let len = [0, 1, rng.size(1, k), rng.size(k + 1, 3 * k + 2)][rng.size(0, 3)];
+            let start = rng.size(0, cols - 1);
+            for j in 0..len.min(cols) {
+                trip.push((i, (start + j) % cols, rng.wide_real(specials)));
+            }
+        }
+        let a = CsrMatrix::from_triplets(rows, cols, &trip);
+        let x = rng.wide_vec(cols, specials);
+        let ctx = format!("spmv trial={trial} rows={rows} cols={cols} k={k} specials={specials}");
+        let spmv = SpmvDesign::new(SpmvParams::with_k(k));
+        saved_total += assert_backends_agree(&ctx, |h| {
+            let out = spmv.run_in(h, &a, &x);
+            ((bits(&out.y), out.reduction_buffer_high_water), out.report)
+        });
+    }
+    assert!(saved_total > 0, "no spmv trial ever fast-forwarded");
+
+    // No stored entry: every row bypasses the datapath, in zero cycles
+    // on both backends.
+    let empty = CsrMatrix::from_triplets(5, 3, &[]);
+    let spmv = SpmvDesign::new(SpmvParams::with_k(4));
+    for backend in [ExecBackend::Cycle, ExecBackend::Native] {
+        let out = spmv.run_in(&mut Harness::with_backend(backend), &empty, &[1.0; 3]);
+        assert_eq!(out.report.cycles, 0, "empty spmv on {backend:?}");
+        assert_eq!(out.report.words_out, 5);
+        assert_eq!(out.y, vec![0.0; 5]);
+    }
+
+    // A fractional entry rate breaks the gapless feed: decline.
+    let mut rng = Rng::new(0x5B_F2);
+    let trip: Vec<_> = (0..60)
+        .map(|i| (i % 12, (i * 7) % 12, rng.wide_real(2)))
+        .collect();
+    let a = CsrMatrix::from_triplets(12, 12, &trip);
+    let x = rng.wide_vec(12, 2);
+    let starved = SpmvDesign::new(SpmvParams {
+        entries_per_cycle: 2.5,
+        ..SpmvParams::with_k(4)
+    });
+    let saved = assert_backends_agree("fractional spmv k=4", |h| {
+        let out = starved.run_in(h, &a, &x);
+        (bits(&out.y), out.report)
+    });
+    assert_eq!(
+        saved, 0,
+        "a fractional entry rate must decline fast-forward"
+    );
+}
+
+#[test]
+fn reduction_sets_backends_agree_on_random_reals() {
+    // The bare circuit has no SimReport of its own: compare the run's
+    // cycles and busy cycles, its results and every component counter.
+    fn run_sets<R: fblas_core::reduce::Reducer>(
+        h: &mut Harness,
+        r: &mut R,
+        sets: &[Vec<f64>],
+    ) -> (impl PartialEq + std::fmt::Debug, SimReport) {
+        let busy = h.probe().busy_cycles();
+        let run = run_sets_in(h, r, sets);
+        let results: Vec<(u64, u64)> = run
+            .results
+            .iter()
+            .map(|e| (e.set_id, e.value.to_bits()))
+            .collect();
+        let report = SimReport {
+            cycles: run.total_cycles,
+            busy_cycles: h.probe().busy_cycles() - busy,
+            ..SimReport::default()
+        };
+        let counters = (run.stall_cycles, run.buffer_high_water, run.adds_issued);
+        ((results, counters, h.probe().component_stats()), report)
+    }
+
+    let mut saved_total = 0;
+    for trial in 0..16 {
+        let mut rng = Rng::new(0x2E_D5 + trial);
+        let n_sets = rng.size(1, 60);
+        let specials = (trial % 3) as u8;
+        // Size-1 sets, short sets and sets far longer than α.
+        let sets: Vec<Vec<f64>> = (0..n_sets)
+            .map(|_| {
+                let size = [1, rng.size(2, 14), rng.size(15, 80)][rng.size(0, 2)];
+                rng.wide_vec(size, specials)
+            })
+            .collect();
+        let ctx = format!("reduce trial={trial} sets={n_sets} specials={specials}");
+        saved_total += assert_backends_agree(&ctx, |h| {
+            run_sets(h, &mut SingleAdderReducer::new(14), &sets)
+        });
+    }
+    assert!(saved_total > 0, "no reduction trial ever fast-forwarded");
+
+    // A circuit that back-pressures its input has no closed-form feed.
+    let mut rng = Rng::new(0x2E_F0);
+    let sets: Vec<Vec<f64>> = (1..12).map(|s| rng.wide_vec(s, 2)).collect();
+    let saved = assert_backends_agree("stalling reducer", |h| {
+        run_sets(h, &mut StallingReducer::new(14), &sets)
+    });
+    assert_eq!(saved, 0, "a stalling reducer must decline fast-forward");
 }

@@ -27,7 +27,7 @@
 //! | [`scan::THREAD_CONTAINMENT`] | `bench-thread-containment` | [`scan`] | `crates/bench/src` |
 //! | [`scan::HOOK_PURITY`] | `fault-hook-purity` | [`scan`] | `crates` |
 //! | [`scan::DETERMINISM`] | `workspace-determinism` | [`determinism`] | result-affecting crates |
-//! | [`scan::FAST_PATH_PARITY`] | `fast-path-parity` | [`fastpath`] | `crates/core/src`, parity suite |
+//! | [`scan::FAST_PATH_PARITY`] | `fast-path-parity` | [`fastpath`] | core, sparse and fabric sources, parity suite |
 //! | [`scan::METRIC_REGISTRY`] | `telemetry-metric-registry` | [`telemetry`] | datapath designs |
 //!
 //! All are libraries (used by the test suite) and run through the `drc`

@@ -185,7 +185,7 @@ pub const DETERMINISM: Rule = Rule {
 pub const FAST_PATH_PARITY: Rule = Rule {
     id: "fast-path-parity",
     report: "fast-path parity coverage",
-    roots: &[fastpath::FAST_PATH_ROOT, fastpath::PARITY_SUITE],
+    roots: fastpath::FAST_PATH_ROOTS,
     drc: true,
     check: Check::Files(fastpath::check),
 };

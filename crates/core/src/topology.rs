@@ -78,6 +78,48 @@ pub fn attach_gated_backlog(
     backlog
 }
 
+/// The tree-reduce family's graph (§4.1–4.3): each `feeds` entry
+/// (source, edge, words/cycle, flops/word) streams into the k-lane
+/// multiplier bank, joined by the `x` local store (junction, edge) when
+/// given; the lockstep adder tree reaches the reduction circuit through
+/// the gated backlog, and results leave on `out` (sink, edge).
+pub fn tree_reduce(
+    name: String,
+    k: usize,
+    latency: usize,
+    alpha: usize,
+    feeds: &[(&str, &str, f64, f64)],
+    x: Option<(&str, &str)>,
+    out: (&str, &str),
+) -> Topology {
+    let mut t = Topology::new(name);
+    let sources: Vec<NodeId> = feeds.iter().map(|f| t.source(f.0)).collect();
+    let x = x.map(|(node, edge)| (t.junction(node), edge));
+    let mult = t.pe("mult-bank", k as f64);
+    let tree = t.pe("adder-tree", (k - 1) as f64);
+    let reducer = t.pe("reduction", 1.0);
+    let sink = t.sink(out.0);
+    for (&(_, edge, words_per_cycle, flops_per_word), &source) in feeds.iter().zip(&sources) {
+        let kind = EdgeKind::Channel {
+            words_per_cycle,
+            flops_per_word,
+        };
+        t.edge(edge, source, mult, kind);
+    }
+    if let Some((store, edge)) = x {
+        t.edge(edge, store, mult, EdgeKind::Wire);
+    }
+    t.edge("lockstep", mult, tree, EdgeKind::Wire);
+    attach_gated_backlog(&mut t, tree, reducer, mult, latency);
+    attach_reduction_loop(&mut t, reducer, alpha);
+    let port = EdgeKind::Channel {
+        words_per_cycle: 1.0,
+        flops_per_word: 0.0,
+    };
+    t.edge(out.1, reducer, sink, port);
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -171,6 +171,22 @@ fn linear_array_mm_telemetry_parity() {
     }
 }
 
+#[test]
+fn reduction_sets_telemetry_parity() {
+    // Sizes straddle α = 14, with size-1 sets between long ones.
+    let sets: Vec<Vec<f64>> = [1, 30, 3, 1, 17, 60, 2, 14, 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| ivec(s, i))
+        .collect();
+    let series = assert_telem_parity("reduce", &|h: &mut Harness| {
+        let mut r = fblas_core::reduce::SingleAdderReducer::new(fblas_fpu::ADDER_STAGES);
+        fblas_core::reduce::run_sets_in(h, &mut r, &sets);
+    });
+    // One completion per set.
+    assert_latencies(&series, "reduce/circuit", sets.len() as u64);
+}
+
 /// A feed whose duty cycle is decided per cycle — representative of
 /// schedules without a closed positional form. It keeps the default
 /// `fast_forward`, which declines, so the native backend must fall back
