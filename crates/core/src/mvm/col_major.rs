@@ -15,7 +15,7 @@ use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
     clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Harness, Probe, ProbeId, SpanRuns, StallCause, Topology,
+    FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
 
@@ -386,47 +386,37 @@ impl Design for ColMvmRun<'_> {
         self.values_fed += elems;
         self.col = self.cols;
 
-        // Integer-only replay of the stepped loop's per-cycle stall,
-        // busy and adder-occupancy conditions.
-        let mut busy_runs = SpanRuns::busy();
-        let mut hazard_runs = SpanRuns::stalls(ids.lanes, StallCause::HazardWindow);
-        let mut lane_drain_runs = SpanRuns::stalls(ids.lanes, StallCause::Drain);
+        // The stepped loop's stall, busy and occupancy conditions in
+        // closed form. The front end fires on slots 1..=F and the lanes
+        // issue M cycles later; after the last issue, batches still in
+        // the adder lock the issue slot (the hazard window) until the
+        // final cycle, and the lanes idle on Drain from the exhausted
+        // front end until they issue, and on that final cycle.
+        let last = feed_total + m;
+        probe.record_busy_cycles_at(1, feed_total);
+        probe.record_busy_cycles_at(feed_total.max(m) + 1, feed_total.min(m));
+        probe.record_stalls_at(ids.lanes, StallCause::HazardWindow, last + 1, alpha - 1);
+        if feed_total <= m {
+            let n = m - feed_total + 1;
+            probe.record_stalls_at(ids.lanes, StallCause::Drain, feed_total, n);
+        }
+        probe.record_stalls_at(ids.lanes, StallCause::Drain, total, 1);
         let mut occ_runs = DepthRuns::new(ids.hazard_window);
-        let mut stream_runs = DepthRuns::new(ids.a_stream);
         for t in 1..=total {
-            let front = t <= feed_total;
-            let lanes = t > m && t <= feed_total + m;
-            if front || lanes {
-                busy_runs.mark(probe, t);
-            }
-            if !lanes {
-                // Batches issued but not yet retired lock the issue slot.
-                let live = (t.saturating_sub(1).min(feed_total + m))
-                    .saturating_sub(t.saturating_sub(alpha).max(m));
-                if live > 0 {
-                    hazard_runs.mark(probe, t);
-                } else if t >= feed_total {
-                    lane_drain_runs.mark(probe, t);
-                }
-            }
             // Adder fill: batches entered in (t−α, t] intersected with
             // the issue window (M, F+M].
-            let occ = (t.min(feed_total + m)).saturating_sub(t.saturating_sub(alpha).max(m));
+            let occ = t.min(last).saturating_sub(t.saturating_sub(alpha).max(m));
             occ_runs.push(probe, occ as usize);
-            // Matrix-channel words consumed this cycle: one full or
-            // ragged chunk per feed slot, nothing through the drain.
-            let delta = if front {
-                let lo = ((t - 1) % cpc) as usize * self.k;
-                (lo + self.k).min(self.rows) - lo
-            } else {
-                0
-            };
-            stream_runs.push(probe, delta);
         }
-        busy_runs.finish(probe);
-        hazard_runs.finish(probe);
-        lane_drain_runs.finish(probe);
         occ_runs.finish(probe);
+        // Matrix-channel words consumed: one full or ragged chunk per
+        // feed slot, nothing through the drain.
+        let mut stream_runs = DepthRuns::new(ids.a_stream);
+        for _ in 0..self.cols {
+            stream_runs.push_n(probe, self.k, cpc - 1);
+            stream_runs.push_n(probe, self.rows - (cpc as usize - 1) * self.k, 1);
+        }
+        stream_runs.push_n(probe, 0, total - feed_total);
         stream_runs.finish(probe);
 
         // Counter reconstruction: positioned spans matching the stepped

@@ -72,5 +72,5 @@ pub use harness::{Design, Harness, LIVELOCK_WINDOW};
 pub use probe::{ComponentStats, DepthRuns, Probe, ProbeId, RunMark, StallCause};
 pub use report::SimReport;
 pub use stats::{Histogram, LogHistogram};
-pub use telem::{CompSeries, SpanRuns, TelemSeries, DEFAULT_TELEM_WINDOW};
+pub use telem::{CompSeries, TelemSeries, DEFAULT_TELEM_WINDOW};
 pub use throttle::Throttle;

@@ -336,78 +336,6 @@ impl TelemRecorder {
     }
 }
 
-/// Contiguous-span accumulator inside a fused fast-forward loop: `mark`
-/// cycles in ascending order, and maximal contiguous spans land through
-/// the positioned probe call the accumulator was built for.
-#[derive(Debug)]
-pub struct SpanRuns {
-    kind: SpanKind,
-    start: u64,
-    len: u64,
-}
-
-/// The probe record a [`SpanRuns`] flushes its spans to.
-#[derive(Debug, Clone, Copy)]
-enum SpanKind {
-    Busy,
-    Marks(crate::ProbeId),
-    Stalls(crate::ProbeId, crate::StallCause),
-}
-
-impl SpanRuns {
-    fn new(kind: SpanKind) -> Self {
-        Self {
-            kind,
-            start: 0,
-            len: 0,
-        }
-    }
-
-    /// Busy cycles, through
-    /// [`Probe::record_busy_cycles_at`](crate::Probe::record_busy_cycles_at).
-    pub fn busy() -> Self {
-        Self::new(SpanKind::Busy)
-    }
-
-    /// Component `id`'s FP-issue marks, through
-    /// [`Probe::record_busy_marks_at`](crate::Probe::record_busy_marks_at).
-    pub fn marks(id: crate::ProbeId) -> Self {
-        Self::new(SpanKind::Marks(id))
-    }
-
-    /// Component `id`'s stalls of one cause, through
-    /// [`Probe::record_stalls_at`](crate::Probe::record_stalls_at), which
-    /// also maintains the last-stall diagnosis exactly like the
-    /// per-cycle path.
-    pub fn stalls(id: crate::ProbeId, cause: crate::StallCause) -> Self {
-        Self::new(SpanKind::Stalls(id, cause))
-    }
-
-    /// Record run-relative cycle `t`.
-    pub fn mark(&mut self, probe: &mut crate::Probe, t: u64) {
-        if t == self.start + self.len {
-            self.len += 1;
-        } else {
-            self.flush(probe);
-            self.start = t;
-            self.len = 1;
-        }
-    }
-
-    /// Flush the trailing span.
-    pub fn finish(self, probe: &mut crate::Probe) {
-        self.flush(probe);
-    }
-
-    fn flush(&self, probe: &mut crate::Probe) {
-        match self.kind {
-            SpanKind::Busy => probe.record_busy_cycles_at(self.start, self.len),
-            SpanKind::Marks(id) => probe.record_busy_marks_at(id, self.start, self.len),
-            SpanKind::Stalls(id, cause) => probe.record_stalls_at(id, cause, self.start, self.len),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
