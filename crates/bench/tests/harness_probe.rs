@@ -13,11 +13,12 @@
 //! 3. **Golden traces** — the Chrome `trace_event` exports of a fixed
 //!    dot + `MvM` run, of fixed axpy + scal + asum runs and of fixed
 //!    tree-reduce runs (`SpMV`, row-major `MvM` and dot with a stalling
-//!    reducer) are stable down to the byte.
+//!    reducer) and of fixed interleaved-accumulator runs (column-major
+//!    `MvM` and linear-array blocks) are stable down to the byte.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
-use fblas_core::mm::{LinearArrayMm, MmParams};
+use fblas_core::mm::{BlockEngine, BlockStats, LinearArrayMm, MmParams};
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
 use fblas_core::reduce::{run_sets_in, SingleAdderReducer, StallingReducer};
 use fblas_sim::{Harness, SimReport};
@@ -131,6 +132,62 @@ fn col_major_mvm_matches_pre_refactor_accounting() {
     let a80 = DenseMatrix::from_fn(80, 40, |i, j| ((i * 5 + j * 7) % 9) as f64 - 3.0);
     let o = m.run(&a80, &v(40, 2));
     assert_eq!(o.report, rep(825, 6400, 3240, 80, 811));
+}
+
+/// The four interleaved-accumulator runs of the golden trace below.
+fn interleaved_runs(h: &mut Harness) -> (Vec<SimReport>, Vec<BlockStats>, Vec<Vec<f64>>) {
+    // Column-major with a ragged last chunk (29 rows, k = 2: 15 chunks
+    // per column ≥ α) and a carried-in y0.
+    let a = DenseMatrix::from_fn(29, 3, |i, j| ((i * 3 + j * 5) % 11) as f64 - 4.0);
+    let ragged = ColMajorMvm::standalone(MvmParams::with_k(2), 170.0).run_with_initial_in(
+        h,
+        &a,
+        &v(3, 4),
+        Some(&v(29, 6)),
+    );
+    // Column-major at 2.5 words/cycle: the front end starves.
+    let starved = MvmParams {
+        matrix_words_per_cycle: 2.5,
+        ..MvmParams::with_k(4)
+    };
+    let a = DenseMatrix::from_fn(57, 2, |i, j| ((i * 5 + j * 7) % 9) as f64 - 3.0);
+    let slow = ColMajorMvm::standalone(starved, 170.0).run_in(h, &a, &v(2, 1));
+    // A hazard-free block (m²/k = 64 ≥ α) onto a nonzero C′.
+    let a = DenseMatrix::from_fn(16, 16, |i, j| ((i * 7 + j) % 5) as f64 - 2.0);
+    let b = DenseMatrix::from_fn(16, 16, |i, j| ((i + j * 3) % 7) as f64 - 3.0);
+    let mut c16 = v(256, 2);
+    let free = BlockEngine::new(MmParams::test(4, 16)).multiply_accumulate_in(h, &a, &b, &mut c16);
+    // The Table-4 block (m = k = 8): forwarded hazards.
+    let a = DenseMatrix::from_fn(8, 8, |i, j| ((i * 3 + j) % 7) as f64 - 3.0);
+    let b = DenseMatrix::from_fn(8, 8, |i, j| ((i + j * 5) % 9) as f64 - 4.0);
+    let mut c8 = vec![0.0; 64];
+    let t4 = BlockEngine::new(MmParams::table4()).multiply_accumulate_in(h, &a, &b, &mut c8);
+    (
+        vec![ragged.report, slow.report],
+        vec![free, t4],
+        vec![ragged.y, slow.y, c16, c8],
+    )
+}
+
+/// The golden trace's column-major and block runs, summary probe and
+/// deep probe alike.
+#[test]
+fn interleaved_runs_match_pre_refactor_accounting() {
+    let stats = |cycles, macs, hazard_violations| BlockStats {
+        cycles,
+        macs,
+        hazard_violations,
+    };
+    let (reports, blocks, values) = interleaved_runs(&mut Harness::new());
+    assert_eq!(
+        reports,
+        [rep(70, 174, 90, 29, 56), rep(74, 228, 116, 57, 47)]
+    );
+    assert_eq!(blocks, [stats(1119, 4096, 0), stats(111, 512, 64)]);
+    let (deep_reports, deep_blocks, deep_values) = interleaved_runs(&mut Harness::deep());
+    assert_eq!(deep_reports, reports);
+    assert_eq!(deep_blocks, blocks);
+    assert_eq!(deep_values, values);
 }
 
 #[test]
@@ -429,5 +486,53 @@ fn regen_tree_reduce_golden_trace() {
         "/tests/golden/tree_reduce_trace.json"
     );
     std::fs::write(path, tree_reduce_golden_trace()).unwrap();
+    println!("rewrote {path}");
+}
+
+/// The interleaved-accumulator family's stepped waveforms on one deep
+/// harness: column-major `MvM` with a ragged last chunk and a y0,
+/// column-major at 2.5 words/cycle so input-starved stalls appear, a
+/// hazard-free linear-array block onto a nonzero C′, and the Table-4
+/// block whose forwarded hazards mark hazard-window stalls.
+fn interleaved_golden_trace() -> String {
+    let mut h = Harness::deep();
+    interleaved_runs(&mut h);
+    h.probe().chrome_trace()
+}
+
+#[test]
+fn interleaved_golden_trace_is_byte_stable() {
+    let t = interleaved_golden_trace();
+    assert_eq!(
+        t,
+        interleaved_golden_trace(),
+        "trace export must be deterministic"
+    );
+    for needle in [
+        "col-mvm/a-stream",
+        "col-mvm/hazard-window",
+        "mm/add-pipe",
+        "input-starved",
+        "\"hazard-window\"",
+    ] {
+        assert!(t.contains(needle), "trace lacks {needle:?}:\n{t}");
+    }
+    assert_eq!(
+        t,
+        include_str!("golden/interleaved_trace.json"),
+        "Chrome trace drifted from the golden file. If the change is \
+         intentional, regenerate with:\n  cargo test -p fblas-bench \
+         --test harness_probe -- --ignored regen_interleaved_golden_trace"
+    );
+}
+
+#[test]
+#[ignore = "writes tests/golden/interleaved_trace.json; run after intentional format changes"]
+fn regen_interleaved_golden_trace() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/interleaved_trace.json"
+    );
+    std::fs::write(path, interleaved_golden_trace()).unwrap();
     println!("rewrote {path}");
 }
