@@ -25,6 +25,11 @@
 //!   `SpMV` share (k-lane multiplier bank, adder tree, gated backlog,
 //!   reduction circuit), each family supplying a group source, plus the
 //!   fused replay of every gapless reduction stream.
+//! * `interleaved` (crate-private) — the one stepped datapath
+//!   column-major `MvM` and the linear-array MM block share (k
+//!   multiply-accumulate lanes, an α-deep adder, a hazard-locked
+//!   accumulator store), each family supplying a MAC source, plus their
+//!   closed-form replay.
 //! * [`report`] — the [`report::SimReport`] every design
 //!   produces: cycles, flops, words moved, utilizations — the raw material
 //!   of the paper's Tables 3 and 4.
@@ -39,6 +44,7 @@
 
 pub mod deploy;
 pub mod dot;
+mod interleaved;
 pub mod level1;
 pub mod mm;
 pub mod mvm;

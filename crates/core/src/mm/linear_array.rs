@@ -18,18 +18,21 @@
 //! added), so the §5.1 latency formulas are *measured*; [`LinearArrayMm`]
 //! chains (n/m)³ block multiplies with the overlap rule (effective latency
 //! m³/k per block) to produce the full-matrix result and Table 4's cycle
-//! counts. On hazard-free blockings the native backend replays stage 2 in
-//! one fused loop instead (DESIGN.md §13).
+//! counts. Stage 2 runs on the shared interleaved-accumulator datapath
+//! (`crate::interleaved`), this module supplying its source: PE p's
+//! residency schedule, C′ written at add issue. On hazard-free blockings
+//! the native backend replays it in closed form (DESIGN.md §13).
 
 #[cfg(test)]
 use super::ref_matmul;
 use super::{HazardPolicy, MmParams};
+use crate::interleaved::{InterleavedRun, MacBatch, MacIds, MacSource, Shape};
 use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
+use crate::topology::attach_accumulator_loop;
 use fblas_fpu::softfloat::{add_f64, matmul_acc, mul_f64};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, Design, EdgeKind, FaultKind, FaultSpec,
-    Harness, Probe, ProbeId, StallCause, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, EdgeKind, Harness, Probe, StallCause, Topology,
 };
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
@@ -98,279 +101,132 @@ impl BlockEngine {
         // *add issue* (when the product emerges from the multiplier), so
         // the hazard window is the adder depth α, exactly §5.1's m²/k ≥ α
         // condition.
-        let total_writes = (m * m * m) as u64; // every MAC lands one write
-        let mut run = BlockRun {
-            params: &self.params,
+        let p = &self.params;
+        let shape = Shape {
+            mult_stages: p.mult_stages,
+            adder_stages: p.adder_stages,
+            cells: m * m,
+            // PE p fires on cycles p .. p + m³/k: the k − 1 skew.
+            batches: p.effective_block_cycles() + p.k as u64 - 1,
+            // Every MAC lands one write and has its own latency.
+            products: (m * m * m) as u64,
+            latencies: (m * m * m) as u64,
+            words_out: 0,
+            gapless: p.hazard_free(),
+        };
+        let source = BlockSource {
+            params: p,
             a,
             b,
             c,
-            mult_pipe: DelayLine::new(self.params.mult_stages),
-            add_pipe: DelayLine::new(self.params.adder_stages),
-            in_flight: vec![false; m * m],
-            hazards: 0,
-            macs: 0,
-            total_elements: (m * m) as i64, // A elements, column-major
             cycle: 0,
-            writes_done: 0,
-            total_writes,
-            limit: total_writes * 2 + 200_000,
-            ids: None,
+            hazards: 0,
         };
-        let report = harness.run(&mut run);
-
+        let (report, source) = InterleavedRun::new(source, shape).run_in(harness);
         BlockStats {
-            cycles: self.params.fill_cycles() + report.cycles,
-            macs: run.macs,
-            hazard_violations: run.hazards,
+            cycles: p.fill_cycles() + report.cycles,
+            macs: shape.products,
+            hazard_violations: source.hazards,
         }
     }
 }
 
-/// Probe components of one block multiply.
-#[derive(Debug, Clone, Copy)]
-struct BlockIds {
-    pe_array: ProbeId,
-    accumulators: ProbeId,
-    add_pipe: ProbeId,
-}
-
-/// One in-flight m×m block multiply as a harness [`Design`].
-struct BlockRun<'a> {
+/// The linear-array block's products: PE p multiplies the A element it
+/// holds against its registered B elements, one MAC per cycle, and
+/// accumulates into its columns of C′.
+struct BlockSource<'a> {
     params: &'a MmParams,
     a: &'a DenseMatrix,
     b: &'a DenseMatrix,
+    /// C′, written at add issue (the forwarded value).
     c: &'a mut [f64],
-    mult_pipe: DelayLine<Vec<(usize, f64)>>,
-    add_pipe: DelayLine<Vec<usize>>,
-    in_flight: Vec<bool>,
+    /// The current cycle, 0-based.
+    cycle: usize,
     hazards: u64,
-    macs: u64,
-    total_elements: i64,
-    cycle: i64,
-    writes_done: u64,
-    total_writes: u64,
-    limit: u64,
-    ids: Option<BlockIds>,
 }
 
-impl Design for BlockRun<'_> {
-    fn name(&self) -> &str {
-        "mm-block"
-    }
+impl MacSource for BlockSource<'_> {
+    type Streams = ();
+    const NAME: &'static str = "mm-block";
+    const IDLE_STALLS: bool = false;
+    const FLIP_ADDER: bool = false;
 
-    fn setup(&mut self, probe: &mut Probe) {
-        self.ids = Some(BlockIds {
-            pe_array: probe.component("mm/pe-array"),
-            accumulators: probe.component("mm/accumulators"),
-            add_pipe: probe.component("mm/add-pipe"),
-        });
+    fn register(&mut self, probe: &mut Probe) -> MacIds<()> {
         // The fill stage banks one m²-word B block while the previous
         // block's A stream finishes; stage 2 then streams the A block.
         // Both stream once per block multiply: 2m² words.
         probe.io_in(2 * (self.params.m * self.params.m) as u64);
+        MacIds {
+            front_end: probe.component("mm/pe-array"),
+            lanes: probe.component("mm/accumulators"),
+            add_pipe: probe.component("mm/add-pipe"),
+            streams: (),
+        }
     }
 
-    fn cycle(&mut self, probe: &mut Probe) {
-        let ids = self.ids.expect("setup registered components");
-        let m = self.params.m;
-        let k = self.params.k;
-        let r = self.params.residency();
-
-        // Retire accumulates leaving the adder before this cycle's
-        // reads (same-edge visibility). The value was forwarded at
-        // issue; landing clears the hazard window.
-        if let Some(batch) = self.add_pipe.peek().cloned() {
-            for cell in batch {
-                self.in_flight[cell] = false;
-                self.writes_done += 1;
-            }
-        }
-
+    fn fire(&mut self, probe: &mut Probe, batch: &mut MacBatch) -> Option<StallCause> {
+        let (m, k, r) = (self.params.m, self.params.k, self.params.residency());
+        let elements = m * m; // A elements, column-major
+        self.cycle = probe.run_cycle() as usize - 1;
         // Each PE p works on A element e = (cycle − p) / r during its
         // residency window; d indexes the PE's registered B elements.
-        let mut batch: Vec<(usize, f64)> = Vec::with_capacity(k);
-        for p in 0..k {
-            let local = self.cycle - p as i64;
-            if local < 0 {
+        for p in 0..k.min(self.cycle + 1) {
+            let local = self.cycle - p;
+            let (e, d) = (local / r, local % r);
+            if e >= elements {
                 continue;
             }
-            let e = local / r as i64;
-            let d = (local % r as i64) as usize;
-            if e >= self.total_elements {
-                continue;
-            }
-            let e = e as usize;
             let q = e / m; // A column / B row index
             let i = e % m; // row of C
             let j = d * k + p; // column of C owned by PE p
-            let cell = i * m + j;
-            batch.push((cell, mul_f64(self.a.at(i, q), self.b.at(q, j))));
-            self.macs += 1;
+            batch.push((i * m + j, mul_f64(self.a.at(i, q), self.b.at(q, j))));
         }
-        if batch.is_empty() {
-            if self.cycle >= self.total_elements * r as i64 {
-                probe.stall(ids.pe_array, StallCause::Drain);
-            } else {
-                probe.stall(ids.pe_array, StallCause::InputStarved);
-            }
+        if !batch.is_empty() {
+            None
+        } else if self.cycle >= elements * r {
+            Some(StallCause::Drain)
         } else {
-            probe.busy(ids.pe_array);
-            probe.flops(batch.len() as u64);
+            Some(StallCause::InputStarved)
         }
-
-        // Products emerging from the multipliers read C′ and issue
-        // their accumulating adds. The sum is forwarded to C′ at issue
-        // (architectural value); the add pipeline carries only the
-        // landing time of each write.
-        let mut hazard_this_cycle = false;
-        let add_in = self
-            .mult_pipe
-            .step(if batch.is_empty() { None } else { Some(batch) })
-            .map(|prods| {
-                prods
-                    .into_iter()
-                    .map(|(cell, prod)| {
-                        if self.in_flight[cell] {
-                            match self.params.hazard_policy {
-                                HazardPolicy::Enforce => panic!(
-                                    "read-after-write hazard on C′ cell \
-                                     {cell} at cycle {}: update \
-                                     interval m²/k = {} < α = {}",
-                                    self.cycle,
-                                    self.params.update_interval(),
-                                    self.params.adder_stages
-                                ),
-                                HazardPolicy::Document => {
-                                    self.hazards += 1;
-                                    hazard_this_cycle = true;
-                                }
-                            }
-                        }
-                        self.in_flight[cell] = true;
-                        self.c[cell] = add_f64(self.c[cell], prod);
-                        cell
-                    })
-                    .collect::<Vec<_>>()
-            });
-        if let Some(cells) = &add_in {
-            probe.busy(ids.accumulators);
-            probe.flops(cells.len() as u64);
-        }
-        if hazard_this_cycle {
-            // Documented (forwarded) hazards still mark the window so the
-            // trace shows where m²/k < α bites.
-            probe.stall(ids.accumulators, StallCause::HazardWindow);
-        }
-        self.add_pipe.step(add_in);
-        self.cycle += 1;
-
-        self.add_pipe.probe_occupancy(probe, ids.add_pipe);
     }
 
-    /// Fused replay (DESIGN.md §13). PE p issues its MACs on cycles
-    /// `p .. p + m³/k`, so the multiplier bank fires for B = m³/k + k − 1
-    /// cycles, the adders for the same B cycles `mult_stages` later, and
-    /// the run ends when the last add lands: B + `mult_stages` +
-    /// `adder_stages` cycles. Each C′ cell receives its updates in
-    /// ascending q whatever the operands are, so the values are one
-    /// [`matmul_acc`] call. Declined when m²/k < α: the stepped engine
-    /// then records the hazard windows.
-    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
-        if !self.params.hazard_free() {
-            return 0;
+    /// The sum is forwarded to C′ at issue (architectural value); the
+    /// add pipeline carries only the landing time of each write.
+    fn issue(&mut self, cell: usize, product: f64, hazard: bool) -> f64 {
+        if hazard {
+            assert!(
+                self.params.hazard_policy == HazardPolicy::Document,
+                "read-after-write hazard on C′ cell {cell} at cycle {}: \
+                 update interval m²/k = {} < α = {}",
+                self.cycle,
+                self.params.update_interval(),
+                self.params.adder_stages
+            );
+            self.hazards += 1;
         }
-        let ids = self.ids.expect("setup registered components");
-        let m = self.params.m;
-        let mult_lat = self.mult_pipe.latency() as u64;
-        let add_lat = self.add_pipe.latency() as u64;
-        let fire = self.params.effective_block_cycles() + self.params.k as u64 - 1;
-        let total = fire + mult_lat + add_lat;
-        assert!(
-            total < self.limit,
-            "mm-block: simulation exceeded cycle limit {}",
-            self.limit
-        );
-
-        matmul_acc(m, self.a.as_slice(), self.b.as_slice(), self.c);
-        self.macs = self.total_writes;
-        self.writes_done = self.total_writes;
-        self.cycle = total as i64;
-
-        // Counter reconstruction at the stepped run's positions: the
-        // multipliers fire on cycles 1..=B, the adders on
-        // mult_stages+1..=mult_stages+B, and the array drains after B.
-        probe.flops(2 * self.total_writes);
-        probe.record_busy_marks_at(ids.pe_array, 1, fire);
-        probe.record_busy_marks_at(ids.accumulators, mult_lat + 1, fire);
-        if mult_lat <= fire {
-            probe.record_busy_cycles_at(1, fire + mult_lat);
-        } else {
-            probe.record_busy_cycles_at(1, fire);
-            probe.record_busy_cycles_at(mult_lat + 1, fire);
-        }
-        probe.record_stalls_at(ids.pe_array, StallCause::Drain, fire + 1, total - fire);
-        // Adder fill after cycle t counts the batches that entered on
-        // cycles (t − α, t] ∩ (M, M + B]: 0 for M cycles, a ramp up to
-        // min(α, B), a plateau through t = M + max(α, B), a ramp down.
-        let plateau = add_lat.min(fire);
-        let mut at = 1;
-        for (depth, n) in std::iter::once((0, mult_lat))
-            .chain((1..plateau).map(|d| (d, 1)))
-            .chain(std::iter::once((plateau, add_lat.max(fire) - plateau + 1)))
-            .chain((0..plateau).rev().map(|d| (d, 1)))
-        {
-            probe.record_depths_at(ids.add_pipe, depth as usize, at, n);
-            at += n;
-        }
-        assert_eq!(at, total + 1, "mm-block: add-pipe runs cover the block");
-        total
+        self.c[cell] = add_f64(self.c[cell], product);
+        self.c[cell]
     }
 
-    fn drain(&mut self, probe: &mut Probe) {
-        // Every MAC transits the multiplier and adder pipes in a fixed
-        // number of cycles regardless of the residency schedule: the
-        // per-update completion latency.
-        let ids = self.ids.expect("setup registered components");
-        let transit = (self.mult_pipe.latency() + self.add_pipe.latency()) as u64;
-        probe.record_latencies(ids.accumulators, transit, self.total_writes);
+    /// Each C′ cell receives its updates in ascending q whatever the
+    /// operands are, so the values are one [`matmul_acc`] call.
+    fn replay(&mut self, _probe: &mut Probe, _streams: (), _total: u64) {
+        matmul_acc(self.params.m, self.a.as_slice(), self.b.as_slice(), self.c);
     }
 
-    fn done(&self) -> bool {
-        self.writes_done >= self.total_writes
+    /// C′ is the PE array's accumulator storage. The block engine owns
+    /// no streaming channel (A and B arrive via direct block reads), so a
+    /// channel glitch has no landing site.
+    fn fault_flip_buffer(&mut self, slot: usize, bit: u32) -> bool {
+        let idx = slot % self.c.len();
+        self.c[idx] = flip_f64_bit(self.c[idx], bit);
+        true
     }
 
-    fn cycle_limit(&self) -> u64 {
-        self.limit
-    }
-
-    fn progress(&self) -> Option<u64> {
-        Some(self.macs + self.writes_done)
-    }
-
-    fn inject(&mut self, fault: &FaultSpec) -> bool {
-        match fault.kind {
-            FaultKind::PipelineBitFlip { stage, bit } => {
-                self.mult_pipe.fault_mutate(stage, |prods| {
-                    if let Some(p) = prods.first_mut() {
-                        p.1 = flip_f64_bit(p.1, bit);
-                    }
-                })
-            }
-            // C′ is the PE array's accumulator storage.
-            FaultKind::BufferBitFlip { slot, bit } => {
-                let idx = slot % self.c.len();
-                self.c[idx] = flip_f64_bit(self.c[idx], bit);
-                true
-            }
-            // The block engine owns no streaming channel: A/B arrive via
-            // direct block reads, so a channel glitch has no landing site.
-            FaultKind::ChannelStall { .. } => false,
-            FaultKind::StuckAtZero { slot, bit } => {
-                let idx = slot % self.c.len();
-                self.c[idx] = clear_f64_bit(self.c[idx], bit);
-                true
-            }
-        }
+    fn fault_stuck_at(&mut self, slot: usize, bit: u32) -> bool {
+        let idx = slot % self.c.len();
+        self.c[idx] = clear_f64_bit(self.c[idx], bit);
+        true
     }
 }
 
@@ -476,50 +332,21 @@ impl LinearArrayMm {
         // Per §5.1 each of A, B streams k/m words per cycle; every
         // delivered word participates in m multiply-accumulates.
         let in_rate = p.k as f64 / p.m as f64;
-        t.edge(
-            "a-feed",
-            a,
-            mult,
-            EdgeKind::Channel {
-                words_per_cycle: in_rate,
-                flops_per_word: p.m as f64,
-            },
-        );
-        t.edge(
-            "b-feed",
-            b,
-            regs,
-            EdgeKind::Channel {
-                words_per_cycle: in_rate,
-                flops_per_word: p.m as f64,
-            },
-        );
+        let feed = EdgeKind::Channel {
+            words_per_cycle: in_rate,
+            flops_per_word: p.m as f64,
+        };
+        t.edge("a-feed", a, mult, feed);
+        t.edge("b-feed", b, regs, feed);
         t.edge("b-reuse", regs, mult, EdgeKind::Wire);
         t.edge("mac-chain", mult, add, EdgeKind::Wire);
-        let store = t.junction("cprime-store");
-        t.edge(
-            "add-pipe",
-            add,
-            store,
-            EdgeKind::Delay {
-                stages: p.adder_stages,
-            },
-        );
         let depth = p.update_interval()
             + match p.hazard_policy {
                 HazardPolicy::Enforce => 0,
                 HazardPolicy::Document => p.adder_stages,
             };
-        t.edge("cprime-rotation", store, add, EdgeKind::Fifo { depth });
-        t.edge(
-            "c-drain",
-            store,
-            c,
-            EdgeKind::Channel {
-                words_per_cycle: in_rate,
-                flops_per_word: 0.0,
-            },
-        );
+        let out = ("c-drain", in_rate);
+        attach_accumulator_loop(&mut t, add, c, "cprime", out, p.adder_stages, depth);
         t
     }
 
@@ -551,15 +378,12 @@ impl LinearArrayMm {
         let nb = n / m;
 
         let mut c_data = vec![0.0f64; n * n];
-        let mut first_block_cycles = 0u64;
-        let mut hazards = 0u64;
-        let mut macs = 0u64;
-        let mut blocks_done = 0u64;
         let mut cblk = vec![0.0f64; m * m];
+        let (mut first_block_cycles, mut hazards, mut macs, mut blocks_done) = (0, 0, 0, 0u64);
 
         for g in 0..nb {
             for h in 0..nb {
-                cblk.iter_mut().for_each(|v| *v = 0.0);
+                cblk.fill(0.0);
                 for z in 0..nb {
                     let ablk = DenseMatrix::from_fn(m, m, |i, q| a.at(g * m + i, z * m + q));
                     let bblk = DenseMatrix::from_fn(m, m, |q, j| b.at(z * m + q, h * m + j));
@@ -573,10 +397,9 @@ impl LinearArrayMm {
                     macs += stats.macs;
                     blocks_done += 1;
                 }
-                for i in 0..m {
-                    for j in 0..m {
-                        c_data[(g * m + i) * n + (h * m + j)] = cblk[i * m + j];
-                    }
+                for (i, row) in cblk.chunks(m).enumerate() {
+                    let at = (g * m + i) * n + h * m;
+                    c_data[at..at + m].copy_from_slice(row);
                 }
             }
         }

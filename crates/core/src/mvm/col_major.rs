@@ -9,18 +9,21 @@
 //! reduction circuit. The constructor enforces that applicability
 //! condition, and the simulation *verifies* it by asserting on every
 //! accumulator read that no in-flight write targets the same element.
+//!
+//! The design runs on the shared interleaved-accumulator datapath
+//! (`crate::interleaved`); this module supplies its source: one chunk of
+//! up to k rows of a column of A per batch, y written at adder retire.
 
 use super::{DenseMatrix, MvmOutcome, MvmParams};
+use crate::interleaved::{InterleavedRun, MacBatch, MacIds, MacSource, Shape};
+use crate::topology::attach_accumulator_loop;
 use fblas_fpu::softfloat::{add_f64, mul_f64};
 use fblas_mem::{LocalStore, ReadChannel};
 use fblas_sim::{
-    clear_f64_bit, flip_f64_bit, ClockDomain, DelayLine, DepthRuns, Design, EdgeKind, FaultKind,
-    FaultSpec, Harness, Probe, ProbeId, StallCause, Topology,
+    clear_f64_bit, flip_f64_bit, ClockDomain, DepthRuns, EdgeKind, Harness, Probe, ProbeId,
+    StallCause, Topology,
 };
 use fblas_system::{ClockModel, Xd1Node};
-
-/// One in-flight multiply-accumulate: target y index and addend.
-type MacBatch = Vec<(usize, f64)>;
 
 /// The column-major interleaved-accumulator design.
 #[derive(Debug, Clone)]
@@ -74,48 +77,24 @@ impl ColMajorMvm {
         let mult = t.pe("mult-bank", p.k as f64);
         let add = t.pe("adder-bank", p.k as f64);
         let y = t.sink("y-port");
-        t.edge(
-            "a-feed",
-            a,
-            mult,
-            EdgeKind::Channel {
-                words_per_cycle: p.matrix_words_per_cycle,
-                flops_per_word: 2.0,
-            },
-        );
-        t.edge(
-            "mult-pipe",
-            mult,
+        let feed = EdgeKind::Channel {
+            words_per_cycle: p.matrix_words_per_cycle,
+            flops_per_word: 2.0,
+        };
+        t.edge("a-feed", a, mult, feed);
+        let pipe = EdgeKind::Delay {
+            stages: p.mult_stages,
+        };
+        t.edge("mult-pipe", mult, add, pipe);
+        let rotation = n.div_ceil(p.k);
+        attach_accumulator_loop(
+            &mut t,
             add,
-            EdgeKind::Delay {
-                stages: p.mult_stages,
-            },
-        );
-        let store = t.junction("y-store");
-        t.edge(
-            "add-pipe",
-            add,
-            store,
-            EdgeKind::Delay {
-                stages: p.adder_stages,
-            },
-        );
-        t.edge(
-            "y-rotation",
-            store,
-            add,
-            EdgeKind::Fifo {
-                depth: n.div_ceil(p.k),
-            },
-        );
-        t.edge(
-            "y-write",
-            store,
             y,
-            EdgeKind::Channel {
-                words_per_cycle: 1.0,
-                flops_per_word: 0.0,
-            },
+            "y",
+            ("y-write", 1.0),
+            p.adder_stages,
+            rotation,
         );
         t
     }
@@ -147,9 +126,7 @@ impl ColMajorMvm {
         x: &[f64],
         y0: Option<&[f64]>,
     ) -> MvmOutcome {
-        let k = self.params.k;
-        let rows = a.rows();
-        let cols = a.cols();
+        let (k, rows, cols) = (self.params.k, a.rows(), a.cols());
         assert_eq!(x.len(), cols, "x must have one element per column of A");
         assert!(rows > 0 && cols > 0, "empty matrix");
         let chunks_per_col = rows.div_ceil(k);
@@ -163,335 +140,156 @@ impl ColMajorMvm {
 
         // Intermediate y lives on chip; one logical store (lane-sliced in
         // hardware; a single capacity-checked store is equivalent here).
-        let mut y_store = LocalStore::new("y'", rows);
+        let mut y = LocalStore::new("y'", rows);
         if let Some(y0) = y0 {
-            y_store.load(y0);
+            y.load(y0);
         }
-
-        let mut run = ColMvmRun {
+        let rate = self.params.matrix_words_per_cycle;
+        let source = ColSource {
             k,
-            rows,
-            cols,
-            chunks_per_col,
-            // Rate accounting, not datapath. lint: allow(native-f64)
-            full_rate: self.params.matrix_words_per_cycle >= k as f64,
             x,
-            y_store,
-            a_ch: ReadChannel::new(a.col_major_stream(), self.params.matrix_words_per_cycle),
-            // Lockstep lanes: multiplier then accumulating adder, modelled
-            // as two delay lines carrying per-cycle MAC batches.
-            mult: DelayLine::new(self.params.mult_stages),
-            adder: DelayLine::new(self.params.adder_stages),
-            in_flight: vec![false; rows],
-            in_flight_count: 0,
+            y,
+            a_ch: ReadChannel::new(a.col_major_stream(), rate),
             col: 0,
-            chunk: 0,
+            row: 0,
             group: Vec::with_capacity(k),
-            writes_done: 0,
-            // Every element of A is one multiply-accumulate, hence one write.
-            total_writes: (rows * cols) as u64,
-            values_fed: 0,
-            limit: (rows as u64 * cols as u64 / k as u64 + 1024) * 8 + 200_000,
-            ids: None,
         };
-        let report = harness.run(&mut run);
-        let y = run.y_store.contents().to_vec();
-        MvmOutcome::new(y, report, self.clock, self.params.matrix_words_per_cycle)
+        let batches = cols as u64 * chunks_per_col as u64;
+        let shape = Shape {
+            mult_stages: self.params.mult_stages,
+            adder_stages: self.params.adder_stages,
+            cells: rows,
+            batches,
+            // Every element of A is one multiply-accumulate.
+            products: rows as u64 * cols as u64,
+            latencies: batches,
+            // y streams back to memory once the accumulators settle.
+            words_out: rows as u64,
+            // Rate accounting, not datapath. lint: allow(native-f64)
+            gapless: rate >= k as f64,
+        };
+        let (report, source) = InterleavedRun::new(source, shape).run_in(harness);
+        MvmOutcome::new(source.y.contents().to_vec(), report, self.clock, rate)
     }
 }
 
-/// Probe components of one column-major `MvM` run.
-#[derive(Debug, Clone, Copy)]
-struct ColMvmIds {
-    front_end: ProbeId,
-    a_stream: ProbeId,
-    lanes: ProbeId,
-    hazard_window: ProbeId,
-}
-
-/// One in-flight column-major `MvM` computation as a harness [`Design`].
-struct ColMvmRun<'a> {
+/// The column-major family's products: each batch is one chunk of up to
+/// k rows of a column of A times the column's broadcast x word.
+struct ColSource<'a> {
     k: usize,
-    rows: usize,
-    cols: usize,
-    chunks_per_col: usize,
-    /// Channel rate covers a whole chunk per cycle — precondition of the
-    /// fused fast-forward schedule.
-    full_rate: bool,
     x: &'a [f64],
-    y_store: LocalStore,
+    /// The interleaved accumulators, written at adder retire.
+    y: LocalStore,
     a_ch: ReadChannel,
-    mult: DelayLine<MacBatch>,
-    adder: DelayLine<MacBatch>,
-    // Hazard detector: y indices with an in-flight accumulate.
-    in_flight: Vec<bool>,
-    in_flight_count: usize,
+    /// The next chunk's column and first row.
     col: usize,
-    chunk: usize,
+    row: usize,
+    /// The next chunk's staged matrix words.
     group: Vec<f64>,
-    writes_done: u64,
-    total_writes: u64,
-    values_fed: u64,
-    limit: u64,
-    ids: Option<ColMvmIds>,
 }
 
-impl Design for ColMvmRun<'_> {
-    fn name(&self) -> &str {
-        "col-mvm"
-    }
+impl MacSource for ColSource<'_> {
+    type Streams = ProbeId;
+    const NAME: &'static str = "col-mvm";
+    const IDLE_STALLS: bool = true;
+    const FLIP_ADDER: bool = true;
 
-    fn setup(&mut self, probe: &mut Probe) {
-        self.ids = Some(ColMvmIds {
-            front_end: probe.component("col-mvm/front-end"),
-            a_stream: probe.component("col-mvm/a-stream"),
+    fn register(&mut self, probe: &mut Probe) -> MacIds<ProbeId> {
+        let front_end = probe.component("col-mvm/front-end");
+        let streams = probe.component("col-mvm/a-stream");
+        MacIds {
+            front_end,
+            streams,
             lanes: probe.component("col-mvm/lanes"),
-            hazard_window: probe.component("col-mvm/hazard-window"),
-        });
+            add_pipe: probe.component("col-mvm/hazard-window"),
+        }
     }
 
-    fn cycle(&mut self, probe: &mut Probe) {
-        let ids = self.ids.expect("setup registered components");
-
-        // Retire accumulates leaving the adder: write back and clear
-        // the hazard marker *before* this cycle's reads.
-        if let Some(batch) = self.adder.peek().cloned() {
-            for (idx, _) in &batch {
-                self.in_flight[*idx] = false;
-            }
-            self.in_flight_count -= batch.len();
-            for (idx, v) in batch {
-                self.y_store.write(idx, v);
-                self.writes_done += 1;
-            }
-        }
-
-        // Front end: k elements of the current column.
+    fn fire(&mut self, probe: &mut Probe, batch: &mut MacBatch) -> Option<StallCause> {
         self.a_ch.tick();
-        let mut mult_in = None;
-        if self.col < self.cols {
-            let lo = self.chunk * self.k;
-            let hi = (lo + self.k).min(self.rows);
-            let got = self
-                .a_ch
-                .read_up_to(hi - lo - self.group.len(), &mut self.group);
-            probe.io_in(got as u64);
-            if self.group.len() == hi - lo {
-                let xj = self.x[self.col];
-                if self.chunk == 0 {
-                    // The broadcast x element streams in once per column.
-                    probe.io_in(1);
-                }
-                let batch: MacBatch = self
-                    .group
-                    .drain(..)
-                    .enumerate()
-                    .map(|(off, aij)| (lo + off, mul_f64(aij, xj)))
-                    .collect();
-                probe.busy(ids.front_end);
-                probe.flops(batch.len() as u64);
-                self.values_fed += batch.len() as u64;
-                mult_in = Some(batch);
-                self.chunk += 1;
-                if self.chunk == self.chunks_per_col {
-                    self.chunk = 0;
-                    self.col += 1;
-                }
-            } else {
-                probe.stall(ids.front_end, StallCause::InputStarved);
-            }
-        } else {
-            probe.stall(ids.front_end, StallCause::Drain);
+        if self.col == self.x.len() {
+            return Some(StallCause::Drain);
         }
-
-        // Products emerging from the multipliers issue their adds,
-        // reading the current intermediate value.
-        let adder_in = self.mult.step(mult_in).map(|batch| {
-            batch
-                .into_iter()
-                .map(|(idx, prod)| {
-                    assert!(
-                        !self.in_flight[idx],
-                        "read-after-write hazard on y[{idx}]: previous \
-                         accumulate still in the adder pipeline"
-                    );
-                    self.in_flight[idx] = true;
-                    (idx, add_f64(self.y_store.read(idx), prod))
-                })
-                .collect::<MacBatch>()
-        });
-        if let Some(batch) = &adder_in {
-            probe.busy(ids.lanes);
-            probe.flops(batch.len() as u64);
-            self.in_flight_count += batch.len();
-        } else if self.in_flight_count > 0 {
-            // The adder issue slot is empty while earlier accumulates are
-            // still locking their y elements in the pipeline.
-            probe.stall(ids.lanes, StallCause::HazardWindow);
-        } else if self.col == self.cols {
-            probe.stall(ids.lanes, StallCause::Drain);
+        let (lo, rows) = (self.row, self.y.capacity());
+        let hi = (lo + self.k).min(rows);
+        let want = hi - lo - self.group.len();
+        probe.io_in(self.a_ch.read_up_to(want, &mut self.group) as u64);
+        if self.group.len() < hi - lo {
+            return Some(StallCause::InputStarved);
         }
-        self.adder.step(adder_in);
-
-        self.adder.probe_occupancy(probe, ids.hazard_window);
-        self.a_ch.probe_utilization(probe, ids.a_stream);
+        if lo == 0 {
+            // The broadcast x element streams in once per column.
+            probe.io_in(1);
+        }
+        let xj = self.x[self.col];
+        let products = self.group.drain(..).enumerate();
+        batch.extend(products.map(|(off, aij)| (lo + off, mul_f64(aij, xj))));
+        self.row = if hi == rows { 0 } else { hi };
+        self.col += usize::from(hi == rows);
+        None
     }
 
-    /// Fused replay of the whole run. At full channel rate the feed is
-    /// gapless — feed slot f covers chunk `(f-1) % cpc` of column
-    /// `(f-1) / cpc` — so every pipeline stage is closed-form: the
-    /// multiplier bank issues slot f's adds at f+M and the adder retires
-    /// them at f+M+α, making the run exactly F+M+α cycles. The hazard
-    /// condition (rows/k ≥ α) guarantees no other update touches a y
-    /// element between issue and retire, so the read-modify-writes fold
-    /// into one flat pass over A in retire order. Probe counters are
-    /// reconstructed analytically: an integer-only replay of the stepped
-    /// loop's stall/busy/occupancy conditions, landed through the
-    /// batched recording API — bit-identical to the stepped run's, as
-    /// the parity suites assert.
-    fn fast_forward(&mut self, probe: &mut Probe) -> u64 {
-        if !self.full_rate {
-            return 0;
-        }
+    fn issue(&mut self, cell: usize, product: f64, hazard: bool) -> f64 {
         assert!(
-            self.col == 0 && self.writes_done == 0,
-            "fast_forward must run before the first cycle"
+            !hazard,
+            "read-after-write hazard on y[{cell}]: previous accumulate \
+             still in the adder pipeline"
         );
-        let ids = self.ids.expect("setup registered components");
-        let cpc = self.chunks_per_col as u64;
-        let feed_total = self.cols as u64 * cpc;
-        let m = self.mult.latency() as u64;
-        let alpha = self.adder.latency() as u64;
-        let total = feed_total + m + alpha;
-        assert!(
-            total < self.limit,
-            "col-mvm: simulation exceeded cycle limit {}",
-            self.limit
-        );
+        add_f64(self.y.read(cell), product)
+    }
 
-        // Values: retires happen in ascending feed-slot order, which is
-        // exactly ascending (column, row) — one flat pass over A with
-        // the same y-store read/modify/write sequence as the stepped
-        // datapath.
-        for col in 0..self.cols {
-            let xj = self.x[col];
-            for i in 0..self.rows {
-                let aij = self.a_ch.data()[col * self.rows + i];
-                let v = add_f64(self.y_store.read(i), mul_f64(aij, xj));
-                self.y_store.write(i, v);
+    fn retire(&mut self, cell: usize, value: f64) {
+        self.y.write(cell, value);
+    }
+
+    fn sample_streams(&self, probe: &mut Probe, a_stream: ProbeId) {
+        self.a_ch.probe_utilization(probe, a_stream);
+    }
+
+    /// Retires run in ascending feed-slot order, which is ascending
+    /// (column, row): one flat pass over A with the stepped datapath's
+    /// y-store read/modify/write sequence. The matrix stream carries one
+    /// full or ragged chunk per feed slot and nothing through the drain.
+    fn replay(&mut self, probe: &mut Probe, a_stream: ProbeId, total: u64) {
+        let (rows, cols) = (self.y.capacity(), self.x.len());
+        for (col, &xj) in self.x.iter().enumerate() {
+            for i in 0..rows {
+                let aij = self.a_ch.data()[col * rows + i];
+                let v = add_f64(self.y.read(i), mul_f64(aij, xj));
+                self.y.write(i, v);
             }
         }
-        let elems = self.rows as u64 * self.cols as u64;
-        self.writes_done = self.total_writes;
-        self.values_fed += elems;
-        self.col = self.cols;
-
-        // The stepped loop's stall, busy and occupancy conditions in
-        // closed form. The front end fires on slots 1..=F and the lanes
-        // issue M cycles later; after the last issue, batches still in
-        // the adder lock the issue slot (the hazard window) until the
-        // final cycle, and the lanes idle on Drain from the exhausted
-        // front end until they issue, and on that final cycle.
-        let last = feed_total + m;
-        probe.record_busy_cycles_at(1, feed_total);
-        probe.record_busy_cycles_at(feed_total.max(m) + 1, feed_total.min(m));
-        probe.record_stalls_at(ids.lanes, StallCause::HazardWindow, last + 1, alpha - 1);
-        if feed_total <= m {
-            let n = m - feed_total + 1;
-            probe.record_stalls_at(ids.lanes, StallCause::Drain, feed_total, n);
+        self.col = cols;
+        let elems = (rows * cols) as u64;
+        probe.io_in(elems + cols as u64);
+        let cpc = rows.div_ceil(self.k);
+        let mut stream_runs = DepthRuns::new(a_stream);
+        for _ in 0..cols {
+            stream_runs.push_n(probe, self.k, cpc as u64 - 1);
+            stream_runs.push_n(probe, rows - (cpc - 1) * self.k, 1);
         }
-        probe.record_stalls_at(ids.lanes, StallCause::Drain, total, 1);
-        let mut occ_runs = DepthRuns::new(ids.hazard_window);
-        for t in 1..=total {
-            // Adder fill: batches entered in (t−α, t] intersected with
-            // the issue window (M, F+M].
-            let occ = t.min(last).saturating_sub(t.saturating_sub(alpha).max(m));
-            occ_runs.push(probe, occ as usize);
-        }
-        occ_runs.finish(probe);
-        // Matrix-channel words consumed: one full or ragged chunk per
-        // feed slot, nothing through the drain.
-        let mut stream_runs = DepthRuns::new(ids.a_stream);
-        for _ in 0..self.cols {
-            stream_runs.push_n(probe, self.k, cpc - 1);
-            stream_runs.push_n(probe, self.rows - (cpc as usize - 1) * self.k, 1);
-        }
-        stream_runs.push_n(probe, 0, total - feed_total);
+        stream_runs.push_n(probe, 0, total - (cols * cpc) as u64);
         stream_runs.finish(probe);
-
-        // Counter reconstruction: positioned spans matching the stepped
-        // run's per-cycle probe calls (exact windowed telemetry when
-        // enabled), including the broadcast x word on each column's
-        // first chunk.
-        probe.io_in(elems + self.cols as u64);
-        probe.flops(2 * elems);
-        probe.record_busy_marks_at(ids.front_end, 1, feed_total);
-        probe.record_busy_marks_at(ids.lanes, m + 1, feed_total);
-        probe.record_stalls_at(
-            ids.front_end,
-            StallCause::Drain,
-            feed_total + 1,
-            total - feed_total,
-        );
-        probe.record_rate_base(ids.a_stream, elems);
-        total
+        probe.record_rate_base(a_stream, elems);
     }
 
-    fn drain(&mut self, probe: &mut Probe) {
-        // y streams back to memory once the accumulators settle.
-        probe.io_out(self.rows as u64);
-        // Every MAC batch transits multiplier + adder in exactly M + α
-        // cycles regardless of feed rate: the per-batch completion
-        // latency, recorded here once for stepped and fast-forwarded
-        // runs alike.
-        let ids = self.ids.expect("setup registered components");
-        let transit = (self.mult.latency() + self.adder.latency()) as u64;
-        probe.record_latencies(
-            ids.lanes,
-            transit,
-            self.cols as u64 * self.chunks_per_col as u64,
-        );
-    }
-
-    fn done(&self) -> bool {
-        self.writes_done >= self.total_writes
-    }
-
-    fn cycle_limit(&self) -> u64 {
-        self.limit
-    }
-
-    fn progress(&self) -> Option<u64> {
-        Some(self.values_fed + self.writes_done)
-    }
-
-    fn inject(&mut self, fault: &FaultSpec) -> bool {
-        match fault.kind {
-            // Try the multiplier bank first; if the stage is a bubble
-            // there, the same register index in the adder bank.
-            FaultKind::PipelineBitFlip { stage, bit } => {
-                let flip = |batch: &mut MacBatch| {
-                    if let Some(mac) = batch.first_mut() {
-                        mac.1 = flip_f64_bit(mac.1, bit);
-                    }
-                };
-                self.mult.fault_mutate(stage, flip) || self.adder.fault_mutate(stage, flip)
-            }
-            FaultKind::BufferBitFlip { slot, bit } => {
-                if self.group.is_empty() {
-                    return false;
-                }
-                let idx = slot % self.group.len();
-                self.group[idx] = flip_f64_bit(self.group[idx], bit);
-                true
-            }
-            FaultKind::ChannelStall { beats } => self.a_ch.fault_drop_beats(beats),
-            // The interleaved accumulator store *is* this design's
-            // reduction state.
-            FaultKind::StuckAtZero { slot, bit } => self
-                .y_store
-                .fault_mutate(slot, |v| *v = clear_f64_bit(*v, bit)),
+    fn fault_flip_buffer(&mut self, slot: usize, bit: u32) -> bool {
+        if self.group.is_empty() {
+            return false;
         }
+        let idx = slot % self.group.len();
+        self.group[idx] = flip_f64_bit(self.group[idx], bit);
+        true
+    }
+
+    fn fault_drop_beats(&mut self, beats: u64) -> bool {
+        self.a_ch.fault_drop_beats(beats)
+    }
+
+    /// The interleaved accumulator store *is* this design's reduction
+    /// state.
+    fn fault_stuck_at(&mut self, slot: usize, bit: u32) -> bool {
+        self.y.fault_mutate(slot, |v| *v = clear_f64_bit(*v, bit))
     }
 }
 

@@ -3,7 +3,7 @@
 //! Every design in this crate can describe itself as a static
 //! [`Topology`] — PEs, FIFOs/delay lines with depths, memory channels
 //! with rates — which `fblas-check` analyzes for deadlock-freedom and
-//! sound throughput bounds without running a cycle. Two structures recur
+//! sound throughput bounds without running a cycle. Three structures recur
 //! across the designs and are built here:
 //!
 //! * the **§4.3 reduction loop**: a single pipelined adder (α stages)
@@ -13,7 +13,10 @@
 //! * the **gated backlog**: the tree front ends stop issuing once two
 //!   values wait at the reduction circuit, so the 2 + tree-latency
 //!   backlog FIFO provably absorbs everything in flight — exported as a
-//!   credit cycle through the backlog storage.
+//!   credit cycle through the backlog storage;
+//! * the **interleaved-accumulator loop** (§4.2 column-major `MvM`, §5.1):
+//!   sums leave the α-stage adders for an on-chip store and rotate back
+//!   to them, each lane's cells against α in-flight updates.
 //!
 //! Conventions shared by all exports: channel rates are *provisioned*
 //! port widths in words per cycle (the numbers a bandwidth budget must
@@ -76,6 +79,35 @@ pub fn attach_gated_backlog(
     );
     t.edge("issue-credit", consumer, gate, EdgeKind::Wire);
     backlog
+}
+
+/// Attach the interleaved-accumulator loop to the adder bank `add`: sums
+/// spend α cycles in the add pipeline, land in the `{cell}-store`, and
+/// rotate back through `depth` cells per lane — the hazard-freedom
+/// condition is exactly `depth` ≥ α — while results leave on `out`
+/// (edge, words/cycle) for `sink`.
+pub fn attach_accumulator_loop(
+    t: &mut Topology,
+    add: NodeId,
+    sink: NodeId,
+    cell: &str,
+    out: (&str, f64),
+    alpha: usize,
+    depth: usize,
+) {
+    let store = t.junction(format!("{cell}-store"));
+    t.edge("add-pipe", add, store, EdgeKind::Delay { stages: alpha });
+    t.edge(
+        format!("{cell}-rotation"),
+        store,
+        add,
+        EdgeKind::Fifo { depth },
+    );
+    let port = EdgeKind::Channel {
+        words_per_cycle: out.1,
+        flops_per_word: 0.0,
+    };
+    t.edge(out.0, store, sink, port);
 }
 
 /// The tree-reduce family's graph (§4.1–4.3): each `feeds` entry
