@@ -14,18 +14,21 @@
 //! kernel needs association-independent data. The reduction kernels
 //! (dot, asum, row-major MVM) and linear-array MM are swept with reals
 //! across binades, cycling per trial through three regimes: plain, with
-//! ±0 and subnormals, and with ±Inf and NaN as well; axpy, scal and
-//! col-major MVM with full-mantissa reals. `SpMV` and the bare reduction
-//! circuit (`run_sets_in`) share the tree-reduce replay and are swept
-//! the same way.
+//! ±0 and subnormals, and with ±Inf and NaN as well; axpy and scal with
+//! full-mantissa reals; col-major MVM with both, its ragged-chunk trials
+//! carrying a y0. `SpMV` and the bare reduction circuit (`run_sets_in`)
+//! share the tree-reduce replay and are swept the same way, and the
+//! blocked drivers run every panel on the harness under test.
 
 use fblas_core::dot::{DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
 use fblas_core::mm::{LinearArrayMm, MmParams};
-use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
+use fblas_core::mvm::{
+    BlockedColMajorMvm, BlockedRowMajorMvm, ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm,
+};
 use fblas_core::reduce::{run_sets_in, SingleAdderReducer, StallingReducer};
 use fblas_sim::{ExecBackend, Harness, SimReport};
-use fblas_sparse::{CsrMatrix, SpmvDesign, SpmvParams};
+use fblas_sparse::{BlockedSpmv, CsrMatrix, SpmvDesign, SpmvParams};
 
 /// xorshift64* — the same tiny deterministic generator the unit suites
 /// use, seeded per trial so failures reproduce from the printed tuple.
@@ -210,6 +213,113 @@ fn col_major_mvm_backends_agree_on_random_reals() {
         });
     }
     assert!(saved_total > 0, "no col-mvm trial ever fast-forwarded");
+
+    // Ragged last chunks (rows ≢ 0 mod k, still ⌈rows/k⌉ ≥ α), reals
+    // across binades with specials, and a carried-in y0 on even trials.
+    for trial in 0..12 {
+        let mut rng = Rng::new(0xC0_5A + trial);
+        let k = [2, 4, 8][rng.size(0, 2)];
+        let rows = k * rng.size(14, 18) + rng.size(1, k - 1);
+        let cols = rng.size(1, 24);
+        let specials = (trial % 3) as u8;
+        let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, specials));
+        let x = rng.wide_vec(cols, specials);
+        let y0 = (trial % 2 == 0).then(|| rng.wide_vec(rows, specials));
+        let ctx = format!(
+            "ragged col-mvm trial={trial} rows={rows} cols={cols} k={k} specials={specials} y0={}",
+            y0.is_some()
+        );
+        let mvm = ColMajorMvm::standalone(MvmParams::with_k(k), 170.0);
+        let saved = assert_backends_agree(&ctx, |h| {
+            let out = mvm.run_with_initial_in(h, &a, &x, y0.as_deref());
+            (bits(&out.y), out.report)
+        });
+        assert!(saved > 0, "{ctx}: declined fast-forward");
+    }
+
+    // A sub-chunk stream rate breaks the gapless feed: decline.
+    let mut rng = Rng::new(0xC0_F2);
+    let (rows, cols) = (61, 7);
+    let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, 2));
+    let x = rng.wide_vec(cols, 2);
+    let y0 = rng.wide_vec(rows, 2);
+    let starved = ColMajorMvm::standalone(
+        MvmParams {
+            matrix_words_per_cycle: 2.5,
+            ..MvmParams::with_k(4)
+        },
+        170.0,
+    );
+    let saved = assert_backends_agree("fractional col-mvm k=4", |h| {
+        let out = starved.run_with_initial_in(h, &a, &x, Some(&y0));
+        (bits(&out.y), out.report)
+    });
+    assert_eq!(
+        saved, 0,
+        "a fractional stream rate must decline fast-forward"
+    );
+}
+
+/// The blocked drivers run every panel on the caller's harness, so under
+/// the native backend each panel replays — the row-major and `SpMV`
+/// panels after the first carry the previous panel's y in.
+#[test]
+fn blocked_drivers_backends_agree_on_random_reals() {
+    for trial in 0..6 {
+        let mut rng = Rng::new(0xB1_0C + trial);
+        let k = [2, 4][rng.size(0, 1)];
+        let specials = (trial % 3) as u8;
+
+        // Row-major: column panels of width b < cols.
+        let (rows, cols) = (rng.size(1, 30), rng.size(k + 1, 50));
+        let b = rng.size(k, cols - 1);
+        let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, specials));
+        let x = rng.wide_vec(cols, specials);
+        let ctx = format!("blocked row-mvm trial={trial} rows={rows} cols={cols} b={b} k={k}");
+        let row = BlockedRowMajorMvm::new(RowMajorMvm::standalone(MvmParams::with_k(k), 170.0), b);
+        let saved = assert_backends_agree(&ctx, |h| {
+            let out = row.run_in(h, &a, &x);
+            (bits(&out.y), out.report)
+        });
+        let cycles = row.run(&a, &x).report.cycles;
+        assert_eq!(saved, cycles, "{ctx}: every panel, y0 or not, replays");
+
+        // Column-major: row panels of height b, the last one still
+        // ⌈rows/k⌉ ≥ α deep.
+        let b = k * rng.size(14, 18) + rng.size(0, k - 1);
+        let (rows, cols) = (b + rng.size(14 * k, b), rng.size(1, 20));
+        let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, specials));
+        let x = rng.wide_vec(cols, specials);
+        let ctx = format!("blocked col-mvm trial={trial} rows={rows} cols={cols} b={b} k={k}");
+        let col = BlockedColMajorMvm::new(ColMajorMvm::standalone(MvmParams::with_k(k), 170.0), b);
+        let saved = assert_backends_agree(&ctx, |h| {
+            let out = col.run_in(h, &a, &x);
+            (bits(&out.y), out.report)
+        });
+        assert_eq!(saved, col.run(&a, &x).report.cycles, "{ctx}: panels replay");
+
+        // SpMV: column panels of width b, empty rows included.
+        let (rows, cols) = (rng.size(1, 30), rng.size(k + 1, 40));
+        let b = rng.size(1, cols - 1);
+        let mut trip = Vec::new();
+        for i in 0..rows {
+            let len = [0, 1, rng.size(1, 3 * k)][rng.size(0, 2)];
+            let start = rng.size(0, cols - 1);
+            for j in 0..len.min(cols) {
+                trip.push((i, (start + j) % cols, rng.wide_real(specials)));
+            }
+        }
+        let a = CsrMatrix::from_triplets(rows, cols, &trip);
+        let x = rng.wide_vec(cols, specials);
+        let ctx = format!("blocked spmv trial={trial} rows={rows} cols={cols} b={b} k={k}");
+        let spmv = BlockedSpmv::new(SpmvParams::with_k(k), b);
+        let saved = assert_backends_agree(&ctx, |h| {
+            let out = spmv.run_in(h, &a, &x);
+            ((bits(&out.y), out.reduction_buffer_high_water), out.report)
+        });
+        let cycles = spmv.run(&a, &x).report.cycles;
+        assert_eq!(saved, cycles, "{ctx}: every panel, y0 or not, replays");
+    }
 }
 
 /// The decline rule itself: a *fractional-rate* design violates the

@@ -14,7 +14,9 @@
 //!   exposes).
 
 use super::{ColMajorMvm, DenseMatrix, MvmOutcome, RowMajorMvm};
+use crate::reduce::SingleAdderReducer;
 use crate::report::SimReport;
+use fblas_sim::Harness;
 
 /// Row-major blocked driver: column panels of width `b`.
 #[derive(Debug, Clone)]
@@ -33,6 +35,12 @@ impl BlockedRowMajorMvm {
 
     /// Compute `y = A·x` for arbitrary n, b words of x on chip at a time.
     pub fn run(&self, a: &DenseMatrix, x: &[f64]) -> MvmOutcome {
+        self.run_in(&mut Harness::new(), a, x)
+    }
+
+    /// [`BlockedRowMajorMvm::run`] with every panel on the caller's
+    /// harness.
+    pub fn run_in(&self, harness: &mut Harness, a: &DenseMatrix, x: &[f64]) -> MvmOutcome {
         let n_rows = a.rows();
         let n_cols = a.cols();
         assert_eq!(x.len(), n_cols);
@@ -44,9 +52,14 @@ impl BlockedRowMajorMvm {
             let lo = p * self.b;
             let hi = (lo + self.b).min(n_cols);
             let panel = DenseMatrix::from_fn(n_rows, hi - lo, |i, j| a.at(i, lo + j));
-            let out = self
-                .engine
-                .run_with_initial(&panel, &x[lo..hi], y.as_deref());
+            let mut reducer = SingleAdderReducer::new(self.engine.params().adder_stages);
+            let out = self.engine.run_with_reducer_in(
+                harness,
+                &panel,
+                &x[lo..hi],
+                y.as_deref(),
+                &mut reducer,
+            );
             // Panels run back to back on the same hardware: cycles add.
             total.cycles += out.report.cycles;
             total.flops += out.report.flops;
@@ -88,6 +101,12 @@ impl BlockedColMajorMvm {
 
     /// Compute `y = A·x` for arbitrary n, b words of y on chip at a time.
     pub fn run(&self, a: &DenseMatrix, x: &[f64]) -> MvmOutcome {
+        self.run_in(&mut Harness::new(), a, x)
+    }
+
+    /// [`BlockedColMajorMvm::run`] with every panel on the caller's
+    /// harness.
+    pub fn run_in(&self, harness: &mut Harness, a: &DenseMatrix, x: &[f64]) -> MvmOutcome {
         let n_rows = a.rows();
         let n_cols = a.cols();
         assert_eq!(x.len(), n_cols);
@@ -99,7 +118,7 @@ impl BlockedColMajorMvm {
             let lo = p * self.b;
             let hi = (lo + self.b).min(n_rows);
             let panel = DenseMatrix::from_fn(hi - lo, n_cols, |i, j| a.at(lo + i, j));
-            let out = self.engine.run(&panel, x);
+            let out = self.engine.run_in(harness, &panel, x);
             total.cycles += out.report.cycles;
             total.flops += out.report.flops;
             total.words_in += out.report.words_in; // x re-streamed per panel

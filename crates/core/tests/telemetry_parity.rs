@@ -149,6 +149,14 @@ fn col_mvm_telemetry_parity() {
         // One MAC batch per chunk of every column.
         assert_latencies(&series, "col-mvm/lanes", (n * n.div_ceil(4)) as u64);
     }
+    // Ragged rows (58 = 14·4 + 2) against fewer columns, with a y0.
+    let a = DenseMatrix::from_fn(58, 11, |i, j| ((i * 3 + j) % 7) as f64);
+    let (x, y0) = (ivec(11, 2), ivec(58, 5));
+    let d = ColMajorMvm::standalone(MvmParams::with_k(4), 170.0);
+    let series = assert_telem_parity("col-mvm ragged", &|h: &mut Harness| {
+        d.run_with_initial_in(h, &a, &x, Some(&y0));
+    });
+    assert_latencies(&series, "col-mvm/lanes", 11 * 15);
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! cycles, its `y` rows out, no drain.
 
 use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
-use fblas_sim::{ClockDomain, EdgeKind, Harness, SimReport, Topology};
+use fblas_sim::{ClockDomain, EdgeKind, ExecBackend, Harness, SimReport, Topology};
 
 use crate::link::{LinkClass, LinkReport, RingSpec};
 use crate::net::{Layout, RingNet};
@@ -152,8 +152,9 @@ impl FabricMvm {
     }
 
     /// [`FabricMvm::run`] with the fabric schedule stepping on the
-    /// caller's harness (slice values always come from private
-    /// harnesses, so they are backend-invariant by construction).
+    /// caller's harness (slice values always come from private native
+    /// harnesses, as in `FabricMm`, so they are backend-invariant by
+    /// construction and cost each design's fused replay).
     pub fn run_in(&self, harness: &mut Harness, a: &DenseMatrix, x: &[f64]) -> FabricMvmOutcome {
         let plan = &self.plan;
         let n = plan.n;
@@ -171,14 +172,14 @@ impl FabricMvm {
         for j in 0..plan.shards {
             let (r0, r1) = plan.rows_of(j);
             let slice = DenseMatrix::from_fn(r1 - r0, n, |i, c| a.at(r0 + i, c));
-            let out = match plan.orientation {
-                Orientation::Row => {
-                    RowMajorMvm::standalone(self.params, plan.clock_mhz).run(&slice, x)
-                }
-                Orientation::Col => {
-                    ColMajorMvm::standalone(self.params, plan.clock_mhz).run(&slice, x)
-                }
-            };
+            let native = &mut Harness::with_backend(ExecBackend::Native);
+            let out =
+                match plan.orientation {
+                    Orientation::Row => RowMajorMvm::standalone(self.params, plan.clock_mhz)
+                        .run_in(native, &slice, x),
+                    Orientation::Col => ColMajorMvm::standalone(self.params, plan.clock_mhz)
+                        .run_in(native, &slice, x),
+                };
             y.extend_from_slice(&out.y);
             slice_cycles.push(out.report.cycles);
             flops += out.report.flops;

@@ -10,6 +10,7 @@
 use crate::csr::CsrMatrix;
 use crate::spmv::{SpmvDesign, SpmvOutcome, SpmvParams};
 use fblas_core::report::SimReport;
+use fblas_sim::Harness;
 
 /// Column-blocked driver over the `SpMV` design.
 #[derive(Debug, Clone)]
@@ -36,6 +37,11 @@ impl BlockedSpmv {
 
     /// Compute y = A·x, one column panel at a time.
     pub fn run(&self, a: &CsrMatrix, x: &[f64]) -> SpmvOutcome {
+        self.run_in(&mut Harness::new(), a, x)
+    }
+
+    /// [`BlockedSpmv::run`] with every panel on the caller's harness.
+    pub fn run_in(&self, harness: &mut Harness, a: &CsrMatrix, x: &[f64]) -> SpmvOutcome {
         assert_eq!(x.len(), a.n_cols(), "x must match the matrix width");
         let n_cols = a.n_cols();
         let panels = n_cols.div_ceil(self.b);
@@ -47,8 +53,12 @@ impl BlockedSpmv {
             let hi = (lo + self.b).min(n_cols);
             let panel = a.column_panel(lo, hi);
             let out = match &outcome {
-                None => self.design.run(&panel, &x[lo..hi]),
-                Some(prev) => self.design.run_with_initial(&panel, &x[lo..hi], &prev.y),
+                None => self.design.run_in(harness, &panel, &x[lo..hi]),
+                Some(prev) => {
+                    let y0 = &prev.y;
+                    self.design
+                        .run_with_initial_in(harness, &panel, &x[lo..hi], y0)
+                }
             };
             total.cycles += out.report.cycles;
             total.flops += out.report.flops;

@@ -136,8 +136,20 @@ impl SpmvDesign {
     /// Compute y = y0 + A·x: the blocked driver injects the previous
     /// panel's partials as one extra value into each row's reduction set.
     pub fn run_with_initial(&self, a: &CsrMatrix, x: &[f64], y0: &[f64]) -> SpmvOutcome {
+        self.run_with_initial_in(&mut Harness::new(), a, x, y0)
+    }
+
+    /// [`SpmvDesign::run_with_initial`] through a caller-supplied
+    /// harness.
+    pub fn run_with_initial_in(
+        &self,
+        harness: &mut Harness,
+        a: &CsrMatrix,
+        x: &[f64],
+        y0: &[f64],
+    ) -> SpmvOutcome {
         let mut reducer = SingleAdderReducer::new(self.params.adder_stages);
-        self.run_full(&mut Harness::new(), a, x, Some(y0), &mut reducer)
+        self.run_full(harness, a, x, Some(y0), &mut reducer)
     }
 
     /// Run with an explicit reduction circuit (ablation hook).
