@@ -20,6 +20,14 @@
 //! same-cycle hand-off of its results fails; the hold starts counting
 //! on the next cycle.
 //!
+//! Stepping costs what changes. A shard spends `block_cycles` counting
+//! down inside each block with nothing to decide, so after every full
+//! cycle the schedule opens a *quiet window* over the cycles in which
+//! that holds for every unfinished shard; those cycles tick the net and
+//! count the shards' work without visiting them. The net in turn skips
+//! dormant links. Every probe call still lands in the cycle and order
+//! of the full step, so reports, ledgers and deep traces are unchanged.
+//!
 //! [`FabricMm`]: crate::FabricMm
 //! [`FabricMvm`]: crate::FabricMvm
 
@@ -99,6 +107,10 @@ pub(crate) struct Schedule {
     pub starved: u64,
     /// Shard-cycles spent holding results against a full return hop.
     pub backpressured: u64,
+    /// Quiet cycles left in the current window ([`Schedule::quiet_window`]).
+    quiet: u64,
+    /// Unfinished shards, each working every cycle of a quiet window.
+    quiet_shards: u64,
     ids: Option<(ProbeId, ProbeId)>,
     limit: u64,
 }
@@ -158,9 +170,70 @@ impl Schedule {
             ticks_worked: 0,
             starved: 0,
             backpressured: 0,
+            quiet: 0,
+            quiet_shards: 0,
             ids: None,
             limit: serial * 64 + 10_000_000,
         }
+    }
+
+    /// Move the fabric one cycle and bank its deliveries; the ring is
+    /// busy in any cycle that moved a word.
+    fn tick_net(&mut self, probe: &mut Probe, ring_id: ProbeId) {
+        let moved_before = self.net.progress_words();
+        self.net.tick(&mut self.deliveries);
+        for &(j, w) in &self.deliveries.ingress {
+            self.shards[j].ingress_words += w;
+        }
+        for &(_, w) in &self.deliveries.returned {
+            self.returned_words += w;
+        }
+        if self.net.progress_words() > moved_before {
+            probe.busy(ring_id);
+        }
+    }
+
+    /// Open a quiet window after a full cycle: the number of upcoming
+    /// cycles in which every unfinished shard only counts down inside a
+    /// block or its drain (at least two cycles left there), holds no
+    /// results, and no shard's operand window needs topping up. Such a
+    /// cycle decides nothing per shard, so [`Design::cycle`] just ticks
+    /// the net and counts the shards' work. The shards' countdowns are
+    /// settled for the whole window here; nothing reads them before it
+    /// ends, since no shard can finish inside it.
+    fn quiet_window(&mut self) -> u64 {
+        let mut window = u64::MAX;
+        let mut working = 0;
+        for shard in &self.shards {
+            if shard.unsent_words > 0 && shard.outstanding_words < self.window_words {
+                return 0;
+            }
+            if shard.finished {
+                continue;
+            }
+            let left = if shard.blocks_done == shard.blocks {
+                shard.drain_remaining
+            } else {
+                shard.block_remaining
+            };
+            if shard.pending_egress > 0 || left < 2 {
+                return 0;
+            }
+            window = window.min(left - 1);
+            working += 1;
+        }
+        if working == 0 {
+            return 0;
+        }
+        for shard in self.shards.iter_mut().filter(|s| !s.finished) {
+            if shard.blocks_done == shard.blocks {
+                shard.drain_remaining -= window;
+            } else {
+                shard.block_remaining -= window;
+            }
+        }
+        self.quiet_shards = working;
+        window
     }
 }
 
@@ -178,6 +251,13 @@ impl Design for Schedule {
 
     fn cycle(&mut self, probe: &mut Probe) {
         let (pe_id, ring_id) = self.ids.expect("setup registers components");
+        if self.quiet > 0 {
+            self.quiet -= 1;
+            self.tick_net(probe, ring_id);
+            self.ticks_worked += self.quiet_shards;
+            probe.busy(pe_id);
+            return;
+        }
         let kernel = self.kernel;
 
         // Source pacing: keep each remote shard's in-flight operand
@@ -191,18 +271,7 @@ impl Design for Schedule {
             }
         }
 
-        // Move the fabric one cycle.
-        let moved_before = self.net.progress_words();
-        self.net.tick(&mut self.deliveries);
-        for &(j, w) in &self.deliveries.ingress {
-            self.shards[j].ingress_words += w;
-        }
-        for &(_, w) in &self.deliveries.returned {
-            self.returned_words += w;
-        }
-        if self.net.progress_words() > moved_before {
-            probe.busy(ring_id);
-        }
+        self.tick_net(probe, ring_id);
 
         // Advance every shard.
         let mut fleet_worked = false;
@@ -265,6 +334,7 @@ impl Design for Schedule {
         if fleet_worked {
             probe.busy(pe_id);
         }
+        self.quiet = self.quiet_window();
     }
 
     fn done(&self) -> bool {
