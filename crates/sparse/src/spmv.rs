@@ -159,7 +159,19 @@ impl SpmvDesign {
         x: &[f64],
         reducer: &mut R,
     ) -> SpmvOutcome {
-        self.run_full(&mut Harness::new(), a, x, None, reducer)
+        self.run_with_reducer_in(&mut Harness::new(), a, x, reducer)
+    }
+
+    /// [`SpmvDesign::run_with_reducer`] through a caller-supplied
+    /// harness.
+    pub fn run_with_reducer_in<R: Reducer>(
+        &self,
+        harness: &mut Harness,
+        a: &CsrMatrix,
+        x: &[f64],
+        reducer: &mut R,
+    ) -> SpmvOutcome {
+        self.run_full(harness, a, x, None, reducer)
     }
 
     fn run_full<R: Reducer>(
