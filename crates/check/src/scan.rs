@@ -13,6 +13,11 @@
 //! all draws a "rule stale?" Warning, since an allowlist that matches
 //! nothing means the code it vouched for moved without the rule.
 //!
+//! Info lines name a file and what was found, never a line, and repeats
+//! fold into one line with a count ([`fold_info`]), so an edit that only
+//! moves a sanctioned site leaves the report unchanged. Errors and
+//! warnings keep their `file:line`.
+//!
 //! None of these rules duplicates a byte-equality or parity test; each
 //! row's doc comment names the defect it catches that no such test does.
 
@@ -39,7 +44,8 @@ pub struct Site {
 /// How a rule turns prepared files into diagnostics.
 pub enum Check {
     /// Sites found file by file, worded by the shared site policy:
-    /// `"{file}:{line}: {what}"` plus `allowed` (Info) or `forbidden`
+    /// `"{file}: {what}"` plus `allowed` (Info, folded by
+    /// [`fold_info`]) or `"{file}:{line}: {what}"` plus `forbidden`
     /// (Error), and `stale` (Warning) if no site is allowed.
     Sites {
         /// The per-file matcher.
@@ -83,20 +89,21 @@ impl Rule {
             } => (find, allowed, forbidden, stale),
         };
         let sites: Vec<Site> = files.iter().flat_map(|f| find(f)).collect();
-        let mut diags: Vec<Diagnostic> = sites
-            .iter()
-            .map(|site| {
-                let (severity, suffix) = if site.allowed {
-                    (Severity::Info, allowed)
-                } else {
-                    (Severity::Error, forbidden)
-                };
-                self.diagnostic(
-                    severity,
-                    format!("{}:{}: {}{suffix}", site.file, site.line, site.what),
-                )
-            })
-            .collect();
+        let mut diags = fold_info(
+            sites
+                .iter()
+                .map(|site| {
+                    if site.allowed {
+                        let message = format!("{}: {}{allowed}", site.file, site.what);
+                        self.diagnostic(Severity::Info, message)
+                    } else {
+                        let message =
+                            format!("{}:{}: {}{forbidden}", site.file, site.line, site.what);
+                        self.diagnostic(Severity::Error, message)
+                    }
+                })
+                .collect(),
+        );
         if !sites.iter().any(|s| s.allowed) {
             diags.push(self.diagnostic(Severity::Warning, stale.to_string()));
         }
@@ -111,6 +118,31 @@ impl Rule {
             quantities: vec![],
         }
     }
+}
+
+/// `diags` with each Info diagnostic folded into the first one of equal
+/// message, which carries a `sites` count when more than one folded.
+/// Other severities pass through in place.
+pub(crate) fn fold_info(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let mut folded: Vec<(Diagnostic, u32)> = Vec::with_capacity(diags.len());
+    for d in diags {
+        let same = folded.iter_mut().find(|(f, _)| {
+            d.severity == Severity::Info && f.severity == d.severity && f.message == d.message
+        });
+        match same {
+            Some((_, count)) => *count += 1,
+            None => folded.push((d, 1)),
+        }
+    }
+    folded
+        .into_iter()
+        .map(|(mut d, count)| {
+            if count > 1 {
+                d.quantities.push(("sites", f64::from(count)));
+            }
+            d
+        })
+        .collect()
 }
 
 /// Softfloat purity ([`crate::lint`]). Catches a datapath value computed
@@ -377,6 +409,31 @@ mod tests {
                    fn f() { let t = Instant::now(); }\n";
         let diags = diagnose(&DETERMINISM, "crates/sim/src/x.rs", src);
         assert!(errors_at(&diags, "x.rs:3: `Instant::now`"), "{diags:?}");
+    }
+
+    /// Moving allowed sites down a line leaves their Info output
+    /// unchanged (repeats fold into one counted line), while an error
+    /// still names its line.
+    #[test]
+    fn info_output_is_stable_when_a_site_moves_and_errors_keep_their_line() {
+        let src = "fn f() {\n    thread::scope(|_| {});\n    thread::scope(|_| {});\n}\n";
+        let moved = format!("\n{src}");
+        let render = |label: &str, src: &str| -> Vec<String> {
+            let diags = diagnose(&THREAD_CONTAINMENT, label, src);
+            diags.iter().map(ToString::to_string).collect()
+        };
+        let pool = "crates/bench/src/pool.rs";
+        assert_eq!(render(pool, src), render(pool, &moved));
+        assert_eq!(
+            render(pool, src),
+            [
+                "info    [bench-thread-containment] crates/bench/src/pool.rs: `thread::scope` \
+              inside the shared pool (allowed site) (sites=2)"
+            ]
+        );
+        let diags = diagnose(&THREAD_CONTAINMENT, "crates/bench/src/x.rs", &moved);
+        assert!(errors_at(&diags, "x.rs:3: `thread::scope`"), "{diags:?}");
+        assert!(errors_at(&diags, "x.rs:4: `thread::scope`"), "{diags:?}");
     }
 
     /// A hook-trait declaration without a body sanctions nothing after it.

@@ -12,7 +12,9 @@
 //! stale docstring ([`Severity::Error`]); a `.component(...)` call whose
 //! argument is not a string literal cannot be audited at all and is also
 //! an error. Matched sites are reported as [`Severity::Info`] carrying
-//! the registry docstring, so the sweep shows live coverage.
+//! the registry docstring, so the sweep shows live coverage; they name
+//! the file and the id but no line, folded by [`crate::scan::fold_info`],
+//! so moving a call site changes no output.
 //!
 //! The scan works on comment-/string-stripped source to locate call
 //! sites (prose about `.component("x")` never fires), then re-reads the
@@ -21,6 +23,7 @@
 //! ([`crate::scan::METRIC_REGISTRY`]).
 
 use crate::drc::{Diagnostic, Severity};
+use crate::scan::fold_info;
 use crate::source::SourceFile;
 use fblas_telemetry::METRICS;
 
@@ -107,7 +110,7 @@ pub fn check_sites(sites: &[MetricSite], registry: &[(&str, &str)]) -> Vec<Diagn
                 Some(doc) => diags.push(Diagnostic {
                     rule_id: "telemetry-metric-registry",
                     severity: Severity::Info,
-                    message: format!("{}:{}: `{id}` — {doc}", site.file, site.line),
+                    message: format!("{}: `{id}` — {doc}", site.file),
                     quantities: vec![],
                 }),
                 None => diags.push(Diagnostic {
@@ -137,7 +140,7 @@ pub fn check_sites(sites: &[MetricSite], registry: &[(&str, &str)]) -> Vec<Diagn
             });
         }
     }
-    diags
+    fold_info(diags)
 }
 
 #[cfg(test)]
@@ -198,6 +201,25 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("`b/stale`")));
+    }
+
+    /// A registry hit names its file and id, not its line: a call site
+    /// moved down a line reports the same Info.
+    #[test]
+    fn a_moved_call_site_reports_the_same_info() {
+        let src = "fn f(p: &mut Probe) { p.component(\"dot/front-end\"); }";
+        let info = |src: &str| {
+            let diags = check_sites(&scan_source("crates/core/src/x.rs", src), METRICS);
+            diags
+                .into_iter()
+                .filter(|d| d.severity == Severity::Info)
+                .map(|d| d.message)
+                .collect::<Vec<_>>()
+        };
+        let before = info(src);
+        assert_eq!(before.len(), 1);
+        assert!(before[0].starts_with("crates/core/src/x.rs: `dot/front-end` — "));
+        assert_eq!(info(&format!("\n\n{src}")), before);
     }
 
     /// The live tree must pass: every emitted id declared, every
