@@ -290,7 +290,7 @@ pub fn diff_cells<R: Record>(current: &Store<R>, baseline: &Store<R>) -> CellDif
             Some(cur) => {
                 let mut causes = cur.drift(base);
                 if causes.is_empty() {
-                    causes.push("field drift outside summarized counters".to_string());
+                    causes = member_drift(&cur.to_json(), &base.to_json());
                 }
                 diff.lines
                     .push(format!("{cell}: DRIFT — {}", causes.join("; ")));
@@ -308,6 +308,39 @@ pub fn diff_cells<R: Record>(current: &Store<R>, baseline: &Store<R>) -> CellDif
     diff
 }
 
+/// One `"{member} {current} != baseline {baseline}"` cause per
+/// top-level member of two serialized rows that differs; a member one
+/// side lacks renders as `absent`. Names the drift that
+/// [`Record::drift`]'s summary does not cover.
+fn member_drift(current: &Json, baseline: &Json) -> Vec<String> {
+    let render = |v: Option<&Json>| v.map_or_else(|| "absent".to_string(), Json::render_compact);
+    let mut names: Vec<&str> = Vec::new();
+    for row in [current, baseline] {
+        if let Json::Obj(members) = row {
+            for (name, _) in members {
+                if !names.contains(&name.as_str()) {
+                    names.push(name);
+                }
+            }
+        }
+    }
+    let mut causes: Vec<String> = names
+        .into_iter()
+        .filter(|name| current.get(name) != baseline.get(name))
+        .map(|name| {
+            format!(
+                "{name} {} != baseline {}",
+                render(current.get(name)),
+                render(baseline.get(name))
+            )
+        })
+        .collect();
+    if causes.is_empty() {
+        causes.push("no serialized member differs".to_string());
+    }
+    causes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +350,7 @@ mod tests {
     struct Row {
         key: String,
         count: u64,
+        unit: String,
     }
 
     impl Record for Row {
@@ -331,6 +365,7 @@ mod tests {
             Json::obj()
                 .with("key", Json::Str(self.key.clone()))
                 .with("count", Json::Num(self.count as f64))
+                .with("unit", Json::Str(self.unit.clone()))
         }
 
         fn from_json(json: &Json) -> Result<Self, String> {
@@ -344,10 +379,19 @@ mod tests {
                     .get("count")
                     .and_then(Json::as_u64)
                     .ok_or("row missing 'count'")?,
+                unit: json
+                    .get("unit")
+                    .and_then(Json::as_str)
+                    .ok_or("row missing 'unit'")?
+                    .to_string(),
             })
         }
 
+        /// Summarizes `count` only; `unit` is left to the gate.
         fn drift(&self, baseline: &Self) -> Vec<String> {
+            if self.count == baseline.count {
+                return Vec::new();
+            }
             vec![format!(
                 "count {} != baseline {}",
                 self.count, baseline.count
@@ -359,6 +403,7 @@ mod tests {
         Row {
             key: key.to_string(),
             count,
+            unit: "words".to_string(),
         }
     }
 
@@ -432,6 +477,21 @@ mod tests {
              b: DRIFT — count 5 != baseline 2\n\
              c: new cell (not in baseline)\n\
              test diff: FAIL (2 finding(s))\n"
+        );
+    }
+
+    /// A row that drifts only in a member `drift` does not summarize is
+    /// reported by that member's name with both values.
+    #[test]
+    fn drift_outside_the_summary_names_the_member() {
+        let set = sample();
+        let mut drifted = sample();
+        drifted.records[1].unit = "bytes".to_string();
+        let diff = diff_cells(&drifted, &set);
+        assert_eq!(diff.failures, 1);
+        assert_eq!(
+            diff.lines[1],
+            "b: DRIFT — unit \"bytes\" != baseline \"words\""
         );
     }
 
