@@ -5,51 +5,32 @@
 //! degradation from 155 MHz at k = 1 to 125 MHz at k = 10 (the most PEs
 //! that fit on the XC2VP50).
 
+use fblas_bench::paper_matrix::mm_model;
 use fblas_bench::print_table;
 use fblas_bench::record_sink::RecordSink;
 use fblas_bench::trace::{reference_kernels, TraceOption};
-use fblas_metrics::RunRecord;
 use fblas_system::{AreaModel, ClockModel, XC2VP50};
 
 fn main() {
     let trace = TraceOption::from_args();
     let mut sink = RecordSink::from_args("fig9");
-    let area = AreaModel::default();
     let clock = ClockModel::default();
-    let max_k = area.max_pes(&XC2VP50);
+    let max_k = AreaModel::default().max_pes(&XC2VP50);
 
-    // One modeled record per design point; the endpoints carry the
-    // paper's parity figures.
+    // One paper-matrix `mm/model` cell per design point; the endpoints
+    // carry the paper's parity figures.
+    let mut rows = Vec::new();
     for k in 1..=max_k {
-        let mut r = RunRecord::modeled(
-            "mm/model",
-            &[("k", i64::from(k))],
-            clock.mm_mhz(k),
-            u64::from(area.mm_design(k)),
-        );
-        if k == 1 {
-            r = r.with_paper("fig9.clock.k1", clock.mm_mhz(1));
-        }
-        if k == max_k {
-            r = r
-                .with_paper("fig9.clock.k10", clock.mm_mhz(max_k))
-                .with_paper("fig9.max-pes.xc2vp50", f64::from(max_k));
-        }
+        let r = mm_model(k);
+        rows.push(vec![
+            k.to_string(),
+            r.modeled_slices.to_string(),
+            format!("{:.0}%", XC2VP50.occupancy(r.modeled_slices as u32) * 100.0),
+            format!("{:.1}", r.clock_mhz),
+            format!("{:.2}", 2.0 * f64::from(k) * r.clock_mhz / 1000.0),
+        ]);
         sink.push(r);
     }
-
-    let rows: Vec<Vec<String>> = (1..=max_k)
-        .map(|k| {
-            let a = area.mm_design(k);
-            vec![
-                k.to_string(),
-                a.to_string(),
-                format!("{:.0}%", XC2VP50.occupancy(a) * 100.0),
-                format!("{:.1}", clock.mm_mhz(k)),
-                format!("{:.2}", 2.0 * f64::from(k) * clock.mm_mhz(k) / 1000.0),
-            ]
-        })
-        .collect();
 
     print_table(
         "Figure 9: Area & clock speed of the matrix-multiply design (XC2VP50)",

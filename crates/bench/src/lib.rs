@@ -3,19 +3,23 @@
 //! Every table and figure of the SC'05 paper has a binary in `src/bin/`
 //! that re-derives it from the architecture simulations and cost models:
 //!
-//! | target | reproduces |
-//! |---|---|
-//! | `table1` | memory characteristics of SRC and Cray platforms |
-//! | `table2` | floating-point unit and reduction-circuit cost sheet |
-//! | `table3` | Level-1/2 design characteristics and sustained MFLOPS |
-//! | `fig9`   | matrix-multiply area & clock vs number of PEs |
-//! | `table4` | Level-2/3 BLAS on one XD1 FPGA |
-//! | `fig11`  | projected chassis GFLOPS sweep (XC2VP50) |
-//! | `fig12`  | projected chassis GFLOPS sweep (XC2VP100) |
-//! | `chassis`| §6.4 single-chassis and 12-chassis predictions |
-//! | `cpu_compare` | §6.3 CPU dgemm comparison (measured on this host) |
-//! | `ablation` | reduction-circuit and design-choice ablations |
-//! | `alpha_sweep` | buffer/latency bounds vs adder depth α |
+//! | target | reproduces | paper-matrix cells it prints |
+//! |---|---|---|
+//! | `table1` | memory characteristics of SRC and Cray platforms | — |
+//! | `table2` | floating-point unit and reduction-circuit cost sheet | — |
+//! | `table3` | Level-1/2 design characteristics and sustained MFLOPS | [`paper_matrix::dot`], [`paper_matrix::mvm_row`] |
+//! | `fig9`   | matrix-multiply area & clock vs number of PEs | [`paper_matrix::mm_model`] at k = 1..=10 |
+//! | `table4` | Level-2/3 BLAS on one XD1 FPGA | [`paper_matrix::mvm_xd1_l2`], [`paper_matrix::mm_hierarchical`] |
+//! | `fig11`  | projected chassis GFLOPS sweep (XC2VP50) | [`paper_matrix::projection`] (XC2VP50) |
+//! | `fig12`  | projected chassis GFLOPS sweep (XC2VP100) | [`paper_matrix::projection`] (XC2VP100) |
+//! | `chassis`| §6.4 single-chassis and 12-chassis predictions | — |
+//! | `cpu_compare` | §6.3 CPU dgemm comparison (measured on this host) | — |
+//! | `ablation` | reduction-circuit and design-choice ablations | — |
+//! | `alpha_sweep` | buffer/latency bounds vs adder depth α | — |
+//!
+//! A binary that prints a paper figure calls that figure's cell function
+//! in [`paper_matrix`], the same function the matrix's job list calls,
+//! so its `--json` records are the matrix's cells byte for byte.
 //!
 //! Run them with `cargo run --release -p fblas-bench --bin <name>`.
 //! Every binary accepts `--trace <out.json>` to dump a Chrome
@@ -93,25 +97,38 @@ pub fn vs_paper(measured: f64, paper: f64, unit: &str) -> String {
     format!("{measured:.3} {unit} (paper {paper:.3}, {delta:+.1}%)")
 }
 
-/// [`vs_paper`] against the paper value and unit of the shared tolerance
-/// row `id`.
+/// The measured value of `record`'s parity entry `id`.
 ///
 /// # Panics
-/// If `id` is not in [`fblas_metrics::PAPER_TOLERANCES`].
-pub fn vs_figure(measured: f64, id: &str) -> String {
+/// If `record` carries no entry `id`.
+pub fn figure(record: &RunRecord, id: &str) -> f64 {
+    record
+        .paper
+        .iter()
+        .find(|p| p.figure_id == id)
+        .unwrap_or_else(|| panic!("{} carries no '{id}'", record.key()))
+        .measured
+}
+
+/// [`vs_paper`] of `record`'s parity entry `id` against the paper value
+/// and unit of the shared tolerance row `id`.
+///
+/// # Panics
+/// If `id` is not in [`fblas_metrics::PAPER_TOLERANCES`] or `record`
+/// does not carry it.
+pub fn vs_figure(record: &RunRecord, id: &str) -> String {
     let t = fblas_metrics::lookup(id).unwrap_or_else(|| panic!("unknown paper figure '{id}'"));
-    vs_paper(measured, t.paper, t.unit)
+    vs_paper(figure(record, id), t.paper, t.unit)
 }
 
 /// Figures 11 and 12: print the projected GFLOPS of one XD1 chassis of
 /// `device` (the XC2VP`part`) over PE areas of 1600–2000 slices and PE
-/// clocks of 160–200 MHz, record the best point (1600 slices @ 200 MHz)
-/// as `fig<figure>.best.gflops` and return it. The sweep is analytic, so
-/// `--trace` traces the reference kernels instead.
+/// clocks of 160–200 MHz, record the paper matrix's projection cell
+/// (the best point, 1600 slices @ 200 MHz) and return that point. The
+/// sweep is analytic, so `--trace` traces the reference kernels instead.
 pub fn chassis_sweep(figure: u32, device: FpgaDevice, part: i64) -> ProjectionPoint {
     let trace = TraceOption::from_args();
-    let generator = format!("fig{figure}");
-    let mut sink = RecordSink::from_args(&generator);
+    let mut sink = RecordSink::from_args(&format!("fig{figure}"));
     let proj = ChassisProjection::xd1(device);
 
     let clocks: Vec<u32> = (160..=200).step_by(10).collect();
@@ -142,13 +159,8 @@ pub fn chassis_sweep(figure: u32, device: FpgaDevice, part: i64) -> ProjectionPo
         &rows,
     );
 
-    let best = proj.point(1600, 200.0);
-    assert!(best.required_sram_bytes_per_s < 12.8e9);
-    assert!(best.required_dram_bytes_per_s < 3.2e9);
-    sink.push(
-        RunRecord::modeled("model/projection", &[("xc2vp", part)], 200.0, 1600)
-            .with_paper(&format!("{generator}.best.gflops"), best.chassis_gflops),
-    );
+    let (best, record) = paper_matrix::projection(figure, device, part);
+    sink.push(record);
     reference_kernels(&trace, None);
     sink.write();
     best
@@ -204,9 +216,9 @@ mod tests {
     fn vs_paper_formats_delta() {
         let s = vs_paper(110.0, 100.0, "MFLOPS");
         assert!(s.contains("+10.0%"), "{s}");
-        assert_eq!(
-            vs_figure(2.06, "table4.l3.gflops"),
-            vs_paper(2.06, 2.06, "GFLOPS")
-        );
+        let t = &fblas_metrics::PAPER_TOLERANCES[0];
+        let record = RunRecord::modeled("any", &[], 100.0, 0).with_paper(t.id, t.paper);
+        assert_eq!(figure(&record, t.id), t.paper);
+        assert_eq!(vs_figure(&record, t.id), vs_paper(t.paper, t.paper, t.unit));
     }
 }

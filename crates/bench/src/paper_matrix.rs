@@ -10,6 +10,12 @@
 //! but returned in the separate [`WallClock`] sidecar so it never
 //! perturbs the committed bytes.
 //!
+//! The cells behind Tables 3 and 4 and Figures 9, 11 and 12 are public
+//! functions ([`dot`], [`mvm_row`], [`mvm_xd1_l2`], [`mm_hierarchical`],
+//! [`mm_model`], [`projection`]). The job list and the table and figure
+//! binaries call the same functions, so every paper figure has one
+//! producer.
+//!
 //! Every entry is an independent [`Job`]: it synthesizes its own
 //! workload, instantiates its own design and cost models, and runs on a
 //! worker-owned harness. [`run_matrix`] schedules the jobs on
@@ -24,10 +30,12 @@
 
 use std::time::Instant;
 
-use fblas_core::dot::{DotParams, DotProductDesign};
+use fblas_core::dot::{DotOutcome, DotParams, DotProductDesign};
 use fblas_core::level1::{AsumDesign, AxpyDesign, Level1Params, ScalDesign};
-use fblas_core::mm::{HierarchicalMm, HierarchicalParams, LinearArrayMm, MmParams};
-use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm};
+use fblas_core::mm::{
+    HierarchicalMm, HierarchicalOutcome, HierarchicalParams, LinearArrayMm, MmParams,
+};
+use fblas_core::mvm::{ColMajorMvm, DenseMatrix, MvmOutcome, MvmParams, RowMajorMvm};
 use fblas_core::reduce::{run_sets_in, SingleAdderReducer};
 use fblas_fpu::FP_ADDER;
 use fblas_mem::DmaModel;
@@ -36,8 +44,8 @@ use fblas_sim::{ExecBackend, Harness, TelemSeries};
 use fblas_sparse::{SpmvDesign, SpmvParams};
 use fblas_system::projection::scaled_sustained_gflops;
 use fblas_system::{
-    device_peak_flops, io_bound_peak_mvm, AreaModel, ChassisProjection, ClockModel, Xd1Node,
-    XC2VP100, XC2VP50,
+    device_peak_flops, io_bound_peak_mvm, AreaModel, ChassisProjection, ClockModel, FpgaDevice,
+    ProjectionPoint, Xd1Node, XC2VP100, XC2VP50,
 };
 use fblas_telemetry::TelemSet;
 
@@ -46,47 +54,61 @@ use crate::record_sink::measure;
 use crate::synth_int;
 use crate::workloads::laplacian_2d;
 
-/// What one matrix job yields: the deterministic record, the host
-/// seconds its kernel or model took and, when windowed telemetry is on,
-/// the run's sealed series.
-struct Entry {
-    record: RunRecord,
+/// One simulated paper-matrix cell: the kernel's typed output and its
+/// finished record, paper tags attached. The matrix keeps the host
+/// accounting for its sidecar; a binary prints from `out` and `record`.
+pub struct Cell<T> {
+    /// The kernel's typed output.
+    pub out: T,
+    /// The cell's record.
+    pub record: RunRecord,
+    host: Host,
+}
+
+/// What a matrix job yields: a cell with its output dropped.
+type Entry = Cell<()>;
+
+/// Host-side accounting of one cell, for the wallclock sidecar and the
+/// telemetry store.
+#[derive(Default)]
+struct Host {
+    /// Seconds the kernel or model took.
     seconds: f64,
-    /// Cycles a harness stepped or fast-forwarded for this job: the
-    /// record's cycles for simulated entries, 0 for modeled ones, whose
+    /// Cycles a harness stepped or fast-forwarded for this cell: the
+    /// record's cycles for simulated cells, 0 for modeled ones, whose
     /// analytic cycles would swamp the sidecar's cycle-compression ratio.
     harness_cycles: u64,
     /// Cycles the harness fast-forwarded through fused replays during
-    /// this job (0 on the cycle backend, or when the design declined).
+    /// this cell (0 on the cycle backend, or when the design declined).
     ff_cycles: u64,
     /// The run's sealed telemetry series (`None` with telemetry off,
-    /// and for analytic entries that never touch the harness).
+    /// and for analytic cells that never touch the harness).
     telem: Option<TelemSeries>,
 }
 
-impl Entry {
-    fn simulated(
-        record: RunRecord,
-        seconds: f64,
-        ff_cycles: u64,
-        telem: Option<TelemSeries>,
-    ) -> Self {
-        Self {
+impl<T> Cell<T> {
+    fn simulated(out: T, record: RunRecord, host: Host) -> Self {
+        let host = Host {
             harness_cycles: record.cycles,
-            record,
-            seconds,
-            ff_cycles,
-            telem,
-        }
+            ..host
+        };
+        Self { out, record, host }
     }
 
-    fn modeled(record: RunRecord, seconds: f64) -> Self {
-        Self {
-            record,
+    fn modeled(out: T, record: RunRecord, seconds: f64) -> Self {
+        let host = Host {
             seconds,
-            harness_cycles: 0,
-            ff_cycles: 0,
-            telem: None,
+            ..Host::default()
+        };
+        Self { out, record, host }
+    }
+
+    /// The cell as a matrix entry.
+    fn entry(self) -> Entry {
+        Cell {
+            out: (),
+            record: self.record,
+            host: self.host,
         }
     }
 }
@@ -96,7 +118,7 @@ fn modeled(label: &str, model: fn() -> RunRecord) -> Job<Entry> {
     Job::new(label, move |_h| {
         let t0 = Instant::now();
         let record = model();
-        Entry::modeled(record, t0.elapsed().as_secs_f64())
+        Cell::modeled((), record, t0.elapsed().as_secs_f64())
     })
 }
 
@@ -113,21 +135,200 @@ fn timed<T>(
     h: &mut Harness,
     telem_window: Option<u64>,
     run: impl FnOnce(&mut Harness) -> T,
-) -> (T, StallBreakdown, f64, u64, Option<TelemSeries>) {
+) -> (T, StallBreakdown, Host) {
     if let Some(w) = telem_window {
         h.enable_telemetry(w);
     }
     let t0 = Instant::now();
     let ff0 = h.ff_cycles();
     let (out, stalls) = measure(h, run);
-    let secs = t0.elapsed().as_secs_f64();
-    let ff = h.ff_cycles() - ff0;
+    let seconds = t0.elapsed().as_secs_f64();
+    let ff_cycles = h.ff_cycles() - ff0;
     let telem = if telem_window.is_some() {
         h.take_telemetry().pop()
     } else {
         None
     };
-    (out, stalls, secs, ff, telem)
+    let host = Host {
+        seconds,
+        ff_cycles,
+        telem,
+        ..Host::default()
+    };
+    (out, stalls, host)
+}
+
+/// Table 3's Level-1 cell: the k = 2 dot product on XD1 at n = 2048
+/// (256 when `quick`), checked against the host sum. Full runs carry
+/// `table3.dot.mflops` and `table3.dot.slices`.
+pub fn dot(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<DotOutcome> {
+    let n = if quick { 256 } else { 2048 };
+    let dot = DotProductDesign::new(DotParams::table3(), &Xd1Node::default());
+    let u = synth_int(1, n, 8);
+    let v = synth_int(2, n, 8);
+    let (out, stalls, host) = timed(h, telem_window, |h| dot.run_in(h, &u, &v));
+    let dref: f64 = u.iter().zip(&v).map(|(a, b)| a * b).sum();
+    assert_eq!(out.result, dref, "dot result mismatch");
+    let slices = AreaModel::default().dot_design(2);
+    let mut r = RunRecord::from_sim(
+        "dot",
+        &[("k", 2), ("n", n as i64)],
+        out.report,
+        stalls,
+        out.clock.mhz(),
+        u64::from(slices),
+    );
+    if !quick {
+        let mflops = r.sustained_mflops;
+        r = r
+            .with_paper("table3.dot.mflops", mflops)
+            .with_paper("table3.dot.slices", f64::from(slices));
+    }
+    Cell::simulated(out, r, host)
+}
+
+/// Table 3's Level-2 cell: the k = 4 row-major matrix-vector multiply
+/// on XD1 at n = 2048 (128 when `quick`), checked against the host
+/// product. Full runs carry `table3.mvm.mflops` and `table3.mvm.slices`.
+pub fn mvm_row(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<MvmOutcome> {
+    let n = if quick { 128 } else { 2048 };
+    let mvm = RowMajorMvm::new(MvmParams::table3(), &Xd1Node::default());
+    let a = DenseMatrix::from_rows(n, n, synth_int(3, n * n, 8));
+    let x = synth_int(4, n, 8);
+    let (out, stalls, host) = timed(h, telem_window, |h| mvm.run_in(h, &a, &x));
+    assert_eq!(out.y, a.ref_mvm(&x), "row-major mvm mismatch");
+    let slices = AreaModel::default().mvm_design(4);
+    let mut r = RunRecord::from_sim(
+        "mvm/row",
+        &[("k", 4), ("n", n as i64)],
+        out.report,
+        stalls,
+        out.clock.mhz(),
+        u64::from(slices),
+    );
+    if !quick {
+        let mflops = r.sustained_mflops;
+        r = r
+            .with_paper("table3.mvm.mflops", mflops)
+            .with_paper("table3.mvm.slices", f64::from(slices));
+    }
+    Cell::simulated(out, r, host)
+}
+
+/// Table 4's Level-2 operands: the 1024 × 1024 matrix A and x.
+pub fn xd1_l2_operands() -> (DenseMatrix, Vec<f64>) {
+    let n = 1024usize;
+    let a = DenseMatrix::from_rows(n, n, synth_int(5, n * n, 8));
+    (a, synth_int(6, n, 8))
+}
+
+/// Table 4's Level-2 cell: the k = 4 row-major matrix-vector multiply
+/// of [`xd1_l2_operands`] on one XD1 FPGA at its Level-2 clock, checked
+/// against the host product. The record carries `table4.l2.*`, whose
+/// latency adds the DRAM → SRAM staging of A and x to the compute.
+pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome> {
+    let (a, x) = xd1_l2_operands();
+    let n = a.rows();
+    let clock = ClockModel::default().xd1_l2();
+    let mvm = RowMajorMvm::standalone(MvmParams::table3(), clock.mhz());
+    let (out, stalls, host) = timed(h, telem_window, |h| mvm.run_in(h, &a, &x));
+    assert_eq!(out.y, a.ref_mvm(&x), "xd1 level-2 mvm mismatch");
+    let dma = DmaModel::xd1_dram();
+    let staging_s = dma.transfer_seconds_words((n * n + n) as u64);
+    let total_s = out.report.latency_seconds(&clock) + staging_s;
+    let sustained = out.report.flops as f64 / total_s;
+    let r = RunRecord::from_sim(
+        "mvm/xd1-l2",
+        &[("k", 4), ("n", n as i64)],
+        out.report,
+        stalls,
+        clock.mhz(),
+        u64::from(AreaModel::default().mvm_design_xd1(4)),
+    )
+    .with_paper("table4.l2.latency-ms", total_s * 1e3)
+    .with_paper("table4.l2.mflops", sustained / 1e6)
+    .with_paper(
+        "table4.l2.peak-pct",
+        sustained / io_bound_peak_mvm(dma.bandwidth_bytes_per_s) * 100.0,
+    );
+    Cell::simulated(out, r, host)
+}
+
+/// Table 4's Level-3 operands: A and B, 512 × 512.
+pub fn hierarchical_operands() -> (DenseMatrix, DenseMatrix) {
+    let n = 512usize;
+    let a = DenseMatrix::from_rows(n, n, synth_int(7, n * n, 4));
+    (a, DenseMatrix::from_rows(n, n, synth_int(8, n * n, 4)))
+}
+
+/// Table 4's Level-3 cell: the hierarchical k = m = 8, b = 512 design
+/// on one XD1 FPGA over [`hierarchical_operands`]. The record carries
+/// `table4.l3.*`. The product is not checked here: a host gemm of this
+/// size would double the cell's cost; `table4` checks it.
+///
+/// `HierarchicalMm::run` aggregates its blocks analytically (no
+/// harness), so stall attribution is empty; classification falls back
+/// to arithmetic intensity. The harness never steps a single one of its
+/// millions of modeled cycles, so the sidecar times the run but counts
+/// none of its cycles.
+pub fn mm_hierarchical() -> Cell<HierarchicalOutcome> {
+    let (a, b) = hierarchical_operands();
+    let hier = HierarchicalMm::new(HierarchicalParams::xd1_single_node());
+    let t0 = Instant::now();
+    let out = hier.run(&a, &b);
+    let seconds = t0.elapsed().as_secs_f64();
+    let r = RunRecord::from_sim(
+        "mm/hierarchical",
+        &[("b", 512), ("k", 8), ("m", 8), ("n", a.rows() as i64)],
+        out.report,
+        StallBreakdown::default(),
+        out.clock.mhz(),
+        u64::from(AreaModel::default().mm_design_xd1(8)),
+    )
+    .with_paper("table4.l3.gflops", out.sustained_gflops())
+    .with_paper(
+        "table4.l3.latency-ms",
+        out.report.latency_seconds(&out.clock) * 1e3,
+    );
+    Cell::modeled(out, r, seconds)
+}
+
+/// Figure 9's cell at `k` PEs: the modeled clock and area of the
+/// linear-array multiplier on the XC2VP50. k = 1 carries
+/// `fig9.clock.k1`; the most PEs that fit carries `fig9.clock.k10` and
+/// `fig9.max-pes.xc2vp50`.
+pub fn mm_model(k: u32) -> RunRecord {
+    let area = AreaModel::default();
+    let mhz = ClockModel::default().mm_mhz(k);
+    let max_pes = area.max_pes(&XC2VP50);
+    let mut r = RunRecord::modeled(
+        "mm/model",
+        &[("k", i64::from(k))],
+        mhz,
+        u64::from(area.mm_design(k)),
+    );
+    if k == 1 {
+        r = r.with_paper("fig9.clock.k1", mhz);
+    }
+    if k == max_pes {
+        r = r
+            .with_paper("fig9.clock.k10", mhz)
+            .with_paper("fig9.max-pes.xc2vp50", f64::from(max_pes));
+    }
+    r
+}
+
+/// Figure `figure`'s cell: the projected best point (1600-slice PEs at
+/// 200 MHz) of one XD1 chassis of `device`, the XC2VP`part`, checked
+/// against XD1's 12.8 GB/s SRAM and 3.2 GB/s DRAM. The record carries
+/// `fig<figure>.best.gflops`.
+pub fn projection(figure: u32, device: FpgaDevice, part: i64) -> (ProjectionPoint, RunRecord) {
+    let best = ChassisProjection::xd1(device).point(1600, 200.0);
+    assert!(best.required_sram_bytes_per_s < 12.8e9);
+    assert!(best.required_dram_bytes_per_s < 3.2e9);
+    let r = RunRecord::modeled("model/projection", &[("xc2vp", part)], 200.0, 1600)
+        .with_paper(&format!("fig{figure}.best.gflops"), best.chassis_gflops);
+    (best, r)
 }
 
 /// The full (or quick) paper matrix as an ordered job list. Submission
@@ -137,40 +338,17 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
     let mut list: Vec<Job<Entry>> = Vec::new();
 
     // ---- Level 1: dot product (Table 3, k = 2) ----
-    let n = if quick { 256 } else { 2048 };
     list.push(Job::new("dot", move |h| {
-        let node = Xd1Node::default();
-        let area = AreaModel::default();
-        let dot = DotProductDesign::new(DotParams::table3(), &node);
-        let u = synth_int(1, n, 8);
-        let v = synth_int(2, n, 8);
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| dot.run_in(h, &u, &v));
-        let dref: f64 = u.iter().zip(&v).map(|(a, b)| a * b).sum();
-        assert_eq!(out.result, dref, "dot result mismatch");
-        let mut r = RunRecord::from_sim(
-            "dot",
-            &[("k", 2), ("n", n as i64)],
-            out.report,
-            stalls,
-            out.clock.mhz(),
-            u64::from(area.dot_design(2)),
-        );
-        if !quick {
-            let mflops = r.sustained_mflops;
-            r = r
-                .with_paper("table3.dot.mflops", mflops)
-                .with_paper("table3.dot.slices", f64::from(area.dot_design(2)));
-        }
-        Entry::simulated(r, secs, ff, telem)
+        dot(h, telem_window, quick).entry()
     }));
 
     // ---- Level 1: axpy / scal / asum streams ----
+    let n = if quick { 256 } else { 2048 };
     list.push(Job::new("axpy", move |h| {
         let axpy = AxpyDesign::new(Level1Params::with_k(2));
         let x = synth_int(5, n, 8);
         let y = synth_int(6, n, 8);
-        let (out, stalls, secs, ff, telem) =
-            timed(h, telem_window, |h| axpy.run_in(h, 3.0, &x, &y));
+        let (out, stalls, host) = timed(h, telem_window, |h| axpy.run_in(h, 3.0, &x, &y));
         let r = RunRecord::from_sim(
             "axpy",
             &[("k", 2), ("n", n as i64)],
@@ -179,13 +357,13 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     list.push(Job::new("scal", move |h| {
         let scal = ScalDesign::new(Level1Params::with_k(2));
         let x = synth_int(5, n, 8);
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| scal.run_in(h, 3.0, &x));
+        let (out, stalls, host) = timed(h, telem_window, |h| scal.run_in(h, 3.0, &x));
         let r = RunRecord::from_sim(
             "scal",
             &[("k", 2), ("n", n as i64)],
@@ -194,14 +372,14 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     let an = if quick { 200 } else { 1000 };
     list.push(Job::new("asum", move |h| {
         let asum = AsumDesign::new(Level1Params::with_k(4));
         let ax = synth_int(7, an, 8);
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| asum.run_in(h, &ax));
+        let (out, stalls, host) = timed(h, telem_window, |h| asum.run_in(h, &ax));
         let r = RunRecord::from_sim(
             "asum",
             &[("k", 4), ("n", an as i64)],
@@ -210,34 +388,12 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     // ---- Level 2: row- and column-major matrix-vector ----
-    let mn = if quick { 128 } else { 2048 };
     list.push(Job::new("mvm/row", move |h| {
-        let node = Xd1Node::default();
-        let area = AreaModel::default();
-        let mvm = RowMajorMvm::new(MvmParams::table3(), &node);
-        let a = DenseMatrix::from_rows(mn, mn, synth_int(3, mn * mn, 8));
-        let xv = synth_int(4, mn, 8);
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| mvm.run_in(h, &a, &xv));
-        assert_eq!(out.y, a.ref_mvm(&xv), "row-major mvm mismatch");
-        let mut r = RunRecord::from_sim(
-            "mvm/row",
-            &[("k", 4), ("n", mn as i64)],
-            out.report,
-            stalls,
-            out.clock.mhz(),
-            u64::from(area.mvm_design(4)),
-        );
-        if !quick {
-            let mflops = r.sustained_mflops;
-            r = r
-                .with_paper("table3.mvm.mflops", mflops)
-                .with_paper("table3.mvm.slices", f64::from(area.mvm_design(4)));
-        }
-        Entry::simulated(r, secs, ff, telem)
+        mvm_row(h, telem_window, quick).entry()
     }));
 
     let cn = if quick { 128 } else { 512 };
@@ -246,7 +402,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
         let col = ColMajorMvm::new(MvmParams::with_k(4), &node);
         let ca = DenseMatrix::from_rows(cn, cn, synth_int(8, cn * cn, 8));
         let cx = synth_int(9, cn, 8);
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| col.run_in(h, &ca, &cx));
+        let (out, stalls, host) = timed(h, telem_window, |h| col.run_in(h, &ca, &cx));
         assert_eq!(out.y, ca.ref_mvm(&cx), "col-major mvm mismatch");
         let r = RunRecord::from_sim(
             "mvm/col",
@@ -256,39 +412,13 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     // ---- Level 2 on XD1 (Table 4): compute + DRAM→SRAM staging ----
     if !quick {
         list.push(Job::new("mvm/xd1-l2", move |h| {
-            let area = AreaModel::default();
-            let clocks = ClockModel::default();
-            let n2 = 1024usize;
-            let l2_clock = clocks.xd1_l2();
-            let l2 = RowMajorMvm::standalone(MvmParams::table3(), l2_clock.mhz());
-            let a2 = DenseMatrix::from_rows(n2, n2, synth_int(5, n2 * n2, 8));
-            let x2 = synth_int(6, n2, 8);
-            let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| l2.run_in(h, &a2, &x2));
-            let dma = DmaModel::xd1_dram();
-            let staging_s = dma.transfer_seconds_words((n2 * n2 + n2) as u64);
-            let total_s = out.report.latency_seconds(&l2_clock) + staging_s;
-            let sustained = out.report.flops as f64 / total_s;
-            let r = RunRecord::from_sim(
-                "mvm/xd1-l2",
-                &[("k", 4), ("n", n2 as i64)],
-                out.report,
-                stalls,
-                l2_clock.mhz(),
-                u64::from(area.mvm_design_xd1(4)),
-            )
-            .with_paper("table4.l2.latency-ms", total_s * 1e3)
-            .with_paper("table4.l2.mflops", sustained / 1e6)
-            .with_paper(
-                "table4.l2.peak-pct",
-                sustained / io_bound_peak_mvm(dma.bandwidth_bytes_per_s) * 100.0,
-            );
-            Entry::simulated(r, secs, ff, telem)
+            mvm_xd1_l2(h, telem_window).entry()
         }));
     }
 
@@ -300,7 +430,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
         let mm = LinearArrayMm::new(MmParams::test(4, bm));
         let ma = DenseMatrix::from_rows(bn, bn, synth_int(5, bn * bn, 4));
         let mb = DenseMatrix::from_rows(bn, bn, synth_int(6, bn * bn, 4));
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| mm.run_in(h, &ma, &mb));
+        let (out, stalls, host) = timed(h, telem_window, |h| mm.run_in(h, &ma, &mb));
         let r = RunRecord::from_sim(
             "mm/linear",
             &[("k", 4), ("m", bm as i64), ("n", bn as i64)],
@@ -309,41 +439,12 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             u64::from(area.mm_design(4)),
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     // ---- Level 3: hierarchical design on one XD1 FPGA (Table 4) ----
-    // `HierarchicalMm::run` aggregates its blocks analytically (no
-    // harness), so stall attribution is empty; classification falls back
-    // to arithmetic intensity. The harness never steps a single one of
-    // its millions of modeled cycles, so the sidecar times the run but
-    // counts none of its cycles.
     if !quick {
-        list.push(Job::new("mm/hierarchical", move |_h| {
-            let area = AreaModel::default();
-            let hp = HierarchicalParams::xd1_single_node();
-            let hier = HierarchicalMm::new(hp);
-            let n3 = 512usize;
-            let ha = DenseMatrix::from_rows(n3, n3, synth_int(7, n3 * n3, 4));
-            let hb = DenseMatrix::from_rows(n3, n3, synth_int(8, n3 * n3, 4));
-            let t0 = Instant::now();
-            let out = hier.run(&ha, &hb);
-            let secs = t0.elapsed().as_secs_f64();
-            let r = RunRecord::from_sim(
-                "mm/hierarchical",
-                &[("b", 512), ("k", 8), ("m", 8), ("n", n3 as i64)],
-                out.report,
-                StallBreakdown::default(),
-                out.clock.mhz(),
-                u64::from(area.mm_design_xd1(8)),
-            )
-            .with_paper("table4.l3.gflops", out.sustained_gflops())
-            .with_paper(
-                "table4.l3.latency-ms",
-                out.report.latency_seconds(&out.clock) * 1e3,
-            );
-            Entry::modeled(r, secs)
-        }));
+        list.push(Job::new("mm/hierarchical", |_h| mm_hierarchical().entry()));
     }
 
     // ---- Reduction circuit (§4.3, α = adder depth) ----
@@ -356,8 +457,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             .collect();
         let total_words: u64 = sets.iter().map(|s| s.len() as u64).sum();
         let mut red = SingleAdderReducer::new(alpha);
-        let (run, stalls, secs, ff, telem) =
-            timed(h, telem_window, |h| run_sets_in(h, &mut red, &sets));
+        let (run, stalls, host) = timed(h, telem_window, |h| run_sets_in(h, &mut red, &sets));
         let r = RunRecord::from_sim(
             "reduce/single-adder",
             &[("alpha", alpha as i64), ("sets", n_sets as i64)],
@@ -372,7 +472,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             FP_ADDER.clock_mhz,
             u64::from(area.reduction_slices),
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     // ---- Sparse matrix-vector (tree design + reduction circuit) ----
@@ -382,7 +482,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
         let sn = grid * grid;
         let sx = synth_int(11, sn, 8);
         let spmv = SpmvDesign::new(SpmvParams::with_k(4));
-        let (out, stalls, secs, ff, telem) = timed(h, telem_window, |h| spmv.run_in(h, &sa, &sx));
+        let (out, stalls, host) = timed(h, telem_window, |h| spmv.run_in(h, &sa, &sx));
         let r = RunRecord::from_sim(
             "spmv",
             &[("k", 4), ("n", sn as i64)],
@@ -391,33 +491,12 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Entry::simulated(r, secs, ff, telem)
+        Cell::simulated((), r, host)
     }));
 
     // ---- Modeled records: Figure 9 and the §6 projections ----
-    list.push(modeled("mm/model[k=1]", || {
-        let area = AreaModel::default();
-        let clocks = ClockModel::default();
-        RunRecord::modeled(
-            "mm/model",
-            &[("k", 1)],
-            clocks.mm_mhz(1),
-            u64::from(area.mm_design(1)),
-        )
-        .with_paper("fig9.clock.k1", clocks.mm_mhz(1))
-    }));
-    list.push(modeled("mm/model[k=10]", || {
-        let area = AreaModel::default();
-        let clocks = ClockModel::default();
-        RunRecord::modeled(
-            "mm/model",
-            &[("k", 10)],
-            clocks.mm_mhz(10),
-            u64::from(area.mm_design(10)),
-        )
-        .with_paper("fig9.clock.k10", clocks.mm_mhz(10))
-        .with_paper("fig9.max-pes.xc2vp50", f64::from(area.max_pes(&XC2VP50)))
-    }));
+    list.push(modeled("mm/model[k=1]", || mm_model(1)));
+    list.push(modeled("mm/model[k=10]", || mm_model(10)));
     list.push(modeled("model/device-peak", || {
         let area = AreaModel::default();
         RunRecord::modeled("model/device-peak", &[], 170.0, 0).with_paper(
@@ -434,20 +513,10 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             .with_paper("sec6.chassis12.gflops", scaled_sustained_gflops(2.06, 72))
     }));
     list.push(modeled("model/projection[xc2vp=50]", || {
-        RunRecord::modeled("model/projection", &[("xc2vp", 50)], 200.0, 1600).with_paper(
-            "fig11.best.gflops",
-            ChassisProjection::xd1(XC2VP50)
-                .point(1600, 200.0)
-                .chassis_gflops,
-        )
+        projection(11, XC2VP50, 50).1
     }));
     list.push(modeled("model/projection[xc2vp=100]", || {
-        RunRecord::modeled("model/projection", &[("xc2vp", 100)], 200.0, 1600).with_paper(
-            "fig12.best.gflops",
-            ChassisProjection::xd1(XC2VP100)
-                .point(1600, 200.0)
-                .chassis_gflops,
-        )
+        projection(12, XC2VP100, 100).1
     }));
 
     list
@@ -494,13 +563,14 @@ pub fn run_matrix(
     wall.elapsed_seconds = elapsed;
     wall.telemetry_window = telem_window;
     for entry in entries {
+        let host = entry.host;
         wall.push(
             &entry.record.key(),
-            entry.harness_cycles,
-            entry.harness_cycles - entry.ff_cycles,
-            entry.seconds,
+            host.harness_cycles,
+            host.harness_cycles - host.ff_cycles,
+            host.seconds,
         );
-        if let Some(series) = entry.telem {
+        if let Some(series) = host.telem {
             telem_set.push(&entry.record.key(), series);
         }
         set.push(entry.record);
