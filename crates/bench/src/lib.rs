@@ -17,9 +17,8 @@
 //! | `ablation` | reduction-circuit and design-choice ablations | — |
 //! | `alpha_sweep` | buffer/latency bounds vs adder depth α | — |
 //!
-//! A binary that prints a paper figure calls that figure's cell function
-//! in [`paper_matrix`], the same function the matrix's job list calls,
-//! so its `--json` records are the matrix's cells byte for byte.
+//! Those cells are the functions the matrix's job list calls, so the
+//! binaries' `--json` records are the matrix's cells byte for byte.
 //!
 //! Run them with `cargo run --release -p fblas-bench --bin <name>`.
 //! Every binary accepts `--trace <out.json>` to dump a Chrome

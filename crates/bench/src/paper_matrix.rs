@@ -65,8 +65,14 @@ pub struct Cell<T> {
     host: Host,
 }
 
-/// What a matrix job yields: a cell with its output dropped.
-type Entry = Cell<()>;
+/// What a matrix job yields: a cell's record and host accounting.
+type Entry = (RunRecord, Host);
+
+impl<T> Cell<T> {
+    fn entry(self) -> Entry {
+        (self.record, self.host)
+    }
+}
 
 /// Host-side accounting of one cell, for the wallclock sidecar and the
 /// telemetry store.
@@ -74,10 +80,10 @@ type Entry = Cell<()>;
 struct Host {
     /// Seconds the kernel or model took.
     seconds: f64,
-    /// Cycles a harness stepped or fast-forwarded for this cell: the
-    /// record's cycles for simulated cells, 0 for modeled ones, whose
-    /// analytic cycles would swamp the sidecar's cycle-compression ratio.
-    harness_cycles: u64,
+    /// Whether a harness stepped or fast-forwarded the record's cycles.
+    /// Modeled cells count none: their analytic cycles would swamp the
+    /// sidecar's cycle-compression ratio.
+    simulated: bool,
     /// Cycles the harness fast-forwarded through fused replays during
     /// this cell (0 on the cycle backend, or when the design declined).
     ff_cycles: u64,
@@ -86,30 +92,11 @@ struct Host {
     telem: Option<TelemSeries>,
 }
 
-impl<T> Cell<T> {
-    fn simulated(out: T, record: RunRecord, host: Host) -> Self {
-        let host = Host {
-            harness_cycles: record.cycles,
-            ..host
-        };
-        Self { out, record, host }
-    }
-
-    fn modeled(out: T, record: RunRecord, seconds: f64) -> Self {
-        let host = Host {
-            seconds,
-            ..Host::default()
-        };
-        Self { out, record, host }
-    }
-
-    /// The cell as a matrix entry.
-    fn entry(self) -> Entry {
-        Cell {
-            out: (),
-            record: self.record,
-            host: self.host,
-        }
+/// Host accounting of a model evaluation that took `seconds`.
+fn modeled_host(seconds: f64) -> Host {
+    Host {
+        seconds,
+        ..Host::default()
     }
 }
 
@@ -118,7 +105,7 @@ fn modeled(label: &str, model: fn() -> RunRecord) -> Job<Entry> {
     Job::new(label, move |_h| {
         let t0 = Instant::now();
         let record = model();
-        Cell::modeled((), record, t0.elapsed().as_secs_f64())
+        (record, modeled_host(t0.elapsed().as_secs_f64()))
     })
 }
 
@@ -142,18 +129,11 @@ fn timed<T>(
     let t0 = Instant::now();
     let ff0 = h.ff_cycles();
     let (out, stalls) = measure(h, run);
-    let seconds = t0.elapsed().as_secs_f64();
-    let ff_cycles = h.ff_cycles() - ff0;
-    let telem = if telem_window.is_some() {
-        h.take_telemetry().pop()
-    } else {
-        None
-    };
     let host = Host {
-        seconds,
-        ff_cycles,
-        telem,
-        ..Host::default()
+        seconds: t0.elapsed().as_secs_f64(),
+        simulated: true,
+        ff_cycles: h.ff_cycles() - ff0,
+        telem: telem_window.and_then(|_| h.take_telemetry().pop()),
     };
     (out, stalls, host)
 }
@@ -170,7 +150,7 @@ pub fn dot(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<DotO
     let dref: f64 = u.iter().zip(&v).map(|(a, b)| a * b).sum();
     assert_eq!(out.result, dref, "dot result mismatch");
     let slices = AreaModel::default().dot_design(2);
-    let mut r = RunRecord::from_sim(
+    let mut record = RunRecord::from_sim(
         "dot",
         &[("k", 2), ("n", n as i64)],
         out.report,
@@ -179,12 +159,12 @@ pub fn dot(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<DotO
         u64::from(slices),
     );
     if !quick {
-        let mflops = r.sustained_mflops;
-        r = r
+        let mflops = record.sustained_mflops;
+        record = record
             .with_paper("table3.dot.mflops", mflops)
             .with_paper("table3.dot.slices", f64::from(slices));
     }
-    Cell::simulated(out, r, host)
+    Cell { out, record, host }
 }
 
 /// Table 3's Level-2 cell: the k = 4 row-major matrix-vector multiply
@@ -198,7 +178,7 @@ pub fn mvm_row(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<
     let (out, stalls, host) = timed(h, telem_window, |h| mvm.run_in(h, &a, &x));
     assert_eq!(out.y, a.ref_mvm(&x), "row-major mvm mismatch");
     let slices = AreaModel::default().mvm_design(4);
-    let mut r = RunRecord::from_sim(
+    let mut record = RunRecord::from_sim(
         "mvm/row",
         &[("k", 4), ("n", n as i64)],
         out.report,
@@ -207,12 +187,12 @@ pub fn mvm_row(h: &mut Harness, telem_window: Option<u64>, quick: bool) -> Cell<
         u64::from(slices),
     );
     if !quick {
-        let mflops = r.sustained_mflops;
-        r = r
+        let mflops = record.sustained_mflops;
+        record = record
             .with_paper("table3.mvm.mflops", mflops)
             .with_paper("table3.mvm.slices", f64::from(slices));
     }
-    Cell::simulated(out, r, host)
+    Cell { out, record, host }
 }
 
 /// Table 4's Level-2 operands: the 1024 × 1024 matrix A and x.
@@ -237,7 +217,7 @@ pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome
     let staging_s = dma.transfer_seconds_words((n * n + n) as u64);
     let total_s = out.report.latency_seconds(&clock) + staging_s;
     let sustained = out.report.flops as f64 / total_s;
-    let r = RunRecord::from_sim(
+    let record = RunRecord::from_sim(
         "mvm/xd1-l2",
         &[("k", 4), ("n", n as i64)],
         out.report,
@@ -251,7 +231,7 @@ pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome
         "table4.l2.peak-pct",
         sustained / io_bound_peak_mvm(dma.bandwidth_bytes_per_s) * 100.0,
     );
-    Cell::simulated(out, r, host)
+    Cell { out, record, host }
 }
 
 /// Table 4's Level-3 operands: A and B, 512 × 512.
@@ -276,8 +256,8 @@ pub fn mm_hierarchical() -> Cell<HierarchicalOutcome> {
     let hier = HierarchicalMm::new(HierarchicalParams::xd1_single_node());
     let t0 = Instant::now();
     let out = hier.run(&a, &b);
-    let seconds = t0.elapsed().as_secs_f64();
-    let r = RunRecord::from_sim(
+    let host = modeled_host(t0.elapsed().as_secs_f64());
+    let record = RunRecord::from_sim(
         "mm/hierarchical",
         &[("b", 512), ("k", 8), ("m", 8), ("n", a.rows() as i64)],
         out.report,
@@ -290,7 +270,7 @@ pub fn mm_hierarchical() -> Cell<HierarchicalOutcome> {
         "table4.l3.latency-ms",
         out.report.latency_seconds(&out.clock) * 1e3,
     );
-    Cell::modeled(out, r, seconds)
+    Cell { out, record, host }
 }
 
 /// Figure 9's cell at `k` PEs: the modeled clock and area of the
@@ -357,7 +337,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     list.push(Job::new("scal", move |h| {
@@ -372,7 +352,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     let an = if quick { 200 } else { 1000 };
@@ -388,7 +368,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     // ---- Level 2: row- and column-major matrix-vector ----
@@ -412,7 +392,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     // ---- Level 2 on XD1 (Table 4): compute + DRAM→SRAM staging ----
@@ -439,7 +419,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             u64::from(area.mm_design(4)),
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     // ---- Level 3: hierarchical design on one XD1 FPGA (Table 4) ----
@@ -472,7 +452,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             FP_ADDER.clock_mhz,
             u64::from(area.reduction_slices),
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     // ---- Sparse matrix-vector (tree design + reduction circuit) ----
@@ -491,7 +471,7 @@ fn jobs(quick: bool, telem_window: Option<u64>) -> Vec<Job<Entry>> {
             out.clock.mhz(),
             0,
         );
-        Cell::simulated((), r, host)
+        (r, host)
     }));
 
     // ---- Modeled records: Figure 9 and the §6 projections ----
@@ -562,18 +542,13 @@ pub fn run_matrix(
     wall.backend = backend.to_string();
     wall.elapsed_seconds = elapsed;
     wall.telemetry_window = telem_window;
-    for entry in entries {
-        let host = entry.host;
-        wall.push(
-            &entry.record.key(),
-            host.harness_cycles,
-            host.harness_cycles - host.ff_cycles,
-            host.seconds,
-        );
+    for (record, host) in entries {
+        let cycles = if host.simulated { record.cycles } else { 0 };
+        wall.push(&record.key(), cycles, cycles - host.ff_cycles, host.seconds);
         if let Some(series) = host.telem {
-            telem_set.push(&entry.record.key(), series);
+            telem_set.push(&record.key(), series);
         }
-        set.push(entry.record);
+        set.push(record);
     }
     (set, wall, telem_set)
 }
