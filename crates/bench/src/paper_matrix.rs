@@ -244,7 +244,7 @@ pub fn hierarchical_operands() -> (DenseMatrix, DenseMatrix) {
 /// Table 4's Level-3 cell: the hierarchical k = m = 8, b = 512 design
 /// on one XD1 FPGA over [`hierarchical_operands`]. The record carries
 /// `table4.l3.*`. The product is not checked here: a host gemm of this
-/// size would double the cell's cost; `table4` checks it.
+/// size takes longer than the run itself; `table4` checks it.
 ///
 /// `HierarchicalMm::run` aggregates its blocks analytically (no
 /// harness), so stall attribution is empty; classification falls back

@@ -1,13 +1,14 @@
 //! Smoke tests: the fast table/figure binaries must run to completion
 //! (their internal assertions re-check the paper claims on every run).
 //! The heavyweight ones (`table3`, `table4`, `cpu_compare`) are
-//! exercised by `cargo run --release`; in debug-mode tests they would
-//! dominate the suite's runtime.
+//! exercised by `cargo run --release` in CI, which also checks that
+//! `table3 --json` and `table4 --json` write the committed matrix
+//! cells; in debug-mode tests they would dominate the suite's runtime.
 
 use std::path::Path;
 use std::process::Command;
 
-use fblas_metrics::{artifact, FaultSet, Json, RecordSet, ScaleSet, ServeSet};
+use fblas_metrics::{artifact, FaultSet, Json, Record, RecordSet, ScaleSet, ServeSet};
 
 fn run(bin: &str) {
     let status = Command::new(bin)
@@ -77,6 +78,42 @@ fn json_flag_writes_a_record_set() {
     );
     assert_eq!(set.generator, "table1");
     assert!(!set.records.is_empty(), "table1 must emit records");
+}
+
+/// One producer per paper figure: every record `fig9`, `fig11` and
+/// `fig12` write whose cell the committed `BENCH_0001.json` carries
+/// serializes to that cell's exact JSON, paper tags included.
+#[test]
+fn figure_binaries_write_the_committed_matrix_cells() {
+    let bench = RecordSet::from_json_str(&committed("BENCH_0001.json")).expect("BENCH parses");
+    for (name, bin, shared) in [
+        ("fig9", env!("CARGO_BIN_EXE_fig9"), 2),
+        ("fig11", env!("CARGO_BIN_EXE_fig11"), 1),
+        ("fig12", env!("CARGO_BIN_EXE_fig12"), 1),
+    ] {
+        let out = std::env::temp_dir().join(format!("fblas_{name}_cells.json"));
+        let status = Command::new(bin)
+            .arg("--json")
+            .arg(&out)
+            .status()
+            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
+        assert!(status.success(), "{name} --json exited with {status}");
+        let set = artifact::load(&out, RecordSet::from_json_str).expect("records must parse");
+        std::fs::remove_file(&out).ok();
+        let mut seen = 0;
+        for record in &set.records {
+            if let Some(cell) = bench.find(&record.key()) {
+                assert_eq!(
+                    record.to_json().render(),
+                    cell.to_json().render(),
+                    "{name}: {}",
+                    record.key()
+                );
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, shared, "{name} must write {shared} matrix cell(s)");
+    }
 }
 
 /// `observatory run --quick` smoke: two runs into the same directory must
