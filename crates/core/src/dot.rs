@@ -233,8 +233,8 @@ impl DotProductDesign {
         let rate = self.params.words_per_cycle_per_vector;
         let source = DotSource {
             k: self.params.k,
-            u: ReadChannel::new(u.to_vec(), rate),
-            v: ReadChannel::new(v.to_vec(), rate),
+            u: ReadChannel::new(u, rate),
+            v: ReadChannel::new(v, rate),
             have: [0; 2],
             lo: 0,
             products: Vec::with_capacity(self.params.k),
@@ -258,10 +258,10 @@ impl DotProductDesign {
 }
 
 /// Dot's group source: k elements of each vector per group, one set.
-struct DotSource {
+struct DotSource<'a> {
     k: usize,
-    u: ReadChannel,
-    v: ReadChannel,
+    u: ReadChannel<'a>,
+    v: ReadChannel<'a>,
     /// Words of the next group that have arrived, per stream.
     have: [usize; 2],
     /// First element of the next group.
@@ -269,7 +269,7 @@ struct DotSource {
     products: Vec<f64>,
 }
 
-impl GroupSource for DotSource {
+impl GroupSource for DotSource<'_> {
     type Streams = [ProbeId; 2];
     const NAME: &'static str = "dot";
     const WHOLE_RUN_LATENCY: bool = true;

@@ -303,7 +303,7 @@ impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Lanes<S, F> {
             a,
             k,
             n,
-            inputs: streams.map(|s| ReadChannel::new(s.to_vec(), rate)),
+            inputs: streams.map(|s| ReadChannel::new(s, rate)),
             out_ch: WriteChannel::with_capacity(rate, n),
             bufs: std::array::from_fn(|_| Vec::with_capacity(k)),
             fed: 0,
@@ -332,12 +332,12 @@ struct LaneIds<const S: usize> {
 }
 
 /// One in-flight axpy or scal computation as a harness [`Design`].
-struct LaneRun<const S: usize, F> {
+struct LaneRun<'a, const S: usize, F> {
     lanes: Lanes<S, F>,
     a: f64,
     k: usize,
     n: usize,
-    inputs: [ReadChannel; S],
+    inputs: [ReadChannel<'a>; S],
     out_ch: WriteChannel,
     pipe: DelayLine<Vec<f64>>,
     bufs: [Vec<f64>; S],
@@ -350,7 +350,7 @@ struct LaneRun<const S: usize, F> {
     ids: Option<LaneIds<S>>,
 }
 
-impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Design for LaneRun<S, F> {
+impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Design for LaneRun<'_, S, F> {
     fn name(&self) -> &str {
         self.lanes.name
     }
@@ -599,7 +599,7 @@ impl AsumDesign {
         let rate = self.params.words_per_cycle_per_stream;
         let source = AsumSource {
             k,
-            x: ReadChannel::new(x.to_vec(), rate),
+            x: ReadChannel::new(x, rate),
             buf: Vec::with_capacity(k),
             lo: 0,
         };
@@ -627,9 +627,9 @@ impl AsumDesign {
 /// Asum's group source: k magnitudes of one stream per group, one set.
 /// The §4.3 circuit never back-pressures the tree, so no backlog gate
 /// exists in this design and the front end never waits on one.
-struct AsumSource {
+struct AsumSource<'a> {
     k: usize,
-    x: ReadChannel,
+    x: ReadChannel<'a>,
     /// Words of the next group staged so far (the fault-injectable input
     /// buffer).
     buf: Vec<f64>,
@@ -637,7 +637,7 @@ struct AsumSource {
     lo: usize,
 }
 
-impl GroupSource for AsumSource {
+impl GroupSource for AsumSource<'_> {
     type Streams = [ProbeId; 1];
     const NAME: &'static str = "asum";
     const WHOLE_RUN_LATENCY: bool = true;

@@ -147,11 +147,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// The elements in row-major stream order.
-    pub fn row_major_stream(&self) -> Vec<f64> {
-        self.data.clone()
-    }
-
     /// The elements in column-major stream order.
     pub fn col_major_stream(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.data.len());
@@ -200,7 +195,7 @@ mod tests {
     #[test]
     fn stream_orders() {
         let m = DenseMatrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        assert_eq!(m.row_major_stream(), vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(m.as_slice(), [0.0, 1.0, 2.0, 3.0]);
         assert_eq!(m.col_major_stream(), vec![0.0, 2.0, 1.0, 3.0]);
     }
 

@@ -158,7 +158,7 @@ impl RowMajorMvm {
         let source = RowSource {
             k,
             cols,
-            a: ReadChannel::new(a.row_major_stream(), rate),
+            a: ReadChannel::new(a.as_slice(), rate),
             x,
             y0,
             row: 0,
@@ -184,7 +184,7 @@ impl RowMajorMvm {
 struct RowSource<'a> {
     k: usize,
     cols: usize,
-    a: ReadChannel,
+    a: ReadChannel<'a>,
     /// x as the lanes hold it: lane p's local store keeps x[p], x[k+p], …,
     /// so element j of a group meets x[j] whichever lane it lands on.
     x: &'a [f64],
