@@ -26,7 +26,7 @@ use fblas_core::mm::{LinearArrayMm, MmParams};
 use fblas_core::mvm::{
     BlockedColMajorMvm, BlockedRowMajorMvm, ColMajorMvm, DenseMatrix, MvmParams, RowMajorMvm,
 };
-use fblas_core::reduce::{run_sets_in, SingleAdderReducer, StallingReducer};
+use fblas_core::reduce::{run_sets_in, Reducer, SingleAdderReducer, StallingReducer};
 use fblas_sim::{ExecBackend, Harness, SimReport};
 use fblas_sparse::{BlockedSpmv, CsrMatrix, SpmvDesign, SpmvParams};
 
@@ -191,6 +191,45 @@ fn row_major_mvm_backends_agree_on_random_reals() {
         });
     }
     assert!(saved_total > 0, "no row-mvm trial ever fast-forwarded");
+}
+
+/// Row-major `MvM` with enough rows for the §4.3 circuit to settle into
+/// its one-set period (DESIGN.md §13): every row is a set of cols/k
+/// groups — below α, at α, at 2α and at 512 — one slot longer with a
+/// carried-in y0, and the last group ragged on odd trials. The native
+/// replay replays each period after the first few; results, reports,
+/// probe counters and the circuit's own counters must match stepping.
+#[test]
+fn row_major_mvm_steady_state_backends_agree() {
+    let k = 4;
+    let mut saved_total = 0;
+    for (trial, groups, rows) in [(0u64, 11, 120), (1, 14, 120), (2, 28, 80), (3, 512, 20)] {
+        let mut rng = Rng::new(0x57_EA + trial);
+        let cols = groups * k - (trial % 2) as usize;
+        let specials = (trial % 3) as u8;
+        let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, specials));
+        let x = rng.wide_vec(cols, specials);
+        let y0 = rng.wide_vec(rows, specials);
+        let mvm = RowMajorMvm::standalone(MvmParams::with_k(k), 170.0);
+        for y0 in [None, Some(&y0[..])] {
+            let ctx = format!(
+                "steady row-mvm trial={trial} rows={rows} cols={cols} y0={}",
+                y0.is_some()
+            );
+            saved_total += assert_backends_agree(&ctx, |h| {
+                let mut r = SingleAdderReducer::new(14);
+                let out = mvm.run_with_reducer_in(h, &a, &x, y0, &mut r);
+                let circuit = (r.cycles(), r.adds_issued(), r.buffer_high_water());
+                let occupancy = r.occupancy_histogram().clone();
+                let stats = h.probe().component_stats();
+                ((bits(&out.y), circuit, occupancy, stats), out.report)
+            });
+        }
+    }
+    assert!(
+        saved_total > 0,
+        "no steady-state row-mvm trial fast-forwarded"
+    );
 }
 
 #[test]
@@ -446,31 +485,32 @@ fn spmv_backends_agree_on_random_reals() {
     );
 }
 
+/// The bare circuit has no `SimReport` of its own: compare the run's
+/// cycles and busy cycles, its results, its own counters and every
+/// component counter.
+fn reduce_sets<R: Reducer>(
+    h: &mut Harness,
+    r: &mut R,
+    sets: &[Vec<f64>],
+) -> (impl PartialEq + std::fmt::Debug, SimReport) {
+    let busy = h.probe().busy_cycles();
+    let run = run_sets_in(h, r, sets);
+    let results: Vec<(u64, u64)> = run
+        .results
+        .iter()
+        .map(|e| (e.set_id, e.value.to_bits()))
+        .collect();
+    let report = SimReport {
+        cycles: run.total_cycles,
+        busy_cycles: h.probe().busy_cycles() - busy,
+        ..SimReport::default()
+    };
+    let counters = (run.stall_cycles, run.buffer_high_water, run.adds_issued);
+    ((results, counters, h.probe().component_stats()), report)
+}
+
 #[test]
 fn reduction_sets_backends_agree_on_random_reals() {
-    // The bare circuit has no SimReport of its own: compare the run's
-    // cycles and busy cycles, its results and every component counter.
-    fn run_sets<R: fblas_core::reduce::Reducer>(
-        h: &mut Harness,
-        r: &mut R,
-        sets: &[Vec<f64>],
-    ) -> (impl PartialEq + std::fmt::Debug, SimReport) {
-        let busy = h.probe().busy_cycles();
-        let run = run_sets_in(h, r, sets);
-        let results: Vec<(u64, u64)> = run
-            .results
-            .iter()
-            .map(|e| (e.set_id, e.value.to_bits()))
-            .collect();
-        let report = SimReport {
-            cycles: run.total_cycles,
-            busy_cycles: h.probe().busy_cycles() - busy,
-            ..SimReport::default()
-        };
-        let counters = (run.stall_cycles, run.buffer_high_water, run.adds_issued);
-        ((results, counters, h.probe().component_stats()), report)
-    }
-
     let mut saved_total = 0;
     for trial in 0..16 {
         let mut rng = Rng::new(0x2E_D5 + trial);
@@ -485,7 +525,7 @@ fn reduction_sets_backends_agree_on_random_reals() {
             .collect();
         let ctx = format!("reduce trial={trial} sets={n_sets} specials={specials}");
         saved_total += assert_backends_agree(&ctx, |h| {
-            run_sets(h, &mut SingleAdderReducer::new(14), &sets)
+            reduce_sets(h, &mut SingleAdderReducer::new(14), &sets)
         });
     }
     assert!(saved_total > 0, "no reduction trial ever fast-forwarded");
@@ -494,7 +534,70 @@ fn reduction_sets_backends_agree_on_random_reals() {
     let mut rng = Rng::new(0x2E_F0);
     let sets: Vec<Vec<f64>> = (1..12).map(|s| rng.wide_vec(s, 2)).collect();
     let saved = assert_backends_agree("stalling reducer", |h| {
-        run_sets(h, &mut StallingReducer::new(14), &sets)
+        reduce_sets(h, &mut StallingReducer::new(14), &sets)
     });
     assert_eq!(saved, 0, "a stalling reducer must decline fast-forward");
+}
+
+/// Runs of equal sets switching size mid-run (DESIGN.md §13): the bare
+/// circuit replays each run's period once it settles, steps again at
+/// every switch, and keeps stepping sets of α and α/2, whose schedule
+/// never repeats over one set. Everything must match stepping,
+/// including the circuit's occupancy histogram.
+#[test]
+fn reduction_set_runs_switching_size_backends_agree() {
+    let mut saved_total = 0;
+    for (trial, runs) in [
+        (0u64, vec![(10, 512), (10, 64), (5, 512)]),
+        (1, vec![(40, 7), (40, 14)]),
+        (2, vec![(30, 1), (30, 2), (12, 20), (3, 1000)]),
+    ] {
+        let mut rng = Rng::new(0x5E_75 + trial);
+        let specials = (trial % 3) as u8;
+        let sets: Vec<Vec<f64>> = runs
+            .iter()
+            .flat_map(|&(n, size)| vec![size; n])
+            .map(|size| rng.wide_vec(size, specials))
+            .collect();
+        let ctx = format!("set runs trial={trial} runs={runs:?}");
+        saved_total += assert_backends_agree(&ctx, |h| {
+            let mut r = SingleAdderReducer::new(14);
+            let (run, report) = reduce_sets(h, &mut r, &sets);
+            ((run, r.occupancy_histogram().clone()), report)
+        });
+    }
+    assert!(saved_total > 0, "no set-run trial fast-forwarded");
+}
+
+/// With telemetry windows on, a replayed period must land its buffered
+/// words, busy marks and latencies in the same windows as stepping —
+/// windows that split periods anywhere included.
+#[test]
+fn steady_state_replay_keeps_telemetry_windows() {
+    let mut rng = Rng::new(0x7E_1E);
+    let (rows, cols) = (48, 112);
+    let a = DenseMatrix::from_rows(rows, cols, rng.wide_vec(rows * cols, 1));
+    let x = rng.wide_vec(cols, 1);
+    let y0 = rng.wide_vec(rows, 1);
+    let sets: Vec<Vec<f64>> = [vec![256; 8], vec![64; 12]]
+        .concat()
+        .into_iter()
+        .map(|size| rng.wide_vec(size, 1))
+        .collect();
+    let mvm = RowMajorMvm::standalone(MvmParams::with_k(4), 170.0);
+    for window in [64, 100, 1000] {
+        let run = |backend| {
+            let mut h = Harness::with_backend(backend);
+            h.enable_telemetry(window);
+            let mut r = SingleAdderReducer::new(14);
+            let y = bits(&mvm.run_with_reducer_in(&mut h, &a, &x, Some(&y0), &mut r).y);
+            let (reduced, _) = reduce_sets(&mut h, &mut SingleAdderReducer::new(14), &sets);
+            ((y, reduced, h.take_telemetry()), h.ff_cycles())
+        };
+        let (cycle, stepped_ff) = run(ExecBackend::Cycle);
+        let (native, saved) = run(ExecBackend::Native);
+        assert_eq!(stepped_ff, 0);
+        assert!(saved > 0, "window {window}: native never fast-forwarded");
+        assert_eq!(native, cycle, "window {window}: telemetry diverged");
+    }
 }

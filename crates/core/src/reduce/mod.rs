@@ -114,6 +114,25 @@ pub trait Reducer {
     /// the circuit's occupancy into a probe every cycle.
     fn buffered(&self) -> usize;
 
+    /// Periodic-replay hook of the gapless replay (DESIGN.md §13),
+    /// called at every set boundary of a back-to-back feed (one input
+    /// per cycle): the length of the next set that
+    /// [`Reducer::replay_set`] can replay from here, once the circuit's
+    /// schedule repeats set for set. The default never replays.
+    fn set_boundary(&mut self) -> Option<usize> {
+        None
+    }
+
+    /// Advance through `set` — the whole next set, of the length
+    /// [`Reducer::set_boundary`] just returned, one input per cycle —
+    /// without ticking, leaving the circuit and its counters as that
+    /// many ticks would. Returns the sets emitted and the buffered
+    /// words per cycle, or `None` (nothing advanced) when the set does
+    /// not replay; the caller then ticks it.
+    fn replay_set(&mut self, _set: &[ReduceInput]) -> Option<SetReplay<'_>> {
+        None
+    }
+
     /// Fault-injection hook: force `bit` of one buffered word to zero,
     /// modelling a stuck-at-0 storage cell in the circuit's buffers. The
     /// `slot` selects among currently buffered words (reduced modulo the
@@ -127,6 +146,15 @@ pub trait Reducer {
     fn fault_stuck_at(&mut self, _slot: usize, _bit: u32) -> bool {
         false
     }
+}
+
+/// One set advanced by [`Reducer::replay_set`].
+#[derive(Debug)]
+pub struct SetReplay<'a> {
+    /// Sets emitted, each with its cycle in the replayed set (1-based).
+    pub emitted: &'a [(u64, ReduceEvent)],
+    /// Buffered words per cycle, as (words, cycles) runs.
+    pub depths: &'a [(usize, u64)],
 }
 
 /// Measured outcome of driving a workload through a reduction circuit.

@@ -140,6 +140,19 @@ impl<T> PipelinedAdder<T> {
         self.unit.pipe.latency()
     }
 
+    /// The results in flight by stage, the next to emerge first
+    /// (bubbles as `None`).
+    pub fn stages(&self) -> impl Iterator<Item = Option<&Tagged<T>>> {
+        self.unit.pipe.stages()
+    }
+
+    /// [`PipelinedAdder::stages`], mutably: a fused replay that carries
+    /// the adder through a recorded steady-state period rewrites the
+    /// results in flight and their routing tags in place.
+    pub fn stages_mut(&mut self) -> impl Iterator<Item = Option<&mut Tagged<T>>> {
+        self.unit.pipe.stages_mut()
+    }
+
     /// Number of additions currently in flight.
     pub fn in_flight(&self) -> usize {
         self.unit.pipe.in_flight()

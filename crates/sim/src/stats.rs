@@ -7,7 +7,7 @@
 /// histogram never loses mass; [`Histogram::percentile`] then answers
 /// questions like "what occupancy covers 99 % of cycles" — how the
 /// buffer-sizing claims of the paper translate into observed behaviour.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     samples: u64,
