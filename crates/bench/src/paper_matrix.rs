@@ -243,8 +243,10 @@ pub fn hierarchical_operands() -> (DenseMatrix, DenseMatrix) {
 
 /// Table 4's Level-3 cell: the hierarchical k = m = 8, b = 512 design
 /// on one XD1 FPGA over [`hierarchical_operands`]. The record carries
-/// `table4.l3.*`. The product is not checked here: a host gemm of this
-/// size takes longer than the run itself; `table4` checks it.
+/// `table4.l3.*`. Four seeded rows of the product are checked exactly
+/// against the host product (the operands are small integers, so every
+/// sum is exact); a full host gemm of this size would take longer than
+/// the run itself, and `table4` runs the full blocked check.
 ///
 /// `HierarchicalMm::run` aggregates its blocks analytically (no
 /// harness), so stall attribution is empty; classification falls back
@@ -257,6 +259,21 @@ pub fn mm_hierarchical() -> Cell<HierarchicalOutcome> {
     let t0 = Instant::now();
     let out = hier.run(&a, &b);
     let host = modeled_host(t0.elapsed().as_secs_f64());
+    let n = a.rows();
+    for i in synth_int(9, 4, n as u64) {
+        let i = i as usize;
+        let mut row = vec![0.0; n];
+        for (q, &aiq) in a.as_slice()[i * n..][..n].iter().enumerate() {
+            for (c, &bqj) in row.iter_mut().zip(&b.as_slice()[q * n..][..n]) {
+                *c += aiq * bqj;
+            }
+        }
+        assert_eq!(
+            out.c.as_slice()[i * n..][..n],
+            row[..],
+            "hierarchical mm row {i} mismatch"
+        );
+    }
     let record = RunRecord::from_sim(
         "mm/hierarchical",
         &[("b", 512), ("k", 8), ("m", 8), ("n", a.rows() as i64)],
