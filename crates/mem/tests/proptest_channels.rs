@@ -16,7 +16,7 @@ proptest! {
     ) {
         let rate = rate_millis as f64 / 1000.0;
         let n = data.len();
-        let mut ch = ReadChannel::new(data.clone(), rate);
+        let mut ch = ReadChannel::new(&data, rate);
         let mut got = Vec::with_capacity(n);
         let mut cycles = 0u64;
         while !ch.exhausted() {
