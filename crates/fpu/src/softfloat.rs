@@ -352,6 +352,9 @@ pub fn balanced_sum(vals: &[f64]) -> f64 {
     match vals.len() {
         0 => 0.0,
         1 => vals[0],
+        // The recursion's own two-leaf case, spelled out: it halves the
+        // calls of the 4-leaf trees the designs fold every group through.
+        2 => add_f64(vals[0], vals[1]),
         n => {
             let mid = n / 2;
             add_f64(balanced_sum(&vals[..mid]), balanced_sum(&vals[mid..]))
@@ -404,6 +407,9 @@ mod tests {
         assert_eq!(balanced_sum(&[1.0, 2.0, 3.0, 4.0]), 10.0);
         assert_eq!(balanced_sum(&[]), 0.0);
         assert_eq!(balanced_sum(&[7.5]), 7.5);
+        // 1 + (1e16 − 1e16) for three leaves; left to right gives 0.
+        assert_eq!(balanced_sum(&[1.0, 1e16, -1e16]), 1.0);
+        assert_eq!(balanced_sum(&[1e16, 1.0, -1e16, 1.0]), 0.0);
     }
 
     /// Bit-exact equality, treating all NaNs as one equivalence class.
