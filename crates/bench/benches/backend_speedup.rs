@@ -10,14 +10,19 @@
 //!
 //! The guard floor is deliberately modest: native keeps every softfloat
 //! operation bit-for-bit (results are pinned equal to the cycle path),
-//! so its host-time win is bounded by the stepping overhead it removes
-//! — the numeric work is irreducible. The ≥10× speedup the backend
-//! targets is in *simulated cycles not stepped* — the wallclock
-//! sidecar's `backend_speedup` field over the full paper matrix — not
-//! in host seconds on a softfloat-bound kernel. Bit-equality of the
-//! results across backends is not this bench's job; the
-//! `backend_parity` integration suite and the per-design unit suites
-//! pin that.
+//! so what it can remove is the per-cycle work around the values, not
+//! the values themselves. The lockstep front ends replay in closed
+//! form, and the §4.3 reduction circuit replays a whole set per period
+//! once a run of equal sets repeats its schedule (DESIGN.md §13), so
+//! on the row-major MVM what is left is the value fold — k multiplies
+//! and a balanced tree per group — plus one host add per reduced value;
+//! dot's single set and sets of α values or fewer still tick the
+//! circuit once per cycle. The ≥10× speedup the backend targets is in
+//! *simulated cycles not stepped* — the wallclock sidecar's
+//! `backend_speedup` field over the full paper matrix — not in host
+//! seconds on a softfloat-bound kernel. Bit-equality of the results
+//! across backends is not this bench's job; the `backend_parity`
+//! integration suite and the per-design unit suites pin that.
 
 use fblas_bench::synth_int;
 use fblas_core::dot::{DotParams, DotProductDesign};
