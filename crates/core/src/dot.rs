@@ -15,7 +15,7 @@
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use crate::report::SimReport;
 use crate::tree_reduce::{Feed, GroupSource, Slot, TreeIds, TreeRun};
-use fblas_fpu::softfloat::{balanced_sum, mul_f64};
+use fblas_fpu::softfloat::{balanced_fold, mul_f64};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_mem::ReadChannel;
 use fblas_sim::{ClockDomain, Harness, Probe, ProbeId, Topology};
@@ -237,7 +237,6 @@ impl DotProductDesign {
             v: ReadChannel::new(v, rate),
             have: [0; 2],
             lo: 0,
-            products: Vec::with_capacity(self.params.k),
         };
         let feed = Feed {
             latency: self.params.tree_latency(),
@@ -266,7 +265,6 @@ struct DotSource<'a> {
     have: [usize; 2],
     /// First element of the next group.
     lo: usize,
-    products: Vec<f64>,
 }
 
 impl GroupSource for DotSource<'_> {
@@ -309,14 +307,12 @@ impl GroupSource for DotSource<'_> {
         let (lo, n) = (self.lo, self.u.len());
         let hi = (lo + self.k).min(n);
         let (u, v) = (&self.u.data()[lo..hi], &self.v.data()[lo..hi]);
-        self.products.clear();
-        self.products
-            .extend(u.iter().zip(v).map(|(&a, &b)| mul_f64(a, b)));
+        let value = balanced_fold(hi - lo, |i| mul_f64(u[i], v[i]));
         (self.lo, self.have) = (hi, [0; 2]);
         Slot {
             input: ReduceInput {
                 set_id: 0,
-                value: balanced_sum(&self.products),
+                value,
                 last: hi == n,
             },
             flops: Some(2 * (hi - lo) as u64),

@@ -17,7 +17,7 @@
 use super::{DenseMatrix, MvmOutcome, MvmParams};
 use crate::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use crate::tree_reduce::{Feed, GroupSource, Slot, TreeIds, TreeRun};
-use fblas_fpu::softfloat::{balanced_sum, mul_f64};
+use fblas_fpu::softfloat::{balanced_fold, mul_f64};
 use fblas_mem::ReadChannel;
 use fblas_sim::{ClockDomain, Harness, Probe, ProbeId, Topology};
 use fblas_system::{ClockModel, Xd1Node};
@@ -164,7 +164,6 @@ impl RowMajorMvm {
             row: 0,
             lo: y0.is_none().then_some(0),
             have: 0,
-            products: Vec::with_capacity(k),
         };
         let feed = Feed {
             latency: self.params.mult_stages + k.ilog2() as usize * self.params.adder_stages,
@@ -195,7 +194,6 @@ struct RowSource<'a> {
     lo: Option<usize>,
     /// Words of the next group that have arrived.
     have: usize,
-    products: Vec<f64>,
 }
 
 impl GroupSource for RowSource<'_> {
@@ -250,13 +248,8 @@ impl GroupSource for RowSource<'_> {
         // fold through the balanced tree (same association as the k-leaf
         // adder tree).
         let hi = (lo + self.k).min(self.cols);
-        let a = &self.a.data()[row * self.cols..][lo..hi];
-        self.products.clear();
-        self.products.extend(
-            a.iter()
-                .zip(&self.x[lo..hi])
-                .map(|(&aij, &xj)| mul_f64(aij, xj)),
-        );
+        let (a, x) = (&self.a.data()[row * self.cols..][lo..hi], &self.x[lo..hi]);
+        let value = balanced_fold(hi - lo, |j| mul_f64(a[j], x[j]));
         let last = hi == self.cols;
         self.have = 0;
         self.lo = Some(hi);
@@ -267,7 +260,7 @@ impl GroupSource for RowSource<'_> {
         Slot {
             input: ReduceInput {
                 set_id: row as u64,
-                value: balanced_sum(&self.products),
+                value,
                 last,
             },
             // One mul per element plus one accumulation add per element

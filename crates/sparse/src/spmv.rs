@@ -18,7 +18,7 @@
 use crate::csr::CsrMatrix;
 use fblas_core::reduce::{ReduceInput, Reducer, SingleAdderReducer};
 use fblas_core::tree_reduce::{Feed, GroupSource, Slot, TreeIds, TreeRun};
-use fblas_fpu::softfloat::{balanced_sum, mul_f64};
+use fblas_fpu::softfloat::{balanced_fold, mul_f64};
 use fblas_fpu::{ADDER_STAGES, MULTIPLIER_STAGES};
 use fblas_sim::{ClockDomain, Harness, Probe, ProbeId, Throttle, Topology};
 use fblas_system::io_bound_peak_mvm;
@@ -215,7 +215,6 @@ impl SpmvDesign {
             x,
             row: 0,
             consumed: 0,
-            products: Vec::with_capacity(k),
             // Entry stream throttle: entries_per_cycle CRS entries arrive
             // per cycle; a group of up to k same-row entries fires together.
             throttle: Throttle::new(rate),
@@ -254,7 +253,6 @@ struct SpmvSource<'a> {
     row: usize,
     /// Entries of that row already fed.
     consumed: usize,
-    products: Vec<f64>,
     throttle: Throttle,
 }
 
@@ -307,16 +305,12 @@ impl GroupSource for SpmvSource<'_> {
         let (r, first, len) = self.rows[self.row];
         let want = self.k.min(len - self.consumed);
         let group = &self.entries[first + self.consumed..][..want];
-        self.products.clear();
-        self.products.extend(group.iter().map(|&(c, v)| {
-            if c == PARTIAL {
-                v
-            } else {
-                mul_f64(v, self.x[c])
-            }
-        }));
         // Zero-padded to the k tree leaves.
-        self.products.resize(self.k, 0.0);
+        let value = balanced_fold(self.k, |i| match group.get(i) {
+            Some(&(PARTIAL, v)) => v,
+            Some(&(c, v)) => mul_f64(v, self.x[c]),
+            None => 0.0,
+        });
         let real = stored(group);
         self.consumed += want;
         let last = self.consumed == len;
@@ -327,7 +321,7 @@ impl GroupSource for SpmvSource<'_> {
         Slot {
             input: ReduceInput {
                 set_id: r as u64,
-                value: balanced_sum(&self.products),
+                value,
                 last,
             },
             // Each stored entry: one multiply plus one accumulation add
