@@ -26,11 +26,8 @@ fn main() {
     // ------------------- Level 2: matrix-vector -------------------
     let n = out.y.len();
     let compute_s = out.report.latency_seconds(&out.clock);
-    // Staging: matrix A (n² words) moves DRAM → SRAM at the achieved
-    // 1.3 GB/s; x (n words) initializes the local stores over the same
-    // path.
     let dma = DmaModel::xd1_dram();
-    let staging_s = dma.transfer_seconds_words((n * n + n) as u64);
+    let staging_s = paper_matrix::xd1_l2_staging_s(n);
     let sram_resident = out.report.flops as f64 / compute_s;
 
     // Achieved SRAM bandwidth: one 72-bit word per bank per cycle.

@@ -202,10 +202,17 @@ pub fn xd1_l2_operands() -> (DenseMatrix, Vec<f64>) {
     (a, synth_int(6, n, 8))
 }
 
+/// Seconds to stage Table 4's Level-2 operands DRAM → SRAM before the
+/// run: A's n² words and x's n words over the XD1 DRAM path.
+pub fn xd1_l2_staging_s(n: usize) -> f64 {
+    DmaModel::xd1_dram().transfer_seconds_words((n * n + n) as u64)
+}
+
 /// Table 4's Level-2 cell: the k = 4 row-major matrix-vector multiply
 /// of [`xd1_l2_operands`] on one XD1 FPGA at its Level-2 clock, checked
 /// against the host product. The record carries `table4.l2.*`, whose
-/// latency adds the DRAM → SRAM staging of A and x to the compute.
+/// latency adds [`xd1_l2_staging_s`] to the compute: the repository's
+/// one model of Table 4's staging/compute split.
 pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome> {
     let (a, x) = xd1_l2_operands();
     let n = a.rows();
@@ -213,9 +220,7 @@ pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome
     let mvm = RowMajorMvm::standalone(MvmParams::table3(), clock.mhz());
     let (out, stalls, host) = timed(h, telem_window, |h| mvm.run_in(h, &a, &x));
     assert_eq!(out.y, a.ref_mvm(&x), "xd1 level-2 mvm mismatch");
-    let dma = DmaModel::xd1_dram();
-    let staging_s = dma.transfer_seconds_words((n * n + n) as u64);
-    let total_s = out.report.latency_seconds(&clock) + staging_s;
+    let total_s = out.report.latency_seconds(&clock) + xd1_l2_staging_s(n);
     let sustained = out.report.flops as f64 / total_s;
     let record = RunRecord::from_sim(
         "mvm/xd1-l2",
@@ -229,7 +234,7 @@ pub fn mvm_xd1_l2(h: &mut Harness, telem_window: Option<u64>) -> Cell<MvmOutcome
     .with_paper("table4.l2.mflops", sustained / 1e6)
     .with_paper(
         "table4.l2.peak-pct",
-        sustained / io_bound_peak_mvm(dma.bandwidth_bytes_per_s) * 100.0,
+        sustained / io_bound_peak_mvm(DmaModel::xd1_dram().bandwidth_bytes_per_s) * 100.0,
     );
     Cell { out, record, host }
 }
@@ -586,6 +591,20 @@ mod tests {
         assert_eq!(dot.bound, Bound::Bandwidth);
         let mm = a.find("mm/linear[k=4,m=16,n=32]").expect("mm present");
         assert_eq!(mm.bound, Bound::Compute);
+    }
+
+    /// Table 4's Level-2 split: of the 8.0 ms total, 1.6 ms is compute
+    /// and the rest stages A and x from DRAM.
+    #[test]
+    fn xd1_l2_cell_reproduces_the_table4_split() {
+        let cell = mvm_xd1_l2(&mut Harness::with_backend(ExecBackend::Native), None);
+        let compute_ms = cell.out.report.latency_seconds(&cell.out.clock) * 1e3;
+        let staging_ms = xd1_l2_staging_s(cell.out.y.len()) * 1e3;
+        let total_ms = crate::figure(&cell.record, "table4.l2.latency-ms");
+        assert!((compute_ms - 1.6).abs() < 0.05, "compute {compute_ms} ms");
+        assert!((staging_ms - 6.4).abs() < 0.1, "staging {staging_ms} ms");
+        assert!((total_ms - 8.0).abs() < 0.1, "total {total_ms} ms");
+        assert!((total_ms - compute_ms - staging_ms).abs() < 1e-9);
     }
 
     #[test]

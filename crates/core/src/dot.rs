@@ -294,7 +294,7 @@ impl GroupSource for DotSource<'_> {
         let want = self.k.min(self.u.len() - self.lo);
         let mut words = 0;
         for (ch, have) in [&mut self.u, &mut self.v].into_iter().zip(&mut self.have) {
-            let got = (*have..want).take_while(|_| ch.read().is_some()).count();
+            let got = ch.take(want - *have);
             *have += got;
             words += got as u64;
         }

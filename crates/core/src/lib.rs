@@ -42,7 +42,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod deploy;
 pub mod dot;
 mod interleaved;
 pub mod level1;

@@ -145,12 +145,11 @@ impl ColMajorMvm {
             y.load(y0);
         }
         let rate = self.params.matrix_words_per_cycle;
-        let stream = a.col_major_stream();
         let source = ColSource {
             k,
             x,
             y,
-            a_ch: ReadChannel::new(&stream, rate),
+            a_ch: ReadChannel::new(a.as_slice(), rate),
             col: 0,
             row: 0,
             group: Vec::with_capacity(k),
@@ -181,6 +180,8 @@ struct ColSource<'a> {
     x: &'a [f64],
     /// The interleaved accumulators, written at adder retire.
     y: LocalStore,
+    /// A in row-major storage order: the channel grants the words and
+    /// the source reads them in place, down the current column.
     a_ch: ReadChannel<'a>,
     /// The next chunk's column and first row.
     col: usize,
@@ -213,8 +214,12 @@ impl MacSource for ColSource<'_> {
         }
         let (lo, rows) = (self.row, self.y.capacity());
         let hi = (lo + self.k).min(rows);
-        let want = hi - lo - self.group.len();
-        probe.io_in(self.a_ch.read_up_to(want, &mut self.group) as u64);
+        let first = lo + self.group.len();
+        let got = self.a_ch.take(hi - first);
+        let (a, col, cols) = (self.a_ch.data(), self.col, self.x.len());
+        let words = (first..first + got).map(|i| a[i * cols + col]);
+        self.group.extend(words);
+        probe.io_in(got as u64);
         if self.group.len() < hi - lo {
             return Some(StallCause::InputStarved);
         }
@@ -248,17 +253,19 @@ impl MacSource for ColSource<'_> {
     }
 
     /// Retires run in ascending feed-slot order, which is ascending
-    /// (column, row): one flat pass over A with the stepped datapath's
-    /// y-store read/modify/write sequence. The matrix stream carries one
-    /// full or ragged chunk per feed slot and nothing through the drain.
+    /// (column, row), so each y element takes its columns in ascending
+    /// order. Elements are independent, so the replay walks A in storage
+    /// order, one row per y element, with the same bits. The matrix
+    /// stream carries one full or ragged chunk per feed slot and nothing
+    /// through the drain.
     fn replay(&mut self, probe: &mut Probe, a_stream: ProbeId, total: u64) {
         let (rows, cols) = (self.y.capacity(), self.x.len());
-        for (col, &xj) in self.x.iter().enumerate() {
-            for i in 0..rows {
-                let aij = self.a_ch.data()[col * rows + i];
-                let v = add_f64(self.y.read(i), mul_f64(aij, xj));
-                self.y.write(i, v);
+        for (i, row) in self.a_ch.data().chunks_exact(cols).enumerate() {
+            let mut acc = self.y.read(i);
+            for (&aij, &xj) in row.iter().zip(self.x) {
+                acc = add_f64(acc, mul_f64(aij, xj));
             }
+            self.y.write(i, acc);
         }
         self.col = cols;
         let elems = (rows * cols) as u64;

@@ -147,25 +147,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// The elements in column-major stream order.
-    pub fn col_major_stream(&self) -> Vec<f64> {
-        // Transposed a strip of rows at a time: the strip's rows stay in
-        // cache while every column takes its part of them, where reading
-        // one whole column at a time strides a full row per word.
-        const STRIP: usize = 16;
-        let (rows, cols) = (self.rows.max(1), self.cols.max(1));
-        let mut out = vec![0.0; self.data.len()];
-        for (s, strip) in self.data.chunks(STRIP * cols).enumerate() {
-            let lo = s * STRIP;
-            for (j, col) in out.chunks_exact_mut(rows).enumerate() {
-                for (o, row) in col[lo..].iter_mut().zip(strip.chunks_exact(cols)) {
-                    *o = row[j];
-                }
-            }
-        }
-        out
-    }
-
     /// Reference y = A·x in plain f64 (test oracle).
     pub fn ref_mvm(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
@@ -204,15 +185,6 @@ mod tests {
     fn stream_orders() {
         let m = DenseMatrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
         assert_eq!(m.as_slice(), [0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(m.col_major_stream(), vec![0.0, 2.0, 1.0, 3.0]);
-        // Shapes that fill, straddle and fall short of whole strips.
-        for (rows, cols) in [(1, 40), (40, 1), (16, 48), (37, 53), (64, 17)] {
-            let m = DenseMatrix::from_fn(rows, cols, |i, j| (i * cols + j) as f64);
-            let want: Vec<f64> = (0..cols)
-                .flat_map(|j| (0..rows).map(move |i| (i * cols + j) as f64))
-                .collect();
-            assert_eq!(m.col_major_stream(), want, "{rows}x{cols}");
-        }
     }
 
     #[test]

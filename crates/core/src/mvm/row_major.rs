@@ -220,9 +220,7 @@ impl GroupSource for RowSource<'_> {
             return (0, true);
         };
         let want = self.k.min(self.cols - lo);
-        let got = (self.have..want)
-            .take_while(|_| self.a.read().is_some())
-            .count();
+        let got = self.a.take(want - self.have);
         self.have += got;
         (got as u64, self.have == want)
     }

@@ -44,30 +44,28 @@ impl<'a> ReadChannel<'a> {
     /// Returns `None` if the stream is exhausted *or* the bandwidth credit
     /// for this cycle is spent.
     pub fn read(&mut self) -> Option<f64> {
-        if self.denied {
-            return None;
-        }
-        if self.pos < self.data.len() && self.throttle.grant(1) {
-            let v = self.data[self.pos];
-            self.pos += 1;
-            Some(v)
-        } else {
-            None
-        }
+        (self.take(1) == 1).then(|| self.data[self.pos - 1])
     }
 
     /// Read up to `n` words this cycle (bounded by bandwidth and data).
     pub fn read_up_to(&mut self, n: usize, out: &mut Vec<f64>) -> usize {
-        let mut got = 0;
-        while got < n {
-            match self.read() {
-                Some(v) => {
-                    out.push(v);
-                    got += 1;
-                }
-                None => break,
-            }
+        let start = self.pos;
+        let got = self.take(n);
+        out.extend_from_slice(&self.data[start..start + got]);
+        got
+    }
+
+    /// Grant up to `n` words of this cycle's delivery (bounded by
+    /// bandwidth and data) without copying them: a design that addresses
+    /// its operand in place takes the grant and reads the words itself.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> usize {
+        if self.denied {
+            return 0;
         }
+        let want = n.min(self.data.len() - self.pos) as u64;
+        let got = self.throttle.grant_up_to(want) as usize;
+        self.pos += got;
         got
     }
 
@@ -244,6 +242,14 @@ mod tests {
         ch.tick();
         assert_eq!(ch.read_up_to(8, &mut out), 3);
         assert_eq!(out.len(), 6);
+        // A count-only grant draws the same credit and skips its words.
+        let data: Vec<f64> = (0..8).map(f64::from).collect();
+        let mut ch = ReadChannel::new(&data, 3.0);
+        ch.tick();
+        assert_eq!(ch.take(8), 3);
+        assert_eq!(ch.read(), None, "credit spent");
+        ch.tick();
+        assert_eq!(ch.read(), Some(3.0));
     }
 
     #[test]

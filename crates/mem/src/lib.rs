@@ -23,7 +23,8 @@
 //!   cycle.
 //! * [`staging`] — the DRAM→SRAM DMA staging model that accounts for the
 //!   data-movement time the paper reports (8.0 ms total vs 1.6 ms compute
-//!   for the Level-2 design).
+//!   for the Level-2 design). `fblas-bench`'s `paper_matrix::mvm_xd1_l2`
+//!   cell is the one producer of that split.
 
 #![forbid(unsafe_code)]
 

@@ -159,14 +159,3 @@ fn hierarchical_matches_linear_array_on_non_finite_operands() {
     assert_eq!(cycle.c.at(10, 0), f64::INFINITY);
     assert_eq!(cycle.c.at(3, 9), f64::NEG_INFINITY);
 }
-
-#[test]
-fn deployment_and_direct_run_agree() {
-    use fpga_blas::blas::deploy::Level3Deployment;
-    use fpga_blas::system::Xd1Node;
-    let n = 64;
-    let a = int_mat(1, n);
-    let b = int_mat(2, n);
-    let dep = Level3Deployment::new(Xd1Node::default(), n).run(&a, &b);
-    assert_eq!(dep.result, ref_matmul(&a, &b).as_slice());
-}
