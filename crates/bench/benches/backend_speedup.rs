@@ -64,6 +64,10 @@ fn run_once(w: &Workload, backend: ExecBackend) {
 }
 
 fn time_once(mut f: impl FnMut()) -> Duration {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: this bench times the host"
+    )]
     let t = Instant::now();
     f();
     t.elapsed()

@@ -15,6 +15,10 @@ use std::time::Instant;
 fn time_gflops(f: impl Fn() -> Vec<f64>, n: usize, reps: usize) -> f64 {
     // Warm-up.
     let _ = f();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: this tool measures the host and commits nothing"
+    )]
     let start = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(f());
@@ -27,6 +31,10 @@ fn main() {
     let n = 512usize;
     let a = synth(1, n * n);
     let b = synth(2, n * n);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: the parallel gemm baseline uses every host core"
+    )]
     let threads = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
 
     println!("Measuring 64-bit gemm at n = {n} on this host ({threads} threads available)...");

@@ -103,6 +103,10 @@ fn modeled_host(seconds: f64) -> Host {
 /// A job whose record is a model evaluation, timed as a whole.
 fn modeled(label: &str, model: fn() -> RunRecord) -> Job<Entry> {
     Job::new(label, move |_h| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host timing: wall-clock sidecar only"
+        )]
         let t0 = Instant::now();
         let record = model();
         (record, modeled_host(t0.elapsed().as_secs_f64()))
@@ -126,6 +130,10 @@ fn timed<T>(
     if let Some(w) = telem_window {
         h.enable_telemetry(w);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: wall-clock sidecar only"
+    )]
     let t0 = Instant::now();
     let ff0 = h.ff_cycles();
     let (out, stalls) = measure(h, run);
@@ -261,6 +269,10 @@ pub fn hierarchical_operands() -> (DenseMatrix, DenseMatrix) {
 pub fn mm_hierarchical() -> Cell<HierarchicalOutcome> {
     let (a, b) = hierarchical_operands();
     let hier = HierarchicalMm::new(HierarchicalParams::xd1_single_node());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: wall-clock sidecar only"
+    )]
     let t0 = Instant::now();
     let out = hier.run(&a, &b);
     let host = modeled_host(t0.elapsed().as_secs_f64());
@@ -545,6 +557,10 @@ pub fn run_matrix(
     backend: ExecBackend,
     telem_window: Option<u64>,
 ) -> (RecordSet, WallClock, TelemSet) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host timing: wall-clock sidecar only"
+    )]
     let t0 = Instant::now();
     let entries = pool::run_ordered_with_backend(jobs(quick, telem_window), workers, backend);
     let elapsed = t0.elapsed().as_secs_f64();

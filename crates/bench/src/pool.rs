@@ -58,6 +58,10 @@ impl<T> Job<T> {
 }
 
 /// Default worker count: the host's available parallelism (1 if unknown).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "worker pool: the ordered reducer makes output identical at any worker count"
+)]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
 }
@@ -88,6 +92,10 @@ pub fn run_ordered_with_backend<T: Send>(
     let queue: Mutex<VecDeque<(usize, Job<T>)>> =
         Mutex::new(jobs.into_iter().enumerate().collect());
     let (tx, rx) = mpsc::channel::<(usize, JobResult<T>)>();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "worker pool: results return tagged and are reduced in submission order"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();

@@ -3,10 +3,11 @@
 //! * the design-rule checker over every shipped configuration;
 //! * the paper-parity coverage rule (every row of the shared tolerance
 //!   table carried by exactly one committed BENCH record);
-//! * the source rules of `fblas_check::RULES` (bench thread containment,
-//!   fault-hook purity, workspace determinism, fast-path parity
-//!   coverage, the telemetry metric registry), in one pass that reads
-//!   each file under `crates/` once;
+//! * the source rules of `fblas_check::RULES` (fault-hook purity,
+//!   fast-path parity coverage, the telemetry metric registry), in one
+//!   pass that reads each file under `crates/` once (softfloat purity,
+//!   determinism and thread containment are clippy lints, see the root
+//!   `clippy.toml`);
 //! * the channel-graph analyses (deadlock-freedom proofs, throughput
 //!   bounds, composed-bandwidth budgets) over every shipped topology;
 //! * the fabric-link-budget rule (steady-state demand vs. link rate)
@@ -92,7 +93,6 @@ fn main() {
     let scanned = Workspace::load(&root).and_then(|workspace| {
         RULES
             .iter()
-            .filter(|rule| rule.drc)
             .map(|rule| workspace.report(rule))
             .collect::<std::io::Result<Vec<Report>>>()
     });

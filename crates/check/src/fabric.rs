@@ -438,12 +438,4 @@ mod tests {
             .iter()
             .any(|d| d.severity == Severity::Error && d.message.contains("no committed")));
     }
-
-    #[test]
-    fn the_fabric_crate_is_in_the_determinism_scan() {
-        assert!(
-            crate::determinism::DETERMINISM_ROOTS.contains(&"crates/fabric/src"),
-            "the fabric writes committed SCALE records; it must be swept"
-        );
-    }
 }

@@ -23,25 +23,33 @@
 //!
 //! | row | rule id | matcher | reads |
 //! |---|---|---|---|
-//! | [`scan::SOFTFLOAT_PURITY`] | `softfloat-purity` | [`lint`] | datapath |
-//! | [`scan::THREAD_CONTAINMENT`] | `bench-thread-containment` | [`scan`] | `crates/bench/src` |
 //! | [`scan::HOOK_PURITY`] | `fault-hook-purity` | [`scan`] | `crates` |
-//! | [`scan::DETERMINISM`] | `workspace-determinism` | [`determinism`] | result-affecting crates |
 //! | [`scan::FAST_PATH_PARITY`] | `fast-path-parity` | [`fastpath`] | core, sparse and fabric sources, parity suite |
 //! | [`scan::METRIC_REGISTRY`] | `telemetry-metric-registry` | [`telemetry`] | datapath designs |
 //!
+//! Rules that need types are compiler lints, run by CI's clippy step
+//! (`cargo clippy --workspace --all-targets -- -D warnings`):
+//!
+//! | policy | lint | where |
+//! |---|---|---|
+//! | softfloat purity | `clippy::float_arithmetic` | roots of `fblas-core`, `fblas-mem`, `fblas-fabric`; `fblas-fpu`'s `pipelined.rs` |
+//! | workspace determinism | `clippy::disallowed_methods`/`disallowed_types` (root `clippy.toml`) | every crate |
+//! | thread containment | `clippy::disallowed_methods` (root `clippy.toml`) | every crate |
+//!
+//! A sanctioned site carries a fn- or statement-scoped
+//! `#[expect(<lint>, reason = "…")]` naming its role (accounting, oracle,
+//! host timing, worker pool); an expect that stops matching fails the
+//! same step. `tests/lint_policy.rs` fails if the policy is removed.
+//!
 //! All are libraries (used by the test suite) and run through the `drc`
-//! binary (every rule but the softfloat lint) and the `lint` binary (the
-//! softfloat lint), which CI runs.
+//! binary, which CI runs.
 
 #![forbid(unsafe_code)]
 
-pub mod determinism;
 pub mod drc;
 pub mod fabric;
 pub mod fastpath;
 pub mod graph;
-pub mod lint;
 pub mod parity;
 pub mod scan;
 pub mod serve;
@@ -61,63 +69,6 @@ pub use parity::coverage_report;
 pub use scan::{Rule, Workspace, RULES};
 pub use serve::check_serve_set;
 pub use source::SourceFile;
-
-/// Tests of the bench thread-containment row, [`scan::THREAD_CONTAINMENT`].
-#[cfg(test)]
-mod threads {
-    mod tests {
-        use crate::scan::{assert_shipped_tree_passes, thread_sites, THREAD_CONTAINMENT};
-        use crate::{Severity, SourceFile};
-
-        #[test]
-        fn pool_spawn_is_allowed_foreign_spawn_is_not() {
-            let pool = thread_sites(&SourceFile::new(
-                "crates/bench/src/pool.rs",
-                "fn f() { scope.spawn(|| {}); std::thread::scope(|s| {}); }",
-            ));
-            assert!(pool.iter().all(|s| s.allowed), "{pool:?}");
-            let rogue = SourceFile::new(
-                "crates/bench/src/bin/table9.rs",
-                "fn main() { std::thread::spawn(|| {}); }",
-            );
-            let sites = thread_sites(&rogue);
-            assert_eq!(sites.len(), 1);
-            assert!(!sites[0].allowed);
-            assert!(THREAD_CONTAINMENT
-                .diagnose(&[&rogue])
-                .iter()
-                .any(|d| d.severity == Severity::Error && d.message.contains("table9.rs:1")));
-        }
-
-        #[test]
-        fn comments_and_strings_do_not_fire() {
-            let src = "// thread::spawn is forbidden here\nfn f() { let _ = \"thread::spawn\"; }";
-            assert!(thread_sites(&SourceFile::new("crates/bench/src/bin/x.rs", src)).is_empty());
-        }
-
-        #[test]
-        fn whitespace_and_builder_forms_are_caught() {
-            let src = "fn f() { std::thread :: spawn(|| {}); thread::Builder::new(); }";
-            let sites = thread_sites(&SourceFile::new("crates/bench/src/bin/x.rs", src));
-            assert_eq!(sites.len(), 2, "{sites:?}");
-        }
-
-        #[test]
-        fn missing_allowed_site_is_a_warning() {
-            assert!(THREAD_CONTAINMENT
-                .diagnose(&[])
-                .iter()
-                .any(|d| d.severity == Severity::Warning && d.message.contains("pool moved")));
-        }
-
-        /// The live tree must pass: the pool is the only thread site, and
-        /// it actually contains one.
-        #[test]
-        fn shipped_bench_tree_is_contained() {
-            assert_shipped_tree_passes(&THREAD_CONTAINMENT);
-        }
-    }
-}
 
 /// Tests of the fault-hook purity row, [`scan::HOOK_PURITY`].
 #[cfg(test)]

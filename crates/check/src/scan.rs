@@ -1,12 +1,18 @@
-//! The source-rule table: six rules, one pass over the workspace.
+//! The source-rule table: three rules, one pass over the workspace.
 //!
 //! [`Workspace::load`] walks `crates/` once and prepares every `.rs`
 //! file as a [`SourceFile`]. Each rule is then one row of [`RULES`]: a
 //! rule id, a report name, the repo-relative roots it reads, and a
 //! matcher. A row's roots select its files from the loaded workspace (in
 //! root order, each root in walk order); a root that does not exist is an
-//! [`io::ErrorKind::NotFound`] error, so `drc` and `lint` exit 2 instead
-//! of passing vacuously.
+//! [`io::ErrorKind::NotFound`] error, so `drc` exits 2 instead of
+//! passing vacuously.
+//!
+//! Questions about types are not rows here: softfloat purity,
+//! workspace determinism and thread containment are compiler lints
+//! (the root `clippy.toml` bans and `clippy::float_arithmetic` on the
+//! datapath crates), which resolve every path and type instead of
+//! guessing from tokens.
 //!
 //! Rules that look for *sites* share one policy: an allowed site is
 //! Info, any other site is an Error, and a tree with no allowed site at
@@ -26,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use crate::drc::{Diagnostic, Report, Severity};
 use crate::source::{file_label, load, SourceFile};
-use crate::{determinism, fastpath, lint, telemetry};
+use crate::{fastpath, telemetry};
 
 /// One finding of a site-based rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,9 +75,6 @@ pub struct Rule {
     pub report: &'static str,
     /// Repo-relative directories or files the rule reads.
     pub roots: &'static [&'static str],
-    /// Whether `drc` runs the rule (the softfloat lint has its own
-    /// `lint` binary).
-    pub drc: bool,
     /// The matcher.
     pub check: Check,
 }
@@ -145,36 +148,6 @@ pub(crate) fn fold_info(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Softfloat purity ([`crate::lint`]). Catches a datapath value computed
-/// with native `f64` arithmetic: on the committed data it is often
-/// bit-equal to the softfloat result, so no byte-equality test notices.
-pub const SOFTFLOAT_PURITY: Rule = Rule {
-    id: "softfloat-purity",
-    report: "softfloat purity",
-    roots: lint::DATAPATH_PATHS,
-    drc: false,
-    check: Check::Files(lint::check),
-};
-
-/// Bench thread containment. Catches a thread created outside the
-/// worker pool's ordered reducer: its nondeterminism fails CI's `cmp`
-/// steps only when the scheduler happens to reorder.
-pub const THREAD_CONTAINMENT: Rule = Rule {
-    id: "bench-thread-containment",
-    report: "bench thread containment",
-    roots: &["crates/bench/src"],
-    drc: true,
-    check: Check::Sites {
-        find: thread_sites,
-        allowed: " inside the shared pool (allowed site)",
-        forbidden: " outside the shared worker pool — bench code must schedule work \
-                    through crates/bench/src/pool.rs so the ordered reducer keeps BENCH \
-                    output deterministic",
-        stale: "no thread-creation site found in the allowed module(s) \
-                [\"crates/bench/src/pool.rs\"] — pool moved or rule stale?",
-    },
-};
-
 /// Fault-hook purity. Catches a `.fault_*` mutation hook called outside
 /// `fn inject`/`fn fault_*` bodies, `crates/faults` and tests — including
 /// on paths no committed workload reaches, where no artifact diff can.
@@ -182,7 +155,6 @@ pub const HOOK_PURITY: Rule = Rule {
     id: "fault-hook-purity",
     report: "fault hook purity",
     roots: &["crates"],
-    drc: true,
     check: Check::Sites {
         find: hook_sites,
         allowed: "hook call inside an inject/hook body (allowed site)",
@@ -194,23 +166,6 @@ pub const HOOK_PURITY: Rule = Rule {
     },
 };
 
-/// Workspace determinism ([`crate::determinism`]). Catches wall-clock,
-/// ambient-RNG and host-parallelism reads and hash-order iteration in
-/// result-affecting code, which fail CI's `cmp` steps only by chance.
-pub const DETERMINISM: Rule = Rule {
-    id: "workspace-determinism",
-    report: "workspace determinism",
-    roots: determinism::DETERMINISM_ROOTS,
-    drc: true,
-    check: Check::Sites {
-        find: determinism::sites,
-        allowed: " at an allowlisted site",
-        forbidden: " in result-affecting code — BENCH byte-determinism forbids ambient \
-                    reads outside the allowlist (see DESIGN.md §12)",
-        stale: "no allowlisted ambient read found — pool/sidecar moved or rule stale?",
-    },
-};
-
 /// Fast-path parity coverage ([`crate::fastpath`]). Catches a
 /// `fast_forward` override that no backend-parity test pins, which no
 /// existing test can notice because the test is the thing missing.
@@ -218,7 +173,6 @@ pub const FAST_PATH_PARITY: Rule = Rule {
     id: "fast-path-parity",
     report: "fast-path parity coverage",
     roots: fastpath::FAST_PATH_ROOTS,
-    drc: true,
     check: Check::Files(fastpath::check),
 };
 
@@ -229,41 +183,11 @@ pub const METRIC_REGISTRY: Rule = Rule {
     id: "telemetry-metric-registry",
     report: "telemetry metric registry",
     roots: telemetry::POLICED_TREES,
-    drc: true,
     check: Check::Files(telemetry::check),
 };
 
 /// Every source rule, in `drc` report order.
-pub const RULES: &[Rule] = &[
-    SOFTFLOAT_PURITY,
-    THREAD_CONTAINMENT,
-    HOOK_PURITY,
-    DETERMINISM,
-    FAST_PATH_PARITY,
-    METRIC_REGISTRY,
-];
-
-/// Thread-creation constructs, matched on squeezed stripped lines so
-/// `std::thread::spawn`, `thread::spawn` and `thread :: spawn` all hit.
-const THREAD_PATTERNS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
-
-pub(crate) fn thread_sites(file: &SourceFile) -> Vec<Site> {
-    let allowed = file.label == "crates/bench/src/pool.rs";
-    let mut sites = Vec::new();
-    for (i, squeezed) in file.squeezed.iter().enumerate() {
-        for pattern in THREAD_PATTERNS {
-            if squeezed.contains(pattern) {
-                sites.push(Site {
-                    file: file.label.clone(),
-                    line: i + 1,
-                    what: format!("`{pattern}`"),
-                    allowed,
-                });
-            }
-        }
-    }
-    sites
-}
+pub const RULES: &[Rule] = &[HOOK_PURITY, FAST_PATH_PARITY, METRIC_REGISTRY];
 
 /// One site per line holding a `.fault_*` call other than the read-only
 /// `.fault_log(` query. `crates/faults`, `tests/` trees and
@@ -349,7 +273,6 @@ pub(crate) fn assert_shipped_tree_passes(rule: &Rule) {
     assert!(report.is_feasible(), "{}", report.render(true));
     assert_eq!(report.count(Severity::Warning), 0, "{}", rule.id);
     let min_info = match rule.id {
-        "softfloat-purity" => 0,
         // One Info per registry row at minimum — full cover.
         "telemetry-metric-registry" => fblas_telemetry::METRICS.len(),
         _ => 1,
@@ -385,7 +308,7 @@ mod tests {
         let workspace = Workspace::load(&repo_root()).expect("load");
         let rule = Rule {
             roots: &["crates/no-such-crate/src"],
-            ..THREAD_CONTAINMENT
+            ..HOOK_PURITY
         };
         let err = workspace.report(&rule).expect_err("missing root");
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
@@ -401,39 +324,33 @@ mod tests {
         assert!(errors_at(&diags, "x.rs:4"), "{diags:?}");
     }
 
-    /// The same shape for the determinism row: the wall-clock read after
-    /// a test-only `use` is an error.
-    #[test]
-    fn cfg_test_use_does_not_exempt_the_next_clock_read() {
-        let src = "#[cfg(test)]\nuse super::helper;\n\
-                   fn f() { let t = Instant::now(); }\n";
-        let diags = diagnose(&DETERMINISM, "crates/sim/src/x.rs", src);
-        assert!(errors_at(&diags, "x.rs:3: `Instant::now`"), "{diags:?}");
-    }
-
     /// Moving allowed sites down a line leaves their Info output
     /// unchanged (repeats fold into one counted line), while an error
     /// still names its line.
     #[test]
     fn info_output_is_stable_when_a_site_moves_and_errors_keep_their_line() {
-        let src = "fn f() {\n    thread::scope(|_| {});\n    thread::scope(|_| {});\n}\n";
+        let body = "    x.a.fault_mutate(0, id);\n    x.b.fault_mutate(0, id);\n}\n";
+        let src = format!("fn inject(x: &mut X) {{\n{body}");
         let moved = format!("\n{src}");
-        let render = |label: &str, src: &str| -> Vec<String> {
-            let diags = diagnose(&THREAD_CONTAINMENT, label, src);
+        let render = |src: &str| -> Vec<String> {
+            let diags = diagnose(&HOOK_PURITY, "crates/core/src/x.rs", src);
             diags.iter().map(ToString::to_string).collect()
         };
-        let pool = "crates/bench/src/pool.rs";
-        assert_eq!(render(pool, src), render(pool, &moved));
+        assert_eq!(render(&src), render(&moved));
         assert_eq!(
-            render(pool, src),
+            render(&src),
             [
-                "info    [bench-thread-containment] crates/bench/src/pool.rs: `thread::scope` \
-              inside the shared pool (allowed site) (sites=2)"
+                "info    [fault-hook-purity] crates/core/src/x.rs: hook call inside an \
+              inject/hook body (allowed site) (sites=2)"
             ]
         );
-        let diags = diagnose(&THREAD_CONTAINMENT, "crates/bench/src/x.rs", &moved);
-        assert!(errors_at(&diags, "x.rs:3: `thread::scope`"), "{diags:?}");
-        assert!(errors_at(&diags, "x.rs:4: `thread::scope`"), "{diags:?}");
+        let diags = diagnose(
+            &HOOK_PURITY,
+            "crates/core/src/x.rs",
+            &format!("\nfn f() {{\n{body}"),
+        );
+        assert!(errors_at(&diags, "x.rs:3: "), "{diags:?}");
+        assert!(errors_at(&diags, "x.rs:4: "), "{diags:?}");
     }
 
     /// A hook-trait declaration without a body sanctions nothing after it.

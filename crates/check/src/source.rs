@@ -142,19 +142,6 @@ fn char_literal_end(chars: &[char], i: usize) -> Option<usize> {
     (chars.get(j) == Some(&'\'')).then_some(j)
 }
 
-/// Token class, as the rules need to tell them apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    /// Identifier or keyword.
-    Ident,
-    /// Integer literal (including `0x…` and integer-suffixed literals).
-    Int,
-    /// Float literal: `1.0`, `1e3`, `2f64`.
-    Float,
-    /// Punctuation, with the multi-character operators kept whole.
-    Punct,
-}
-
 /// One token of stripped source.
 #[derive(Debug, Clone)]
 pub struct Tok {
@@ -162,8 +149,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based source line.
     pub line: usize,
-    /// Token class.
-    pub kind: Kind,
 }
 
 fn tokenize(stripped: &str) -> Vec<Tok> {
@@ -178,7 +163,8 @@ fn tokenize(stripped: &str) -> Vec<Tok> {
             i += 1;
         } else if c.is_whitespace() {
             i += 1;
-        } else if c.is_alphabetic() || c == '_' {
+        } else if c.is_alphanumeric() || c == '_' {
+            // An identifier, keyword or (the digits of) a number.
             let start = i;
             while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                 i += 1;
@@ -186,15 +172,10 @@ fn tokenize(stripped: &str) -> Vec<Tok> {
             toks.push(Tok {
                 text: chars[start..i].iter().collect(),
                 line,
-                kind: Kind::Ident,
             });
-        } else if c.is_ascii_digit() {
-            let (tok, end) = lex_number(&chars, i, line);
-            toks.push(tok);
-            i = end;
         } else {
-            // Multi-character operators that must not be mistaken for
-            // arithmetic (or that the arithmetic check needs whole).
+            // Multi-character operators kept whole, so `->` never reads
+            // as a closing `>` of a generic list.
             let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
             let op = match two.as_str() {
                 "->" | "=>" | "::" | "==" | "!=" | "<=" | ">=" | "&&" | "||" | ".." | "<<"
@@ -207,69 +188,10 @@ fn tokenize(stripped: &str) -> Vec<Tok> {
                     c.to_string()
                 }
             };
-            toks.push(Tok {
-                text: op,
-                line,
-                kind: Kind::Punct,
-            });
+            toks.push(Tok { text: op, line });
         }
     }
     toks
-}
-
-fn lex_number(chars: &[char], start: usize, line: usize) -> (Tok, usize) {
-    let mut i = start;
-    let mut is_float = false;
-    if chars[i] == '0' && matches!(chars.get(i + 1), Some('x' | 'o' | 'b')) {
-        i += 2;
-        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-            i += 1;
-        }
-    } else {
-        while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-            i += 1;
-        }
-        if i < chars.len() && chars[i] == '.' && chars.get(i + 1) != Some(&'.') {
-            // `1.0` is a float; `0..n` is a range.
-            is_float = true;
-            i += 1;
-            while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                i += 1;
-            }
-        }
-        if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
-            let mut j = i + 1;
-            if matches!(chars.get(j), Some('+' | '-')) {
-                j += 1;
-            }
-            if chars.get(j).is_some_and(char::is_ascii_digit) {
-                is_float = true;
-                i = j;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '_') {
-                    i += 1;
-                }
-            }
-        }
-        // Type suffix decides when present: 1f64 is a float, 1u64 is not.
-        let suffix_start = i;
-        while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-            i += 1;
-        }
-        let suffix: String = chars[suffix_start..i].iter().collect();
-        if suffix.starts_with("f32") || suffix.starts_with("f64") {
-            is_float = true;
-        } else if !suffix.is_empty() {
-            is_float = false;
-        }
-    }
-    (
-        Tok {
-            text: chars[start..i].iter().collect(),
-            line,
-            kind: if is_float { Kind::Float } else { Kind::Int },
-        },
-        i,
-    )
 }
 
 /// Do the tokens starting at `at` spell out `pat`?
@@ -301,7 +223,7 @@ pub fn skip_balanced(toks: &[Tok], mut i: usize, open: &str, close: &str) -> usi
 
 /// Skip one item: to its closing brace, or to `;` for a brace-less item
 /// (`use …;`, `mod tests;`, a trait method declaration).
-pub fn skip_item(toks: &[Tok], mut i: usize) -> usize {
+fn skip_item(toks: &[Tok], mut i: usize) -> usize {
     while i < toks.len() {
         match toks[i].text.as_str() {
             "{" => return skip_balanced(toks, i, "{", "}"),

@@ -109,13 +109,16 @@ pub struct DotProductDesign {
 impl DotProductDesign {
     /// Instantiate the design on an XD1 node (fixes the clock at the
     /// tree-design rate and checks the bandwidth demand is available).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: bandwidth demand against the SRAM supply"
+    )]
     pub fn new(params: DotParams, node: &Xd1Node) -> Self {
         assert!(
             params.k.is_power_of_two(),
             "adder tree needs power-of-two k"
         );
         let clock = ClockModel::default().tree_design();
-        // Bandwidth accounting, not datapath. lint: allow(native-f64)
         let demand = 2.0 * params.words_per_cycle_per_vector;
         let supply = node.sram_words_per_cycle(clock.mhz());
         assert!(
@@ -129,6 +132,10 @@ impl DotProductDesign {
     /// sustains only ≈3.5 words/cycle at 170 MHz, so the two vector
     /// streams are derated to share it — the §3.2 computational model
     /// applied to the paper's second platform.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: splits the SRAM read rate between two streams"
+    )]
     pub fn on_src(k: usize, station: &fblas_system::src_station::SrcMapStation) -> Self {
         assert!(k.is_power_of_two(), "adder tree needs power-of-two k");
         let clock = ClockModel::default().tree_design();
@@ -138,7 +145,6 @@ impl DotProductDesign {
             adder_stages: fblas_fpu::ADDER_STAGES,
             mult_stages: fblas_fpu::MULTIPLIER_STAGES,
             // Each stream gets half the read path, capped at k words.
-            // Rate accounting, not datapath. lint: allow(native-f64)
             words_per_cycle_per_vector: (supply / 2.0).min(k as f64),
         };
         Self { params, clock }
@@ -167,6 +173,7 @@ impl DotProductDesign {
     }
 
     /// Memory bandwidth the run exercises, in bytes/s.
+    #[expect(clippy::float_arithmetic, reason = "accounting: bytes per second")]
     pub fn bandwidth_bytes_per_s(&self) -> f64 {
         2.0 * self.params.words_per_cycle_per_vector * 8.0 * self.clock.hz()
     }
@@ -242,7 +249,6 @@ impl DotProductDesign {
             latency: self.params.tree_latency(),
             slots: u.len().div_ceil(self.params.k) as u64,
             words: 2 * u.len() as u64,
-            // Rate accounting, not datapath. lint: allow(native-f64)
             gapless: rate >= self.params.k as f64,
         };
         let out = TreeRun::new(source, feed, reducer, vec![f64::NAN]).run_in(harness);

@@ -309,7 +309,6 @@ impl<const S: usize, F: Fn(f64, [f64; S]) -> f64> Lanes<S, F> {
             fed: 0,
             limit: (n as u64 + 64) * 16 + 100_000,
             // Rate precondition for fast-forwarding (k as f64 is exact).
-            // Rate accounting, not datapath. lint: allow(native-f64)
             full_rate: rate >= k as f64,
             ids: None,
         };
@@ -609,17 +608,17 @@ impl AsumDesign {
             latency: (k.ilog2() as usize * self.params.adder_stages).max(1),
             slots: x.len().div_ceil(k) as u64,
             words: x.len() as u64,
-            // Rate accounting, not datapath. lint: allow(native-f64)
             gapless: rate >= k as f64,
         };
         let mut reducer = SingleAdderReducer::new(self.params.adder_stages);
         let out = TreeRun::new(source, feed, &mut reducer, vec![f64::NAN]).run_in(harness);
+        #[expect(clippy::float_arithmetic, reason = "accounting: bytes per second")]
+        let bandwidth = rate * 8.0 * self.clock.hz();
         AsumOutcome {
             result: out.y[0],
             report: out.report,
             clock: self.clock,
-            // Bandwidth accounting. lint: allow(native-f64)
-            peak_flops: io_bound_peak_dot(rate * 8.0 * self.clock.hz()),
+            peak_flops: io_bound_peak_dot(bandwidth),
         }
     }
 }

@@ -41,6 +41,7 @@
 //! cores would produce for the same operation order.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_arithmetic))]
 
 pub mod dot;
 mod interleaved;

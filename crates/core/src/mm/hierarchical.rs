@@ -122,6 +122,7 @@ pub struct HierarchicalOutcome {
 
 impl HierarchicalOutcome {
     /// Sustained GFLOPS at the design clock.
+    #[expect(clippy::float_arithmetic, reason = "accounting: GFLOPS")]
     pub fn sustained_gflops(&self) -> f64 {
         self.report.sustained_flops(&self.clock) / 1e9
     }
@@ -191,6 +192,10 @@ impl HierarchicalMm {
     /// inner BRAM C′ rotation (m²/k cells, plus the α forwarding
     /// registers under the documented-hazard policy) and the SRAM C′
     /// slice rotation (mb/l cells per FPGA at minimum — always ≫ α).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: channel rates and PE counts of the graph"
+    )]
     pub fn topology(&self) -> Topology {
         let p = &self.params;
         let (k, m, l, b) = (p.mm.k as f64, p.mm.m, p.l as f64, p.b as f64);
@@ -207,7 +212,6 @@ impl HierarchicalMm {
             dram,
             staging,
             EdgeKind::Channel {
-                // Channel-rate accounting, not datapath. lint: allow(native-f64)
                 words_per_cycle: 2.0 * k * l / b,
                 flops_per_word: b,
             },

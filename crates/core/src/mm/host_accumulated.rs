@@ -16,6 +16,7 @@
 use super::{HierarchicalMm, HierarchicalParams};
 use crate::mvm::DenseMatrix;
 use crate::report::SimReport;
+use fblas_fpu::softfloat::add_f64;
 use fblas_sim::ClockDomain;
 
 /// Outcome of a host-accumulated large matrix multiply.
@@ -86,7 +87,7 @@ impl HostAccumulatedMm {
                             if bq == 0 {
                                 *dst = out.c.at(i, j);
                             } else {
-                                *dst += out.c.at(i, j);
+                                *dst = add_f64(*dst, out.c.at(i, j));
                                 host_adds += 1;
                             }
                         }

@@ -331,6 +331,7 @@ impl LinearArrayMm {
         let c = t.sink("c-blocks");
         // Per §5.1 each of A, B streams k/m words per cycle; every
         // delivered word participates in m multiply-accumulates.
+        #[expect(clippy::float_arithmetic, reason = "accounting: words per cycle")]
         let in_rate = p.k as f64 / p.m as f64;
         let feed = EdgeKind::Channel {
             words_per_cycle: in_rate,

@@ -143,6 +143,7 @@ impl MmParams {
     }
 
     /// Required external bandwidth in words per cycle (§5.1): 3k/m.
+    #[expect(clippy::float_arithmetic, reason = "accounting: words per cycle")]
     pub fn words_per_cycle(&self) -> f64 {
         3.0 * self.k as f64 / self.m as f64
     }
@@ -165,6 +166,7 @@ impl MmParams {
 }
 
 /// Reference C = A·B (+ C₀) in plain f64, for test oracles.
+#[expect(clippy::float_arithmetic, reason = "oracle: plain f64 reference")]
 pub fn ref_matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     assert_eq!(a.cols(), b.rows());
     DenseMatrix::from_fn(a.rows(), b.cols(), |i, j| {

@@ -35,6 +35,10 @@ pub struct ColMajorMvm {
 impl ColMajorMvm {
     /// Instantiate on an XD1 node (bandwidth check as in the row-major
     /// form).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: bandwidth demand against the SRAM supply"
+    )]
     pub fn new(params: MvmParams, node: &Xd1Node) -> Self {
         let clock = ClockModel::default().tree_design();
         let supply = node.sram_words_per_cycle(clock.mhz());
@@ -165,7 +169,6 @@ impl ColMajorMvm {
             latencies: batches,
             // y streams back to memory once the accumulators settle.
             words_out: rows as u64,
-            // Rate accounting, not datapath. lint: allow(native-f64)
             gapless: rate >= k as f64,
         };
         let (report, source) = InterleavedRun::new(source, shape).run_in(harness);

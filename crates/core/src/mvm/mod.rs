@@ -90,7 +90,7 @@ impl MvmOutcome {
     }
 
     fn new(y: Vec<f64>, report: SimReport, clock: ClockDomain, words_per_cycle: f64) -> Self {
-        // Bandwidth accounting, not datapath. lint: allow(native-f64)
+        #[expect(clippy::float_arithmetic, reason = "accounting: bytes per second")]
         let bw = words_per_cycle * 8.0 * clock.hz();
         Self {
             y,
@@ -148,6 +148,7 @@ impl DenseMatrix {
     }
 
     /// Reference y = A·x in plain f64 (test oracle).
+    #[expect(clippy::float_arithmetic, reason = "oracle: plain f64 reference")]
     pub fn ref_mvm(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
         (0..self.rows)

@@ -35,6 +35,10 @@ impl RowMajorMvm {
     /// Instantiate on an XD1 node, checking bandwidth and on-chip storage
     /// (x occupies n words of BRAM; §4.2: "the size of required on-chip
     /// memory is n words").
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: bandwidth demand against the SRAM supply"
+    )]
     pub fn new(params: MvmParams, node: &Xd1Node) -> Self {
         assert!(
             params.k.is_power_of_two(),
@@ -169,7 +173,6 @@ impl RowMajorMvm {
             latency: self.params.mult_stages + k.ilog2() as usize * self.params.adder_stages,
             slots: (rows * (cols.div_ceil(k) + usize::from(y0.is_some()))) as u64,
             words: (rows * cols) as u64,
-            // Rate accounting, not datapath. lint: allow(native-f64)
             gapless: rate >= k as f64,
         };
         let out = TreeRun::new(source, feed, reducer, vec![f64::NAN; rows]).run_in(harness);

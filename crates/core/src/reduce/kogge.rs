@@ -12,7 +12,7 @@
 
 use super::{ReduceEvent, ReduceInput, Reducer};
 use fblas_fpu::PipelinedAdder;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A value moving through the chain.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +41,7 @@ pub struct KoggeTreeReducer {
     /// Set id the owed pads belong to.
     pad_set: u64,
     /// Padded size of each completed set (final-sum recognition).
-    padded_sizes: HashMap<u64, u64>,
+    padded_sizes: BTreeMap<u64, u64>,
     out_queue: VecDeque<ReduceEvent>,
     open_sets: usize,
     cycles: u64,
@@ -60,7 +60,7 @@ impl KoggeTreeReducer {
             current_count: 0,
             pads_owed: 0,
             pad_set: 0,
-            padded_sizes: HashMap::new(),
+            padded_sizes: BTreeMap::new(),
             out_queue: VecDeque::new(),
             open_sets: 0,
             cycles: 0,

@@ -25,8 +25,11 @@
 //!   speedup never exceeds the §6.4 projection (the `observatory
 //!   scale` gate).
 //! * **Determinism** — no wall clock, no hash iteration, no native
-//!   f64 in the datapath; the softfloat and determinism lints police
-//!   this tree like any kernel crate.
+//!   f64 in the datapath; the root `clippy.toml` bans and the
+//!   `float_arithmetic` lint below police this tree like any kernel
+//!   crate.
+
+#![cfg_attr(not(test), warn(clippy::float_arithmetic))]
 
 pub mod link;
 pub mod mm;

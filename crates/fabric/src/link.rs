@@ -56,6 +56,7 @@ impl LinkClass {
     }
 
     /// Link bandwidth in 64-bit words per cycle of a `clock_mhz` clock.
+    #[expect(clippy::float_arithmetic, reason = "accounting: link words per cycle")]
     pub fn words_per_cycle(self, clock_mhz: f64) -> f64 {
         self.bytes_per_s() / WORD_BYTES as f64 / (clock_mhz * 1e6)
     }

@@ -93,12 +93,20 @@ impl MmShardPlan {
 
     /// Steady-state operand demand of one busy shard, words/cycle:
     /// `2m²` words per block step of `m³/k` cycles.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: shard demand in words per cycle"
+    )]
     pub fn operand_words_per_cycle(&self) -> f64 {
         2.0 * self.k as f64 / self.m as f64
     }
 
     /// Steady-state result drain of one busy shard, words/cycle:
     /// `m²` words per pair of `nb · m³/k` cycles.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: shard demand in words per cycle"
+    )]
     pub fn egress_words_per_cycle(&self) -> f64 {
         self.k as f64 / (self.nb() * self.m) as f64
     }
@@ -146,12 +154,20 @@ impl MvmShardPlan {
 
     /// Steady-state broadcast demand of one shard, words/cycle: the
     /// `n`-word x vector over an `n · rows / k`-cycle compute.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: shard demand in words per cycle"
+    )]
     pub fn broadcast_words_per_cycle(&self) -> f64 {
         self.k as f64 / self.rows_per_shard() as f64
     }
 
     /// Steady-state gather rate of one shard, words/cycle: `rows`
     /// result words over the same compute span.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: shard demand in words per cycle"
+    )]
     pub fn gather_words_per_cycle(&self) -> f64 {
         self.k as f64 / self.n as f64
     }
@@ -176,6 +192,10 @@ pub struct LinkBudget {
 impl LinkBudget {
     /// Capacity with a hair of slack for float accumulation,
     /// words/cycle (accounting about the link, not a datapath value).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: link capacity with slack"
+    )]
     fn slack_capacity_words_per_cycle(&self) -> f64 {
         self.capacity_words_per_cycle * (1.0 + 1e-9)
     }
@@ -189,6 +209,7 @@ impl LinkBudget {
 
 /// Accumulate `rate` (words/cycle of accounting demand) onto every
 /// link of `route`.
+#[expect(clippy::float_arithmetic, reason = "accounting: summed link demand")]
 fn add_route_rate(budget: &mut [f64], route: &[usize], rate: f64) {
     for &link in route {
         budget[link] += rate;
@@ -197,6 +218,7 @@ fn add_route_rate(budget: &mut [f64], route: &[usize], rate: f64) {
 
 /// FLOP-rate accounting: a MAC datapath performs two FLOPs per
 /// element, so a stage holding `count` elements runs at `2·count`.
+#[expect(clippy::float_arithmetic, reason = "accounting: FLOP rate")]
 pub(crate) fn mac_flops(count: usize) -> f64 {
     2.0 * count as f64
 }

@@ -8,6 +8,8 @@
 //! `Tag` alongside each operation so architectures can route results
 //! (e.g. "this sum belongs to output row 17").
 
+#![cfg_attr(not(test), warn(clippy::float_arithmetic))]
+
 use crate::softfloat::{sf_add, sf_mul};
 use fblas_sim::DelayLine;
 

@@ -46,6 +46,7 @@ impl LevelSpec {
     }
 
     /// Words per cycle this level sustains at the given FPGA clock.
+    #[expect(clippy::float_arithmetic, reason = "accounting: words per cycle")]
     pub fn words_per_cycle(&self, clock_mhz: f64) -> f64 {
         self.bandwidth_bytes_per_s / crate::WORD_BYTES as f64 / (clock_mhz * 1e6)
     }

@@ -27,6 +27,7 @@
 //!   cell is the one producer of that split.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), warn(clippy::float_arithmetic))]
 
 pub mod channel;
 pub mod hierarchy;

@@ -76,6 +76,7 @@ impl SramBanks {
 
     /// Achieved bandwidth in bytes/second at the given clock, counting
     /// `bits_per_word` bits per delivered word (72 on XD1 with parity).
+    #[expect(clippy::float_arithmetic, reason = "accounting: bytes per second")]
     pub fn achieved_bandwidth(&self, clock_mhz: f64, bits_per_word: u64) -> f64 {
         if self.cycles == 0 {
             return 0.0;

@@ -47,6 +47,10 @@ impl DmaModel {
     }
 
     /// Seconds to move `bytes` bytes.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: modeled transfer seconds"
+    )]
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {
         self.setup_s + bytes as f64 / self.bandwidth_bytes_per_s
     }
@@ -57,6 +61,10 @@ impl DmaModel {
     }
 
     /// Cycles to move `bytes` at an FPGA clock of `clock_mhz` (rounded up).
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: modeled transfer cycles"
+    )]
     pub fn transfer_cycles(&self, bytes: u64, clock_mhz: f64) -> u64 {
         (self.transfer_seconds(bytes) * clock_mhz * 1e6).ceil() as u64
     }
@@ -64,9 +72,11 @@ impl DmaModel {
     /// Nanoseconds to move `bytes` (rounded up) — the integer timeline
     /// unit the serving layer's discrete-event clock uses, so designs
     /// closing timing at different MHz share one deterministic timeline.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: modeled transfer nanoseconds"
+    )]
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
-        // Accounting math over modeled time, not datapath value flow.
-        // lint: allow(native-f64)
         (self.transfer_seconds(bytes) * 1e9).ceil() as u64
     }
 
@@ -98,6 +108,7 @@ impl DmaModel {
     }
 
     /// Effective words per FPGA cycle this engine sustains.
+    #[expect(clippy::float_arithmetic, reason = "accounting: words per cycle")]
     pub fn words_per_cycle(&self, clock_mhz: f64) -> f64 {
         self.bandwidth_bytes_per_s / crate::WORD_BYTES as f64 / (clock_mhz * 1e6)
     }
@@ -151,6 +162,10 @@ impl BatchStaging {
     /// time (every request re-stages the shared operand) over batched.
     /// 1.0 when nothing is shared; approaches `requests` as the shared
     /// operand dominates — the Table 4 regime.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "accounting: a ratio of modeled times"
+    )]
     pub fn amortization(&self, shared_bytes: u64, per_request_bytes: u64, requests: u64) -> f64 {
         let batched = self.batch_ns(shared_bytes, per_request_bytes, requests);
         if batched == 0 {

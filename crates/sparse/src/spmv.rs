@@ -205,7 +205,6 @@ impl SpmvDesign {
             latency: self.params.mult_stages + k.ilog2() as usize * self.params.adder_stages,
             slots: rows.iter().map(|r| r.2.div_ceil(k) as u64).sum(),
             words: 2 * a.nnz() as u64,
-            // Rate accounting, not datapath. lint: allow(native-f64)
             gapless: rate >= k as f64,
         };
         let source = SpmvSource {
@@ -222,7 +221,6 @@ impl SpmvDesign {
         let y = y0.map_or_else(|| vec![0.0; n_rows], <[f64]>::to_vec);
         let out = TreeRun::new(source, feed, reducer, y).run_in(harness);
 
-        // Bandwidth accounting. lint: allow(native-f64)
         let bw = rate * 16.0 * self.clock.hz();
         SpmvOutcome {
             y: out.y,

@@ -90,6 +90,10 @@ pub fn gemm_parallel(a: &[f64], b: &[f64], n: usize, block: usize, threads: usiz
     assert!(threads >= 1, "need at least one thread");
     let mut c = vec![0.0f64; n * n];
     let rows_per = n.div_ceil(threads);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the row partitions are disjoint, so the result is independent of scheduling"
+    )]
     std::thread::scope(|s| {
         let mut rest: &mut [f64] = &mut c;
         let mut row0 = 0usize;

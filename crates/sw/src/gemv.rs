@@ -54,6 +54,10 @@ pub fn gemv_parallel(a: &[f64], rows: usize, cols: usize, x: &[f64], threads: us
     assert!(threads >= 1, "need at least one thread");
     let mut y = vec![0.0f64; rows];
     let rows_per = rows.div_ceil(threads);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the row partitions are disjoint, so the result is independent of scheduling"
+    )]
     std::thread::scope(|s| {
         let mut rest: &mut [f64] = &mut y;
         let mut row0 = 0usize;
